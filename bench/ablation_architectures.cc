@@ -151,11 +151,3 @@ architecturesReport(const SuiteOptions &opt,
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("architectures", argc, argv);
-}
-#endif

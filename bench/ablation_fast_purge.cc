@@ -98,11 +98,3 @@ fastPurgeReport(const SuiteOptions &opt,
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("fast-purge", argc, argv);
-}
-#endif

@@ -122,11 +122,3 @@ geometryReport(const SuiteOptions &opt,
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("geometry", argc, argv);
-}
-#endif

@@ -104,11 +104,3 @@ pageColorReport(const SuiteOptions &opt,
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("page-color", argc, argv);
-}
-#endif

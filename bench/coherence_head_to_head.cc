@@ -179,11 +179,3 @@ coherenceReport(const SuiteOptions &opt,
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("coherence", argc, argv);
-}
-#endif

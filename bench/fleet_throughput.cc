@@ -1,15 +1,14 @@
 /**
  * @file
- * Fleet throughput: multi-replica runs of the paper workloads,
- * exercising the intra-run shard path (--shards) end to end.
+ * Fleet throughput: replicated runs of the paper workloads (the
+ * paper's Section 6 method of repeating each workload over several
+ * runs).
  *
- * Each run executes several replicas of one workload — independent
- * simulations with SplitMix64-expanded seeds — merged into a single
- * RunResult in replica order (shard_runner.hh). Under --shards N the
- * replicas spread across N host threads; the merged artifact entry is
- * byte-identical either way, which validate() proves directly by
- * running one spec at --shards 1 and --shards 3 and comparing the
- * serialised results.
+ * Each replica is an ordinary RunSpec, id fleet/<workload>/F/r<k>,
+ * with RunSpec::replica = k, so replica k > 0 runs a SplitMix64
+ * expansion of the workload's calibrated seed. The engine spreads the
+ * replicas across its --jobs pool like any other run; the report sums
+ * each workload's replicas in replica order.
  *
  * This is also the suite the throughput ratchet watches most closely:
  * its runs carry the largest sim_cycles per artifact entry, so a
@@ -34,17 +33,21 @@ fleetReplicas(const SuiteOptions &opt)
     return opt.smoke ? 4 : 8;
 }
 
+/** Workload-major, replica-minor: each workload's replicas are
+ *  consecutive, as fleetReport() expects. */
 std::vector<RunSpec>
 fleetSpecs(const SuiteOptions &opt)
 {
     const std::uint32_t replicas = fleetReplicas(opt);
     std::vector<RunSpec> specs;
     for (std::size_t w = 0; w < numPaperWorkloads; ++w) {
-        RunSpec spec = paperSpec("fleet", w, PolicyConfig::configF(),
-                                 opt, MachineParams::hp720(),
-                                 format("r%u", replicas));
-        spec.replicaCount = replicas;
-        specs.push_back(std::move(spec));
+        for (std::uint32_t k = 0; k < replicas; ++k) {
+            RunSpec spec = paperSpec("fleet", w, PolicyConfig::configF(),
+                                     opt, MachineParams::hp720(),
+                                     format("r%u", k));
+            spec.replica = k;
+            specs.push_back(std::move(spec));
+        }
     }
     return specs;
 }
@@ -53,80 +56,51 @@ bool
 fleetReport(const SuiteOptions &opt,
             const std::vector<RunOutcome> &outcomes)
 {
-    Table t({"Workload", "Replicas", "Merged cycles", "Sim seconds",
+    const std::uint32_t replicas = fleetReplicas(opt);
+    Table t({"Workload", "Replicas", "Summed cycles", "Sim seconds",
              "Oracle checked"});
-    bool merged_scale = true;
-    for (const RunOutcome &out : outcomes) {
-        const RunResult &r = out.result;
+    bool every_replica_works = outcomes.size() % replicas == 0;
+    for (std::size_t first = 0; first + replicas <= outcomes.size();
+         first += replicas) {
+        std::uint64_t cycles = 0, checked = 0;
+        double seconds = 0;
+        for (std::size_t k = first; k < first + replicas; ++k) {
+            const RunResult &r = outcomes[k].result;
+            cycles += std::uint64_t(r.cycles);
+            seconds += r.seconds;
+            checked += r.oracleChecked;
+            every_replica_works &= std::uint64_t(r.cycles) > 0 &&
+                                   r.oracleChecked > 0;
+        }
         t.row();
-        t.cell(r.workload);
-        t.cell(std::uint64_t(out.replicaCount));
-        t.cell(std::uint64_t(r.cycles));
-        t.cell(r.seconds, 4);
-        t.cell(r.oracleChecked);
-        // A merged run must aggregate MORE work than any single
-        // replica could: every replica contributes nonzero cycles and
-        // oracle coverage, so the merged totals exceed the replica
-        // count.
-        merged_scale &= out.replicaCount > 1 &&
-                        std::uint64_t(r.cycles) > out.replicaCount &&
-                        r.oracleChecked >= out.replicaCount;
+        t.cell(outcomes[first].result.workload);
+        t.cell(std::uint64_t(replicas));
+        t.cell(cycles);
+        t.cell(seconds, 4);
+        t.cell(checked);
     }
     t.print();
     std::printf("\n");
 
     bool ok = outcomesClean(outcomes);
-    ok &= shapeCheck(opt, merged_scale,
-                     "every fleet run merges multiple nonzero-work "
-                     "replicas");
+    ok &= shapeCheck(opt, every_replica_works,
+                     "every fleet replica does nonzero simulated and "
+                     "oracle-checked work");
     return ok;
-}
-
-/** Prove shard-count independence on a live spec: the merged result
- *  of --shards 1 and --shards 3 must serialise identically. Always at
- *  smoke scale — this is a determinism proof, not a perf probe. */
-bool
-fleetValidate(const SuiteOptions &)
-{
-    SuiteOptions smoke;
-    smoke.smoke = true;
-    RunSpec spec = paperSpec("fleet", 0, PolicyConfig::configF(),
-                             smoke, MachineParams::hp720(), "probe");
-    spec.replicaCount = 3;
-
-    const RunOutcome serial = ExperimentEngine::runOne(spec, 1);
-    const RunOutcome sharded = ExperimentEngine::runOne(spec, 3);
-    const bool clean = serial.ok && sharded.ok;
-    const bool identical =
-        clean && runResultToJson(serial.result).dump() ==
-                     runResultToJson(sharded.result).dump();
-    std::printf("SHARD CHECK: %s (3-replica merge, --shards 1 vs 3)\n",
-                identical ? "PASS" : "FAIL");
-    return identical;
 }
 
 [[maybe_unused]] const bool registered = [] {
     Suite s;
     s.name = "fleet";
-    s.title = "Fleet throughput: sharded multi-replica paper "
-              "workloads";
+    s.title = "Fleet throughput: replicated paper workloads";
     s.paperRef = "Wheeler & Bershad 1992, Section 6 methodology "
                  "(replicated runs)";
     s.order = 60;
     s.specs = fleetSpecs;
     s.report = fleetReport;
-    s.validate = fleetValidate;
     registerSuite(std::move(s));
     return true;
 }();
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("fleet", argc, argv);
-}
-#endif

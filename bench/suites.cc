@@ -1,9 +1,6 @@
 #include "bench/suites.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "workload/afs_bench.hh"
 #include "workload/kernel_build.hh"
@@ -194,99 +191,6 @@ suiteBanner(const Suite &suite)
                 "write-back D-cache)\n");
     std::printf("==============================================="
                 "=====================\n\n");
-}
-
-// ----------------------------------------------------------------------
-// Standalone driver
-// ----------------------------------------------------------------------
-
-int
-suiteMain(const std::string &name, int argc, char **argv)
-{
-    ExperimentEngine::Options engine_opts;
-    SuiteOptions suite_opts;
-    std::string json_path;
-    std::size_t trace_events = 0;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--jobs" || arg == "-j") {
-            engine_opts.jobs =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--shards") {
-            engine_opts.shards =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--smoke") {
-            suite_opts.smoke = true;
-        } else if (arg == "--json") {
-            json_path = next();
-        } else if (arg == "--trace") {
-            trace_events = std::strtoul(next(), nullptr, 10);
-        } else if (arg == "--progress") {
-            engine_opts.echoProgress = true;
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: %s [--jobs N] [--shards N] [--smoke] "
-                        "[--json PATH] [--trace N] [--progress]\n",
-                        argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option %s (try --help)\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-
-    const Suite *suite = findSuite(name);
-    if (!suite) {
-        std::fprintf(stderr, "suite '%s' is not registered\n",
-                     name.c_str());
-        return 2;
-    }
-
-    suiteBanner(*suite);
-
-    std::vector<RunSpec> specs = suite->specs(suite_opts);
-    for (RunSpec &spec : specs)
-        spec.traceEvents = trace_events;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    ExperimentEngine engine;
-    std::vector<RunOutcome> outcomes = engine.run(specs, engine_opts);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-
-    bool ok = outcomesClean(outcomes);
-    if (ok && suite->report)
-        ok = suite->report(suite_opts, outcomes);
-    if (suite->validate)
-        ok = suite->validate(suite_opts) && ok;
-
-    if (!json_path.empty()) {
-        ArtifactMeta meta;
-        meta.jobs = engine_opts.jobs;
-        meta.shards = engine_opts.shards;
-        meta.smoke = suite_opts.smoke;
-        meta.filter = suite->name;
-        meta.wallSeconds = wall;
-        if (!writeArtifactFile(json_path, meta, outcomes)) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         json_path.c_str());
-            return 2;
-        }
-        std::printf("\nwrote %zu run(s) to %s\n", outcomes.size(),
-                    json_path.c_str());
-    }
-    return ok ? 0 : 1;
 }
 
 } // namespace vic::bench

@@ -12,9 +12,8 @@
  * Table 2 concrete transition scenarios, the Table 3 live state
  * census), which runs serially after the sweep.
  *
- * The same registry backs both the standalone bench binaries
- * (table1_old_vs_new, ablation_geometry, ...) via suiteMain() and the
- * aggregating tools/vic_bench CLI.
+ * tools/vic_bench is the one driver over the registry: it sweeps
+ * every suite, or those selected with --filter <suite>.
  */
 
 #ifndef VIC_BENCH_SUITES_HH
@@ -105,13 +104,6 @@ bool shapeCheck(const SuiteOptions &opt, bool ok, const char *what);
 
 /** Banner for a suite, matching the historical bench layout. */
 void suiteBanner(const Suite &suite);
-
-/**
- * Standalone bench-binary driver: run ONE suite through the engine.
- * Flags: --jobs N, --smoke, --json PATH, --trace N, --help.
- * Exit code 0 iff the sweep is clean and the shape checks pass.
- */
-int suiteMain(const std::string &name, int argc, char **argv);
 
 } // namespace vic::bench
 

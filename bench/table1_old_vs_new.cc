@@ -84,11 +84,3 @@ table1Report(const SuiteOptions &opt,
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("table1", argc, argv);
-}
-#endif

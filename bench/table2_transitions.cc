@@ -209,11 +209,3 @@ table2Validate(const SuiteOptions &)
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("table2", argc, argv);
-}
-#endif

@@ -137,11 +137,3 @@ table3Validate(const SuiteOptions &opt)
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("table3", argc, argv);
-}
-#endif

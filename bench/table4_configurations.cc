@@ -168,11 +168,3 @@ table4Report(const SuiteOptions &opt,
 
 } // anonymous namespace
 } // namespace vic::bench
-
-#ifdef VIC_SUITE_STANDALONE
-int
-main(int argc, char **argv)
-{
-    return vic::bench::suiteMain("table4", argc, argv);
-}
-#endif

@@ -37,18 +37,17 @@
 #      the same sweep rerun serially must produce an artifact
 #      equivalent to the parallel one modulo wall-clock — the
 #      engine's determinism contract;
-#   7. perf smoke: vic_bench --smoke rebuilt at Release (-O2) and run
-#      with --shards 2 (the intra-run shard path must be exercised by
-#      every CI pass), its artifact asserted equivalent to the
-#      default build's (the pipeline's functional behaviour must not
-#      depend on the optimisation level OR the shard count), gated by
-#      the throughput ratchet (--ratchet: >10% regression in
-#      cycles_per_host_second vs the archived baseline fails CI),
-#      and the refreshed baseline archived (BENCH_throughput.json);
+#   7. perf smoke: vic_bench --smoke rebuilt at Release (-O2), its
+#      artifact asserted equivalent to the default build's (the
+#      pipeline's functional behaviour must not depend on the
+#      optimisation level), gated by the throughput ratchet
+#      (--ratchet: >10% regression in cycles_per_host_second vs the
+#      archived baseline fails CI), and the refreshed baseline
+#      archived (BENCH_throughput.json);
 #   8. thread sanitizer: the threaded fan-outs (experiment engine
-#      tests + the shard runner tests + the smoke sweep + the model
-#      checker's exploreMany + the CoherenceBus head-to-head paths +
-#      a sharded fleet sweep) rebuilt and rerun under TSan;
+#      tests + the --jobs 4 smoke sweep, fleet replicas included +
+#      the model checker's exploreMany + the CoherenceBus
+#      head-to-head paths) rebuilt and rerun under TSan;
 #   9. static analysis: tools/vic_lint runs all seven invariant
 #      passes (determinism, interprocedural DMA drain-pairing,
 #      address-kind laundering, spec-table completeness, counter
@@ -124,14 +123,14 @@ step "bench determinism (--jobs 1 vs --jobs 2 artifacts)"
 ./build/tools/vic_bench --diff BENCH_smoke_j1.json BENCH_smoke.json
 rm -f BENCH_smoke_j1.json
 
-step "perf smoke (Release -O2, shards, artifact equivalence, ratchet)"
+step "perf smoke (Release -O2, artifact equivalence, ratchet)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" --target vic_bench
-# --shards 2 exercises the intra-run shard path; the artifact must
-# stay equivalent to the Debug --shards 1 sweep. The ratchet gates on
-# >10% cycles_per_host_second regression vs the archived baseline,
-# and only a passing sweep refreshes it (--throughput).
-./build-release/tools/vic_bench --smoke --jobs 2 --shards 2 \
+# The artifact must stay equivalent to the default build's sweep.
+# The ratchet gates on >10% cycles_per_host_second regression vs the
+# archived baseline, and only a passing sweep refreshes it
+# (--throughput).
+./build-release/tools/vic_bench --smoke --jobs 2 \
     --json BENCH_smoke_release.json \
     --ratchet BENCH_throughput.json \
     --throughput BENCH_throughput.json
@@ -161,7 +160,7 @@ fi
 step "thread sanitizer build (experiment engine + model checker + coherence)"
 cmake -B build-tsan -S . -DVIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
-    --target experiment_engine_test shard_test vic_bench mc_test \
+    --target experiment_engine_test vic_bench mc_test \
              weak_order_test multiprocessor_test
 
 step "thread sanitizer: engine tests + smoke sweep + explorer + coherence"
@@ -176,11 +175,6 @@ step "thread sanitizer: engine tests + smoke sweep + explorer + coherence"
 ./build-tsan/tests/multiprocessor_test >/dev/null
 ./build-tsan/tools/vic_bench --smoke --filter coherence --jobs 4 \
     --json /dev/null >/dev/null
-# Intra-run sharding: the shard runner's worker threads (unit tests),
-# then jobs x shards nested fan-out through the whole fleet suite.
-./build-tsan/tests/shard_test >/dev/null
-./build-tsan/tools/vic_bench --smoke --filter fleet --jobs 2 \
-    --shards 4 --json /dev/null >/dev/null
 echo "TSan: clean"
 
 step "static analysis (vic_lint, all passes)"

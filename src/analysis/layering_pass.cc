@@ -24,11 +24,6 @@
  *   5  core                        pmaps + protocol spec tables
  *   6  os                          kernel, VM, buffer cache
  *   7  workload, mc                drivers of a whole OS/machine
- *                                  (incl. the shard runner, which is
- *                                  deliberately BELOW experiment:
- *                                  replica seeds are computed in the
- *                                  experiment layer and passed down,
- *                                  never derived by reaching up)
  *   8  verify, experiment, analysis   harnesses over everything
  *   9  (src/vic.hh)                the umbrella header
  *

@@ -6,10 +6,8 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
-
-#include "common/logging.hh"
-#include "workload/shard_runner.hh"
 
 namespace vic
 {
@@ -56,7 +54,7 @@ ExperimentEngine::matchesFilter(const std::string &id,
 }
 
 RunOutcome
-ExperimentEngine::runOne(const RunSpec &spec, unsigned shards)
+ExperimentEngine::runOne(const RunSpec &spec)
 {
     RunOutcome out;
     out.id = spec.id;
@@ -64,33 +62,18 @@ ExperimentEngine::runOne(const RunSpec &spec, unsigned shards)
     out.policy = spec.policy.name;
     out.seed = spec.seed;
     out.replica = spec.replica;
-    out.replicaCount = spec.replicaCount < 1 ? 1 : spec.replicaCount;
     out.effectiveSeed = effectiveSeed(spec.seed, spec.replica);
 
     const auto t0 = std::chrono::steady_clock::now();
     try {
-        vic_assert(static_cast<bool>(spec.make),
-                   "RunSpec '%s' has no workload factory",
-                   spec.id.c_str());
-        if (out.replicaCount > 1) {
-            // Seeds are derived HERE (the experiment layer owns seed
-            // policy) and passed down — the shard runner stays a pure
-            // mechanism.
-            std::vector<std::uint64_t> seeds(out.replicaCount);
-            for (std::uint32_t k = 0; k < out.replicaCount; ++k)
-                seeds[k] = effectiveSeed(spec.seed, spec.replica + k);
-            out.result = runWorkloadSharded(spec.make, seeds, shards,
-                                            spec.policy, spec.machine,
-                                            spec.os, spec.traceEvents);
-            out.workload = out.result.workload;
-        } else {
-            std::unique_ptr<Workload> workload = spec.make();
-            workload->reseed(out.effectiveSeed);
-            out.workload = workload->name();
-            out.result = runWorkload(*workload, spec.policy,
-                                     spec.machine, spec.os,
-                                     spec.traceEvents);
-        }
+        if (!spec.make)
+            throw std::invalid_argument(
+                "RunSpec '" + spec.id + "' has no workload factory");
+        std::unique_ptr<Workload> workload = spec.make();
+        workload->reseed(out.effectiveSeed);
+        out.workload = workload->name();
+        out.result = runWorkload(*workload, spec.policy, spec.machine,
+                                 spec.os, spec.traceEvents);
         out.ok = true;
     } catch (const std::exception &e) {
         out.ok = false;
@@ -134,7 +117,7 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs,
 
     if (jobs == 1) {
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            outcomes[i] = runOne(specs[i], options.shards);
+            outcomes[i] = runOne(specs[i]);
             report(outcomes[i]);
         }
         return outcomes;
@@ -153,7 +136,7 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs,
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= specs.size())
                     return;
-                outcomes[i] = runOne(specs[i], options.shards);
+                outcomes[i] = runOne(specs[i]);
                 report(outcomes[i]);
             }
         });

@@ -34,13 +34,6 @@ class ExperimentEngine
          *  batch serially on the calling thread. */
         unsigned jobs = 1;
 
-        /** Host threads for the replicas INSIDE one run (specs with
-         *  replicaCount > 1; see shard_runner.hh). Orthogonal to
-         *  @c jobs: jobs fans out across runs, shards fans out within
-         *  a run. Values < 2 run each run's replicas serially —
-         *  merged output is identical either way. */
-        unsigned shards = 1;
-
         /** Print one progress line per completed run to stderr. */
         bool echoProgress = false;
     };
@@ -60,9 +53,9 @@ class ExperimentEngine
         return run(specs, Options());
     }
 
-    /** Execute one spec; replicas (replicaCount > 1) use up to
-     *  @p shards host threads, merged deterministically. */
-    static RunOutcome runOne(const RunSpec &spec, unsigned shards = 1);
+    /** Execute one spec on the calling thread. A spec that throws —
+     *  or has no workload factory — yields ok == false. */
+    static RunOutcome runOne(const RunSpec &spec);
 
     /** SplitMix64 mix step (public for tests and seed derivation). */
     static std::uint64_t splitmix64(std::uint64_t x);
@@ -77,10 +70,9 @@ class ExperimentEngine
                                        std::uint32_t replica);
 
     /**
-     * Filter semantics shared by vic_bench and the standalone bench
-     * binaries: @p filter is a comma-separated list of substrings; an
-     * id matches when the filter is empty or at least one substring
-     * occurs in it.
+     * vic_bench's filter semantics: @p filter is a comma-separated
+     * list of substrings; an id matches when the filter is empty or
+     * at least one substring occurs in it.
      */
     static bool matchesFilter(const std::string &id,
                               const std::string &filter);

@@ -106,11 +106,6 @@ outcomeToJson(const RunOutcome &out)
     v.set("policy", JsonValue::str(out.policy));
     v.set("seed", JsonValue::number(out.seed));
     v.set("replica", JsonValue::number(std::uint64_t(out.replica)));
-    // Emitted only for merged multi-replica runs, so single-replica
-    // artifacts stay byte-identical to the pre-sharding schema.
-    if (out.replicaCount > 1)
-        v.set("replicas",
-              JsonValue::number(std::uint64_t(out.replicaCount)));
     v.set("effective_seed", JsonValue::number(out.effectiveSeed));
     v.set("ok", JsonValue::boolean(out.ok));
     if (!out.ok)
@@ -138,7 +133,6 @@ artifactToJson(const ArtifactMeta &meta,
           JsonValue::number(std::int64_t(kBenchSchemaVersion)));
     v.set("smoke", JsonValue::boolean(meta.smoke));
     v.set("jobs", JsonValue::number(std::uint64_t(meta.jobs)));
-    v.set("shards", JsonValue::number(std::uint64_t(meta.shards)));
     v.set("filter", JsonValue::str(meta.filter));
     v.set("wall_seconds", JsonValue::number(meta.wallSeconds));
     std::uint64_t total_cycles = 0;
@@ -180,7 +174,6 @@ throughputToJson(const ArtifactMeta &meta,
           JsonValue::number(std::int64_t(kBenchSchemaVersion)));
     v.set("smoke", JsonValue::boolean(meta.smoke));
     v.set("jobs", JsonValue::number(std::uint64_t(meta.jobs)));
-    v.set("shards", JsonValue::number(std::uint64_t(meta.shards)));
     v.set("filter", JsonValue::str(meta.filter));
 
     std::uint64_t total_cycles = 0;
@@ -317,10 +310,8 @@ artifactsEquivalent(const std::string &a_text,
             *why = e.what();
         return false;
     }
-    // The batch header legitimately differs in "jobs" and "shards"
-    // (neither may change results); everything else outside wall-clock
-    // must agree. "shards" is ERASED rather than zeroed so artifacts
-    // written before the field existed still compare equivalent.
+    // The batch header legitimately differs in "jobs" (which may not
+    // change results); everything else outside wall-clock must agree.
     stripWallClock(a);
     stripWallClock(b);
     for (JsonValue *v : {&a, &b}) {
@@ -328,9 +319,6 @@ artifactsEquivalent(const std::string &a_text,
             continue;
         if (auto *jobs = v->find("jobs"))
             *jobs = JsonValue::number(std::uint64_t(0));
-        std::erase_if(v->members(), [](const auto &m) {
-            return m.first == "shards";
-        });
     }
 
     const std::string diff = firstDifference(a, b, "$");

@@ -19,10 +19,8 @@
  *     "runs": [ { <run entry> }, ... ]   // in spec order
  *   }
  *
- * Run entry: id, suite, workload, policy, seed, replica, replicas
- * (only when > 1 — a merged multi-replica run; absent otherwise so
- * pre-sharding artifacts stay byte-compatible), effective_seed, ok,
- * error, wall_seconds, cycles_per_host_second
+ * Run entry: id, suite, workload, policy, seed, replica,
+ * effective_seed, ok, error, wall_seconds, cycles_per_host_second
  * (host throughput: simulated cycles per host second — wall-derived,
  * stripped for equivalence along with wall_seconds), and on success
  * the full RunResult: cycles, seconds (= cycles / 50 MHz), oracle
@@ -54,10 +52,6 @@ inline constexpr int kBenchSchemaVersion = 1;
 struct ArtifactMeta
 {
     unsigned jobs = 1;
-    /** Host threads per run's replicas (--shards). Recorded for
-     *  provenance; neutralised by artifactsEquivalent exactly like
-     *  "jobs" — shard count must never change results. */
-    unsigned shards = 1;
     bool smoke = false;
     std::string filter;
     double wallSeconds = 0;

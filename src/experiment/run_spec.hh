@@ -57,13 +57,6 @@ struct RunSpec
      *  reproducible streams for repeated runs of one workload. */
     std::uint32_t replica = 0;
 
-    /** Replicas executed INSIDE this run: indices @c replica ..
-     *  @c replica + replicaCount - 1, results merged in index order
-     *  (shard_runner.hh). 1 — the default — is the classic
-     *  single-simulation run; > 1 makes the run shardable across host
-     *  threads via --shards without changing its merged artifact. */
-    std::uint32_t replicaCount = 1;
-
     /** When nonzero, record this many most-recent consistency events
      *  into the result's trace tail. */
     std::size_t traceEvents = 0;
@@ -80,10 +73,7 @@ struct RunOutcome
     std::string policy;
     std::uint64_t seed = 0;
     std::uint32_t replica = 0;
-    /** Replicas merged into this outcome (RunSpec::replicaCount). */
-    std::uint32_t replicaCount = 1;
-    /** The SplitMix64-expanded seed the workload actually ran with
-     *  (first replica's seed when replicaCount > 1). */
+    /** The SplitMix64-expanded seed the workload actually ran with. */
     std::uint64_t effectiveSeed = 0;
 
     /** False when the run threw; @c error carries the message and

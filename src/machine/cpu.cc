@@ -55,7 +55,7 @@ Cpu::accessMapped(AccessType type, VirtAddr va, std::uint32_t store_value,
           std::uint32_t v;
           if (!dcacheRef.tryReadHit(va, pa, v))
               v = dcacheRef.read(va, pa);
-          if (obs && observerDue())
+          if (obs)
               obs->cpuLoad(pa, v);
           return v;
       }
@@ -63,7 +63,7 @@ Cpu::accessMapped(AccessType type, VirtAddr va, std::uint32_t store_value,
           std::uint32_t v;
           if (!icacheRef.tryReadHit(va, pa, v))
               v = icacheRef.read(va, pa);
-          if (obs && observerDue())
+          if (obs)
               obs->cpuIFetch(pa, v);
           return v;
       }
@@ -73,7 +73,7 @@ Cpu::accessMapped(AccessType type, VirtAddr va, std::uint32_t store_value,
           // oracle's shadow memory must be current when the written
           // line later leaves the cache). A Shared-line hit falls out
           // of tryWriteHit into write(), which broadcasts the upgrade.
-          if (obs && observerDue())
+          if (obs)
               obs->cpuStore(pa, store_value);
           if (!dcacheRef.tryWriteHit(va, pa, store_value))
               dcacheRef.write(va, pa, store_value);

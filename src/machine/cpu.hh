@@ -17,9 +17,8 @@
  * consistency algorithm interposes on exactly the accesses that need
  * cache state transitions.
  *
- * Observer hooks sit behind a null check plus an optional sampling
- * period (Machine::setObserverSampling), so observability costs one
- * predictable branch when off.
+ * Every access reaches the observer behind a single null check, so
+ * observability costs one predictable branch when off.
  *
  * A batched API (run(), loadRange(), storeRange(), ifetchRange())
  * issues many accesses per call — semantically identical to a loop of
@@ -123,8 +122,6 @@ class Cpu
     const std::uint64_t pageOffsetMask; ///< pageBytes - 1
     const std::uint64_t pageBytesC;     ///< pageBytes
 
-    std::uint32_t obsTick = 0; ///< sampling counter (period > 1 only)
-
     /** Core access path shared by load/store/ifetch. */
     std::uint32_t access(AccessType type, VirtAddr va,
                          std::uint32_t store_value);
@@ -140,16 +137,6 @@ class Cpu
     std::uint32_t accessSlow(AccessType type, VirtAddr va,
                              std::uint32_t store_value,
                              PageTableEntry *pte);
-
-    /** @return true iff this access should reach the observer. */
-    bool
-    observerDue()
-    {
-        const std::uint32_t period = mach.observerSamplePeriod();
-        if (period <= 1)
-            return true;
-        return ++obsTick % period == 0;
-    }
 
     /** Deliver a fault; @return true to retry. */
     bool deliver(const Fault &fault);

@@ -92,21 +92,6 @@ class Machine
     MemoryObserver *observer() const { return memObserver; }
 
     /**
-     * Report only every @p period-th CPU access to the observer
-     * (default 1 = every access; 0 is clamped to 1). Sampling is for
-     * profiling and tracing hooks only: the consistency oracle needs
-     * every transfer to keep its shadow memory exact, so production
-     * runs leave this at 1. DMA transfers are never sampled.
-     */
-    void
-    setObserverSampling(std::uint32_t period)
-    {
-        obsSamplePeriod = period == 0 ? 1 : period;
-    }
-
-    std::uint32_t observerSamplePeriod() const { return obsSamplePeriod; }
-
-    /**
      * Concurrency yield hook. The OS layers call yieldPoint() at the
      * places where, on the real machine, other processors or pending
      * DMA could run: around DMA transfers and between pageout steps.
@@ -159,7 +144,6 @@ class Machine
     std::unique_ptr<DmaEngine> dmaEngine;
     std::unique_ptr<Disk> diskDev;
     MemoryObserver *memObserver = nullptr;
-    std::uint32_t obsSamplePeriod = 1;
     YieldHook yieldHook;
 };
 

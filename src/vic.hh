@@ -74,7 +74,6 @@
 #include "workload/latex_bench.hh"
 #include "workload/multiprog.hh"
 #include "workload/runner.hh"
-#include "workload/shard_runner.hh"
 #include "workload/workload.hh"
 
 #endif // VIC_VIC_HH

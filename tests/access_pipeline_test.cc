@@ -2,7 +2,7 @@
  *  pipeline"): fast-path vs slow-path equivalence on aliased pages,
  *  the fault-retry boundary, referenced/modified bits through the
  *  TLB's mutable PTE handle, page-table walks per access, observer
- *  sampling, and batched-vs-single access identity. */
+ *  delivery, and batched-vs-single access identity. */
 
 #include <gtest/gtest.h>
 
@@ -231,7 +231,7 @@ TEST_F(AccessPipelineTest, AtMostOneWalkPerAccessAndZeroOnTlbHit)
 }
 
 // ---------------------------------------------------------------------
-// Observer flag + sampling.
+// Observer flag.
 // ---------------------------------------------------------------------
 
 struct CountingObserver : MemoryObserver
@@ -242,31 +242,18 @@ struct CountingObserver : MemoryObserver
     void cpuIFetch(PhysAddr, std::uint32_t) override { ++ifetches; }
 };
 
-TEST_F(AccessPipelineTest, ObserverSamplingReportsEveryNthAccess)
+TEST_F(AccessPipelineTest, ObserverSeesEveryAccess)
 {
     map(VirtAddr(0x4000), 2, Protection::all());
     CountingObserver obs;
     machine.setObserver(&obs);
 
-    // Default period 1: every access reported.
     cpu.loadRange(VirtAddr(0x4000), 8, 4);
     EXPECT_EQ(obs.loads, 8);
-
-    // Period 4: every 4th access reported, across access kinds.
-    machine.setObserverSampling(4);
-    obs = CountingObserver{};
-    cpu.loadRange(VirtAddr(0x4000), 8, 4);
-    EXPECT_EQ(obs.loads, 2);
     cpu.storeRange(VirtAddr(0x4000), 8, 4, 1, 1);
-    EXPECT_EQ(obs.stores, 2);
+    EXPECT_EQ(obs.stores, 8);
     cpu.ifetchRange(VirtAddr(0x4000), 8, 4);
-    EXPECT_EQ(obs.ifetches, 2);
-
-    // Period 0 is clamped to 1 (sampling off).
-    machine.setObserverSampling(0);
-    obs = CountingObserver{};
-    cpu.loadRange(VirtAddr(0x4000), 3, 4);
-    EXPECT_EQ(obs.loads, 3);
+    EXPECT_EQ(obs.ifetches, 8);
 }
 
 // ---------------------------------------------------------------------

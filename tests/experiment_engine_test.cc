@@ -1,7 +1,8 @@
 /**
  * @file
  * ExperimentEngine: spec-order collection under parallel execution,
- * per-run failure isolation, filter semantics, seed derivation, and
+ * per-run failure isolation (a throwing run, a spec with no workload
+ * factory), filter semantics, seed derivation, and
  * the JSON artifact round-trip / determinism guarantees.
  */
 
@@ -118,6 +119,28 @@ TEST(ExperimentEngine, ThrowingRunFailsAloneWithoutTearingDownBatch)
     EXPECT_NE(outcomes[1].error.find("deliberate test failure"),
               std::string::npos);
     EXPECT_TRUE(outcomes[2].ok);
+    EXPECT_EQ(outcomes[0].result.cycles, outcomes[2].result.cycles);
+}
+
+TEST(ExperimentEngine, MissingFactoryFailsAloneWithoutTearingDownBatch)
+{
+    std::vector<RunSpec> specs;
+    specs.push_back(aliasSpec("good0", 100));
+    RunSpec bad = aliasSpec("no-factory", 100);
+    bad.make = nullptr;
+    specs.push_back(std::move(bad));
+    specs.push_back(aliasSpec("good1", 100));
+
+    ExperimentEngine engine;
+    std::vector<RunOutcome> outcomes = engine.run(specs);
+
+    ASSERT_EQ(outcomes.size(), 3u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_FALSE(outcomes[1].ok);
+    EXPECT_NE(outcomes[1].error.find("no workload factory"),
+              std::string::npos)
+        << outcomes[1].error;
+    EXPECT_TRUE(outcomes[2].ok) << outcomes[2].error;
     EXPECT_EQ(outcomes[0].result.cycles, outcomes[2].result.cycles);
 }
 

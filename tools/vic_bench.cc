@@ -12,8 +12,8 @@
  * exactly what --diff checks.
  *
  * Usage:
- *   vic_bench [--list] [--filter s1,s2] [--jobs N] [--shards N]
- *             [--smoke] [--json PATH] [--throughput PATH]
+ *   vic_bench [--list] [--filter s1,s2] [--jobs N] [--smoke]
+ *             [--json PATH] [--throughput PATH]
  *             [--ratchet BASELINE.json] [--trace N] [--progress]
  *   vic_bench --diff A.json B.json
  *
@@ -21,12 +21,8 @@
  * names and run ids (a suite is swept when its name matches, or run
  * by run when individual ids match). Exit status: 0 when every
  * selected run completed without oracle violations and every
- * non-advisory shape check passed.
- *
- * --shards N fans the replicas INSIDE each multi-replica run (the
- * fleet suite) out across N host threads; results merge
- * deterministically, so artifacts are --shards-independent just as
- * they are --jobs-independent.
+ * non-advisory shape check passed. --jobs (>= 1) and --trace (>= 0)
+ * take whole decimal numbers; anything else exits 2.
  *
  * --throughput writes the vic-bench-throughput companion artifact
  * (per-run host_seconds / sim_cycles / cycles_per_host_second) after
@@ -42,11 +38,13 @@
  * on pass; the throughput file is not written when the ratchet fails.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -93,6 +91,27 @@ loadThroughput(const std::string &path)
         by_suite.clear();
     }
     return by_suite;
+}
+
+/** Parse @p text as a whole decimal number in [@p lo, max of T];
+ *  anything else (sign, suffix, overflow) exits 2 naming @p flag. */
+template <typename T>
+T
+parseCount(const std::string &flag, const char *text, T lo)
+{
+    T value{};
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < lo) {
+        std::fprintf(stderr,
+                     "%s needs a whole number in [%llu, %llu], got "
+                     "'%s'\n",
+                     flag.c_str(), (unsigned long long)lo,
+                     (unsigned long long)std::numeric_limits<T>::max(),
+                     text);
+        std::exit(2);
+    }
+    return value;
 }
 
 int
@@ -259,11 +278,7 @@ main(int argc, char **argv)
         } else if (arg == "--filter" || arg == "-f") {
             filter = next();
         } else if (arg == "--jobs" || arg == "-j") {
-            engine_opts.jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--shards") {
-            engine_opts.shards = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            engine_opts.jobs = parseCount(arg, next(), 1u);
         } else if (arg == "--ratchet") {
             ratchet_path = next();
         } else if (arg == "--smoke") {
@@ -273,13 +288,13 @@ main(int argc, char **argv)
         } else if (arg == "--throughput") {
             throughput_path = next();
         } else if (arg == "--trace") {
-            trace_events = std::strtoul(next(), nullptr, 10);
+            trace_events = parseCount(arg, next(), std::size_t(0));
         } else if (arg == "--progress") {
             engine_opts.echoProgress = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--list] [--filter s1,s2] [--jobs N] "
-                "[--shards N] [--smoke] [--json PATH] "
+                "[--smoke] [--json PATH] "
                 "[--throughput PATH] [--ratchet BASELINE.json] "
                 "[--trace N] [--progress]\n"
                 "       %s --diff A.json B.json\n",
@@ -335,9 +350,8 @@ main(int argc, char **argv)
     }
 
     std::printf("vic_bench: %zu run(s) across %zu suite(s), "
-                "--jobs %u, --shards %u%s\n\n",
+                "--jobs %u%s\n\n",
                 batch.size(), slices.size(), engine_opts.jobs,
-                engine_opts.shards,
                 suite_opts.smoke ? ", --smoke" : "");
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -378,7 +392,6 @@ main(int argc, char **argv)
     if (!json_path.empty()) {
         ArtifactMeta meta;
         meta.jobs = engine_opts.jobs;
-        meta.shards = engine_opts.shards;
         meta.smoke = suite_opts.smoke;
         meta.filter = filter;
         meta.wallSeconds = wall;
@@ -397,7 +410,6 @@ main(int argc, char **argv)
     if (!throughput_path.empty()) {
         ArtifactMeta meta;
         meta.jobs = engine_opts.jobs;
-        meta.shards = engine_opts.shards;
         meta.smoke = suite_opts.smoke;
         meta.filter = filter;
         meta.wallSeconds = wall;
