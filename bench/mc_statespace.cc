@@ -22,12 +22,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json_writer.hh"
 #include "core/policy_config.hh"
 #include "mc/explorer.hh"
@@ -92,7 +92,8 @@ main(int argc, char **argv)
             json_path = argv[++i];
         } else if (std::strcmp(argv[i], "--budget") == 0 &&
                    i + 1 < argc) {
-            budget = std::strtoull(argv[++i], nullptr, 10);
+            budget = vic::parseCount("--budget", argv[++i],
+                                     std::uint64_t(1));
         } else {
             std::fprintf(stderr,
                          "usage: %s [--budget N] [--json FILE]\n",

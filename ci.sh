@@ -16,7 +16,7 @@
 #      budget — the guarded kernel orderings must be race- and
 #      violation-free under every policy, the broken-ordering
 #      exemplars must produce an oracle-confirmed race with a
-#      replayable minimal schedule, and the machine-readable v3
+#      replayable minimal schedule, and the machine-readable v4
 #      report is archived (VERIFY_interleave.json);
 #   5. weak-order exploration + fuzz smoke: the same explorer rerun
 #      with --memory-order weak (per-CPU store buffers, drain events
@@ -48,14 +48,14 @@
 #      tests + the --jobs 4 smoke sweep, fleet replicas included +
 #      the model checker's exploreMany + the CoherenceBus
 #      head-to-head paths) rebuilt and rerun under TSan;
-#   9. static analysis: tools/vic_lint runs all seven invariant
-#      passes (determinism, interprocedural DMA drain-pairing,
-#      address-kind laundering, spec-table completeness, counter
-#      registration, whole-program counter liveness, layering — see
-#      docs/STATIC_ANALYSIS.md) over the tree, gating on zero
-#      diagnostics, and archives LINT_report.json (schema v2, with
-#      per-pass fixpoint stats) plus LINT_report.sarif for CI
-#      annotators;
+#   9. static analysis: tools/vic_lint runs all six invariant passes
+#      (determinism, address-kind laundering, spec-table
+#      completeness, counter registration, whole-program counter
+#      liveness, layering — see docs/STATIC_ANALYSIS.md) over the
+#      tree, gating on zero diagnostics, and archives LINT_report.json
+#      (schema v2, with per-pass effort stats) plus LINT_report.sarif
+#      for CI annotators (DMA drain pairing is a type, DmaTicket, and
+#      needs no pass);
 #  10. style lint: clang-format / clang-tidy, gating when installed
 #      and skipped with a notice otherwise (they are configs-first:
 #      the repo must stay clean under gcc -Werror regardless).

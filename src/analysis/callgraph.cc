@@ -1,7 +1,5 @@
 #include "analysis/callgraph.hh"
 
-#include <algorithm>
-
 #include "analysis/cpp_scan.hh"
 
 namespace vic::analysis
@@ -243,23 +241,6 @@ CallGraph::build(const std::vector<SourceFile> &files)
             g.sites.push_back(std::move(cs));
         }
     }
-
-    // Reverse edges, deduplicated.
-    g.fnCallers.resize(g.fns.size());
-    for (const CallSiteInfo &cs : g.sites) {
-        const auto it = g.byName.find(cs.callee);
-        if (it == g.byName.end())
-            continue;
-        for (std::size_t target : it->second) {
-            if (target != cs.caller)
-                g.fnCallers[target].push_back(cs.caller);
-        }
-    }
-    for (auto &callers : g.fnCallers) {
-        std::sort(callers.begin(), callers.end());
-        callers.erase(std::unique(callers.begin(), callers.end()),
-                      callers.end());
-    }
     return g;
 }
 
@@ -274,18 +255,6 @@ CallGraph::resolve(const std::string &name) const
 {
     const auto it = byName.find(name);
     return it == byName.end() ? empty : it->second;
-}
-
-const std::vector<std::size_t> &
-CallGraph::callersOf(std::size_t fn) const
-{
-    return fn < fnCallers.size() ? fnCallers[fn] : empty;
-}
-
-bool
-CallGraph::hasExternalCaller(std::size_t fn) const
-{
-    return fn < fnCallers.size() && !fnCallers[fn].empty();
 }
 
 std::size_t

@@ -2,10 +2,10 @@
  * @file
  * Whole-program call graph over the token streams.
  *
- * The per-file passes of PR 8 could prove properties only as far as a
- * single function body; everything across a call had to be assumed
- * (the drain pass's "*Async" name exemption) or suppressed. The call
- * graph closes that gap: it discovers every function definition in
+ * A per-file pass can prove properties only as far as a single
+ * function body; everything across a call has to be assumed or
+ * suppressed. The call graph closes that gap for the addr-kind and
+ * counter-liveness passes: it discovers every function definition in
  * the tree (with a qualified name when the definition site provides
  * one — "Class::method" for out-of-line definitions, and in-class
  * bodies are qualified by the enclosing class/struct range), every
@@ -43,8 +43,8 @@ inline constexpr std::size_t kNoFunction =
 struct FnInfo
 {
     std::size_t fileIndex = 0;    ///< index into the loaded file set
-    std::string name;             ///< unqualified ("drainDma")
-    std::string qualified;        ///< "Machine::drainDma" when known
+    std::string name;             ///< unqualified ("frameAddr")
+    std::string qualified;        ///< "Machine::frameAddr" when known
     std::string className;        ///< "" for free functions
     std::size_t nameTok = 0;      ///< token index of the name
     std::size_t paramOpen = 0;    ///< '(' of the parameter list
@@ -100,14 +100,6 @@ class CallGraph
     const std::vector<std::size_t> &
     resolve(const std::string &name) const;
 
-    /** Distinct functions containing a call that resolves to @p fn,
-     *  sorted ascending. */
-    const std::vector<std::size_t> &callersOf(std::size_t fn) const;
-
-    /** True when at least one call site anywhere resolves to @p fn
-     *  from a DIFFERENT function (self-recursion is not a caller). */
-    bool hasExternalCaller(std::size_t fn) const;
-
     /** The function whose extent (signature to closing brace)
      *  contains token @p tok of file @p file_index, or kNoFunction. */
     std::size_t enclosingFunction(std::size_t file_index,
@@ -124,7 +116,6 @@ class CallGraph
     std::vector<ClassInfo> structs;
     std::vector<CallSiteInfo> sites;
     std::vector<std::vector<std::size_t>> fnCalls;    ///< per caller
-    std::vector<std::vector<std::size_t>> fnCallers;  ///< per callee
     std::map<std::string, std::vector<std::size_t>> byName;
     std::vector<std::size_t> empty;
 };

@@ -2,8 +2,8 @@
  * @file
  * Lightweight structural scanning over token streams: brace matching
  * and function-definition discovery. This is NOT a C++ parser — it is
- * the minimal brace-matched view the drain-pairing CFG and the
- * spec-table parsers need, tuned to this repository's code style
+ * the minimal brace-matched view the call graph and the spec-table
+ * parsers need, tuned to this repository's code style
  * (clang-format enforced, no preprocessor tricks around braces).
  */
 
@@ -23,7 +23,7 @@ namespace vic::analysis
  *  (open/close index the '{' and '}' tokens). */
 struct FnBody
 {
-    std::string name;   ///< unqualified ("startWrite", not "A::b")
+    std::string name;   ///< unqualified ("frameAddr", not "A::b")
     std::size_t open = 0;
     std::size_t close = 0;
 };

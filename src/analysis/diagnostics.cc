@@ -136,17 +136,6 @@ Sink::report(const std::string &rule, const std::string &file,
     diags.push_back(std::move(d));
 }
 
-bool
-Sink::wouldSuppress(const std::string &rule, const std::string &file,
-                    std::uint32_t line) const
-{
-    for (const Suppression &s : sups) {
-        if (s.rule == rule && s.file == file && s.targetLine == line)
-            return true;
-    }
-    return false;
-}
-
 void
 Sink::finalize(const std::vector<std::string> &active_rules)
 {

@@ -74,15 +74,6 @@ class Sink
                 std::uint32_t line, std::uint32_t col,
                 std::string message);
 
-    /** True when report(@p rule, @p file, @p line, ...) would be
-     *  swallowed by a suppression. Does NOT mark it used — summary
-     *  computation uses this to keep suppressed sites out of the
-     *  interprocedural facts without consuming the allow(); the
-     *  report phase still reports the site so the suppression is
-     *  marked used there. */
-    bool wouldSuppress(const std::string &rule, const std::string &file,
-                       std::uint32_t line) const;
-
     /** @p active_rules lists every rule id a selected pass owns;
      *  suppress-unused only fires for suppressions of those rules, so
      *  a single-pass run (--pass determinism) does not condemn the

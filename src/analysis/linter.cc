@@ -14,7 +14,6 @@ makeAllPasses()
 {
     std::vector<std::unique_ptr<Pass>> passes;
     passes.push_back(makeDeterminismPass());
-    passes.push_back(makeDrainPass());
     passes.push_back(makeAddrKindPass());
     passes.push_back(makeSpecTablePass());
     passes.push_back(makeCounterPass());
@@ -83,10 +82,8 @@ LintReport
 LintReport::fromJson(const JsonValue &doc)
 {
     const JsonValue *schema = doc.find("schema");
-    if (schema == nullptr ||
-        (schema->asString() != "vic-lint-report-v1" &&
-         schema->asString() != "vic-lint-report-v2"))
-        throw std::runtime_error("not a vic-lint report");
+    if (schema == nullptr || schema->asString() != "vic-lint-report-v2")
+        throw std::runtime_error("not a vic-lint-report-v2 document");
 
     LintReport r;
     if (const JsonValue *v = doc.find("root"))
@@ -122,7 +119,6 @@ LintReport::fromJson(const JsonValue &doc)
             r.suppressions.push_back(std::move(s));
         }
     }
-    // v1 simply has no pass_stats; everything else reads the same.
     if (const JsonValue *v = doc.find("pass_stats")) {
         for (const JsonValue &j : v->items()) {
             PassRunStats p;

@@ -4,13 +4,11 @@
  * passes, apply suppressions, render the report.
  *
  * One Linter run is one LintReport — the in-memory form of the
- * LINT_report.json artifact (schema "vic-lint-report-v2"; v1 reports
- * are still readable through fromJson). The JSON is built with the
- * repo's insertion-ordered JsonValue, so a report is byte-identical
- * across runs on the same tree, like every other vic artifact. v2
- * adds per-pass effort counters ("pass_stats") from the
- * interprocedural engine: functions analyzed, summaries computed,
- * fixpoint iterations.
+ * LINT_report.json artifact (schema "vic-lint-report-v2"). The JSON
+ * is built with the repo's insertion-ordered JsonValue, so a report
+ * is byte-identical across runs on the same tree, like every other
+ * vic artifact. Its "pass_stats" carry each pass's effort counters:
+ * functions analyzed, summaries computed, fixpoint iterations.
  */
 
 #ifndef VIC_ANALYSIS_LINTER_HH
@@ -48,7 +46,7 @@ struct LintReport
     std::vector<Diagnostic> diagnostics;
     /** Every allow() marker found, used or not. */
     std::vector<Suppression> suppressions;
-    /** Per-pass effort counters, in run order (v2). */
+    /** Per-pass effort counters, in run order. */
     std::vector<PassRunStats> passStats;
     /** Rules of the selected passes plus the suppression-hygiene
      *  rules, in registration order. */
@@ -59,9 +57,8 @@ struct LintReport
     /** The "vic-lint-report-v2" document. */
     JsonValue toJson() const;
 
-    /** Read back a v1 or v2 document (v1 has no pass_stats; its
-     *  other fields are unchanged). Throws std::runtime_error on an
-     *  unknown schema. */
+    /** Read back a "vic-lint-report-v2" document. Throws
+     *  std::runtime_error on any other schema. */
     static LintReport fromJson(const JsonValue &doc);
 
     /** One "file:line:col: rule: message" line per diagnostic. */

@@ -8,15 +8,7 @@ namespace vic
 namespace
 {
 
-std::uint64_t
-splitMix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
+constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
 
 std::uint64_t
 rotl(std::uint64_t x, int k)
@@ -26,10 +18,27 @@ rotl(std::uint64_t x, int k)
 
 } // anonymous namespace
 
+std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += kGoldenGamma;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+std::uint64_t
+streamSeed(std::uint64_t base, std::uint64_t index)
+{
+    return splitmix64(splitmix64(base) ^ splitmix64(0x5eedULL + index));
+}
+
 Random::Random(std::uint64_t seed)
 {
-    for (auto &s : state)
-        s = splitMix64(seed);
+    for (auto &s : state) {
+        s = splitmix64(seed);
+        seed += kGoldenGamma;
+    }
 }
 
 std::uint64_t

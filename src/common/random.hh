@@ -15,6 +15,17 @@
 namespace vic
 {
 
+/** SplitMix64: the output for state @p x (mix of x + golden gamma). */
+std::uint64_t splitmix64(std::uint64_t x);
+
+/**
+ * Seed of the @p index-th stream derived from @p base: two SplitMix64
+ * rounds over (base, index), so nearby indices give unrelated streams.
+ * A pure function of its inputs, which is what lets work fanned out
+ * across threads draw exactly what a serial run draws.
+ */
+std::uint64_t streamSeed(std::uint64_t base, std::uint64_t index);
+
 class Random
 {
   public:

@@ -16,24 +16,8 @@ Disk::Disk(std::uint32_t block_bytes, Cycles access_cycles,
                block_bytes);
 }
 
-void
+DmaTicket
 Disk::readBlock(std::uint64_t block, PhysAddr pa)
-{
-    const DmaTransferId id = readBlockAsync(block, pa);
-    while (dma.stepTransfer(id)) {
-    }
-}
-
-void
-Disk::writeBlock(std::uint64_t block, PhysAddr pa)
-{
-    const DmaTransferId id = writeBlockAsync(block, pa);
-    while (dma.stepTransfer(id)) {
-    }
-}
-
-DmaTransferId
-Disk::readBlockAsync(std::uint64_t block, PhysAddr pa)
 {
     ++statBlockReads;
     clk.advance(accessCycles);
@@ -45,8 +29,8 @@ Disk::readBlockAsync(std::uint64_t block, PhysAddr pa)
     return dma.startWrite(pa, it->second.data(), wordsPerBlock());
 }
 
-DmaTransferId
-Disk::writeBlockAsync(std::uint64_t block, PhysAddr pa)
+DmaTicket
+Disk::writeBlock(std::uint64_t block, PhysAddr pa)
 {
     ++statBlockWrites;
     clk.advance(accessCycles);

@@ -41,29 +41,21 @@ class Disk
 
     std::uint32_t blockBytes() const { return blockSize; }
 
-    /** Read block @p block into the frame at physical address @p pa
-     *  (a DMA-write into memory). Unwritten blocks read as zero. */
-    void readBlock(std::uint64_t block, PhysAddr pa);
-
-    /** Write the frame at @p pa to block @p block (a DMA-read from
-     *  memory). */
-    void writeBlock(std::uint64_t block, PhysAddr pa);
+    /**
+     * Begin reading block @p block into the frame at physical address
+     * @p pa (a DMA-write into memory). Unwritten blocks read as zero.
+     * The transfer's line-granular beats are pending on the engine
+     * until the returned ticket is drained.
+     */
+    DmaTicket readBlock(std::uint64_t block, PhysAddr pa);
 
     /**
-     * Begin reading block @p block into memory at @p pa: issues the
-     * DMA-write asynchronously and returns with its line-granular
-     * beats pending on the engine (drive them with
-     * DmaEngine::stepBeat/drainAll or Machine::drainDma).
+     * Begin writing the frame at @p pa to block @p block (a DMA-read
+     * from memory). The block's backing store is updated only when the
+     * final beat completes, so mid-transfer schedules genuinely
+     * observe a torn block.
      */
-    DmaTransferId readBlockAsync(std::uint64_t block, PhysAddr pa);
-
-    /**
-     * Begin writing the frame at @p pa to block @p block: issues the
-     * DMA-read asynchronously; the block's backing store is updated
-     * only when the final beat completes, so mid-transfer schedules
-     * genuinely observe a torn block.
-     */
-    DmaTransferId writeBlockAsync(std::uint64_t block, PhysAddr pa);
+    DmaTicket writeBlock(std::uint64_t block, PhysAddr pa);
 
     /** Direct peek at stored data, for tests. Unwritten blocks read as
      *  zero. */

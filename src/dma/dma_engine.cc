@@ -7,6 +7,44 @@
 namespace vic
 {
 
+DmaTicket::DmaTicket(DmaTicket &&other) noexcept
+    : engine(std::exchange(other.engine, nullptr)),
+      transfer(other.transfer)
+{
+}
+
+DmaTicket &
+DmaTicket::operator=(DmaTicket &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        engine = std::exchange(other.engine, nullptr);
+        transfer = other.transfer;
+    }
+    return *this;
+}
+
+DmaTicket::~DmaTicket()
+{
+    release();
+}
+
+void
+DmaTicket::release()
+{
+    if (engine == nullptr)
+        return;
+    const std::size_t i = engine->indexOf(*this);
+    vic_assert(i == engine->queue.size(),
+               "DMA transfer %llu (%s pa=%#llx, %u of %u words moved) "
+               "dropped with beats pending: drain it",
+               (unsigned long long)transfer,
+               engine->queue[i].deviceWrites ? "dma-wr" : "dma-rd",
+               (unsigned long long)engine->queue[i].pa.value,
+               engine->queue[i].done, engine->queue[i].nwords);
+    engine = nullptr;
+}
+
 DmaEngine::DmaEngine(const DmaCosts &dma_costs, PhysicalMemory &memory,
                      CycleClock &clock, StatSet &stat_set)
     : costs(dma_costs), mem(memory), clk(clock),
@@ -31,7 +69,7 @@ DmaEngine::setBeatBytes(std::uint32_t bytes)
     beatSize = bytes;
 }
 
-DmaTransferId
+DmaTicket
 DmaEngine::start(bool device_writes, PhysAddr pa,
                  const std::uint32_t *words, std::uint32_t *out,
                  std::uint32_t nwords,
@@ -40,8 +78,8 @@ DmaEngine::start(bool device_writes, PhysAddr pa,
     vic_assert(pa.value % 4 == 0, "unaligned DMA transfer");
 
     // Per-transfer accounting happens at command time, exactly where
-    // the historic atomic implementation charged it, so the
-    // synchronous path's cycle totals and statistics are unchanged.
+    // the historic atomic implementation charged it, so a start plus
+    // an immediate drain costs what one atomic transfer did.
     if (device_writes)
         ++statWrites;
     else
@@ -61,7 +99,7 @@ DmaEngine::start(bool device_writes, PhysAddr pa,
         // Degenerate command: completes at setup time, nothing queued.
         if (on_complete)
             on_complete();
-        return id;
+        return DmaTicket(this, id);
     }
 
     Transfer t;
@@ -75,10 +113,10 @@ DmaEngine::start(bool device_writes, PhysAddr pa,
     else
         t.out = out;
     queue.push_back(std::move(t));
-    return id;
+    return DmaTicket(this, id);
 }
 
-DmaTransferId
+DmaTicket
 DmaEngine::startWrite(PhysAddr pa, const std::uint32_t *words,
                       std::uint32_t nwords,
                       std::function<void()> on_complete)
@@ -87,7 +125,7 @@ DmaEngine::startWrite(PhysAddr pa, const std::uint32_t *words,
                  std::move(on_complete));
 }
 
-DmaTransferId
+DmaTicket
 DmaEngine::startRead(PhysAddr pa, std::uint32_t *out,
                      std::uint32_t nwords,
                      std::function<void()> on_complete)
@@ -96,13 +134,20 @@ DmaEngine::startRead(PhysAddr pa, std::uint32_t *out,
                  std::move(on_complete));
 }
 
-bool
-DmaEngine::transferPending(DmaTransferId id) const
+std::size_t
+DmaEngine::indexOf(const DmaTicket &ticket) const
 {
-    for (const Transfer &t : queue)
-        if (t.id == id)
-            return true;
-    return false;
+    if (ticket.engine == this)
+        for (std::size_t i = 0; i < queue.size(); ++i)
+            if (queue[i].id == ticket.transfer)
+                return i;
+    return queue.size();
+}
+
+bool
+DmaEngine::transferPending(const DmaTicket &ticket) const
+{
+    return indexOf(ticket) < queue.size();
 }
 
 std::uint32_t
@@ -178,49 +223,44 @@ DmaEngine::executeBeat(std::size_t index)
 }
 
 bool
-DmaEngine::stepBeat()
+DmaEngine::stepTransfer(const DmaTicket &ticket)
 {
-    if (queue.empty())
+    const std::size_t i = indexOf(ticket);
+    if (i == queue.size())
         return false;
-    executeBeat(0);
+    executeBeat(i);
     return true;
 }
 
-bool
-DmaEngine::stepTransfer(DmaTransferId id)
+void
+DmaEngine::drain(DmaTicket &&ticket)
 {
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (queue[i].id == id) {
-            executeBeat(i);
-            return true;
-        }
+    while (stepTransfer(ticket)) {
     }
-    return false;
+    ticket.release();
 }
 
 void
-DmaEngine::drainAll()
+DmaEngine::abandon(DmaTicket &&ticket)
 {
-    while (stepBeat()) {
-    }
+    const std::size_t i = indexOf(ticket);
+    if (i < queue.size())
+        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
+    ticket.release();
 }
 
 void
 DmaEngine::deviceWrite(PhysAddr pa, const std::uint32_t *words,
                        std::uint32_t nwords)
 {
-    const DmaTransferId id = startWrite(pa, words, nwords);
-    while (stepTransfer(id)) {
-    }
+    drain(startWrite(pa, words, nwords));
 }
 
 void
 DmaEngine::deviceRead(PhysAddr pa, std::uint32_t *out,
                       std::uint32_t nwords)
 {
-    const DmaTransferId id = startRead(pa, out, nwords);
-    while (stepTransfer(id)) {
-    }
+    drain(startRead(pa, out, nwords));
 }
 
 } // namespace vic

@@ -13,14 +13,16 @@
  *
  * Transfers are asynchronous at line granularity: startWrite/startRead
  * enqueue a pending transfer whose beats (one cache line of words
- * each) are executed one at a time by stepBeat()/stepTransfer(). This
- * is what lets the interleaving model checker (src/mc) overlap DMA
- * with CPU execution and expose mid-transfer consistency windows. The
- * classic deviceWrite/deviceRead entry points remain as the
- * synchronous compatibility path — start followed by an immediate
- * drain — with cycle charges and statistics identical to the historic
- * atomic implementation, so existing call sites and calibrated benches
- * are unaffected.
+ * each) run one at a time under stepTransfer(). This is what lets the
+ * interleaving model checker (src/mc) overlap DMA with CPU execution
+ * and expose mid-transfer consistency windows.
+ *
+ * Every start returns a DmaTicket, and "every started transfer is
+ * drained" is enforced by that type rather than by convention: the
+ * ticket is move-only and [[nodiscard]], drain() consumes it, and
+ * destroying it while the transfer still has beats pending fails an
+ * assertion naming the transfer. Without the drain the kernel would
+ * unwire a frame the device is still reading or writing.
  */
 
 #ifndef VIC_DMA_DMA_ENGINE_HH
@@ -52,6 +54,43 @@ struct DmaCosts
 
 /** Handle identifying one in-flight transfer. Never reused. */
 using DmaTransferId = std::uint64_t;
+
+class DmaEngine;
+
+/**
+ * The one owner of a started transfer. DmaEngine::drain or
+ * DmaEngine::abandon consumes it; a ticket whose transfer has
+ * completed (every beat stepped, or a zero-word command) may also
+ * simply go out of scope. Destroying or overwriting a ticket while
+ * its transfer still has beats pending is a simulator bug and fails a
+ * vic_assert. A default-constructed ticket names no transfer.
+ */
+class [[nodiscard]] DmaTicket
+{
+  public:
+    DmaTicket() = default;
+    DmaTicket(DmaTicket &&other) noexcept;
+    DmaTicket &operator=(DmaTicket &&other) noexcept;
+    DmaTicket(const DmaTicket &) = delete;
+    DmaTicket &operator=(const DmaTicket &) = delete;
+    ~DmaTicket();
+
+    DmaTransferId id() const { return transfer; }
+
+  private:
+    friend class DmaEngine;
+
+    DmaTicket(DmaEngine *owner, DmaTransferId id)
+        : engine(owner), transfer(id)
+    {
+    }
+
+    /** Assert the transfer has no beats pending, then let go of it. */
+    void release();
+
+    DmaEngine *engine = nullptr; ///< null once released
+    DmaTransferId transfer = 0;
+};
 
 class DmaEngine
 {
@@ -90,24 +129,24 @@ class DmaEngine
      * its word-move cost when stepped. @p on_complete (optional) runs
      * after the final beat.
      */
-    DmaTransferId startWrite(PhysAddr pa, const std::uint32_t *words,
-                             std::uint32_t nwords,
-                             std::function<void()> on_complete = {});
+    DmaTicket startWrite(PhysAddr pa, const std::uint32_t *words,
+                         std::uint32_t nwords,
+                         std::function<void()> on_complete = {});
 
     /**
      * Begin a DMA-read: the device will read @p nwords words from the
      * memory system starting at @p pa into @p out, one beat per step.
      * @p out must stay valid until the transfer completes.
      */
-    DmaTransferId startRead(PhysAddr pa, std::uint32_t *out,
-                            std::uint32_t nwords,
-                            std::function<void()> on_complete = {});
+    DmaTicket startRead(PhysAddr pa, std::uint32_t *out,
+                        std::uint32_t nwords,
+                        std::function<void()> on_complete = {});
 
     /** Number of transfers with beats still pending. */
     std::size_t pendingTransfers() const { return queue.size(); }
 
-    /** @return true iff @p id has beats still pending. */
-    bool transferPending(DmaTransferId id) const;
+    /** @return true iff @p ticket's transfer has beats pending. */
+    bool transferPending(const DmaTicket &ticket) const;
 
     /** The next beat a transfer would execute (for schedulers). */
     struct BeatInfo
@@ -122,19 +161,25 @@ class DmaEngine
      *  (0 = oldest); nullopt if out of range. */
     std::optional<BeatInfo> nextBeat(std::size_t queue_index = 0) const;
 
-    /** Execute one beat of the oldest pending transfer.
-     *  @return false iff nothing was pending. */
-    bool stepBeat();
+    /** Execute one beat of @p ticket's transfer.
+     *  @return false iff it has no pending beats. */
+    bool stepTransfer(const DmaTicket &ticket);
 
-    /** Execute one beat of transfer @p id.
-     *  @return false iff @p id has no pending beats. */
-    bool stepTransfer(DmaTransferId id);
+    /** Run @p ticket's transfer to completion and consume the ticket. */
+    void drain(DmaTicket &&ticket);
 
-    /** Run every pending transfer to completion, oldest first. */
-    void drainAll();
+    /**
+     * Consume @p ticket WITHOUT running its remaining beats: the
+     * transfer leaves the queue as if the device were reset, memory
+     * keeps only the beats already moved, and the completion callback
+     * never runs. For tearing a machine down partway through a
+     * schedule (the model checker's explorer does this on every
+     * branch); a simulated kernel always drains.
+     */
+    void abandon(DmaTicket &&ticket);
 
     // ------------------------------------------------------------------
-    // Synchronous compatibility path (start + immediate drain)
+    // Whole transfers (start + immediate drain)
     // ------------------------------------------------------------------
 
     /**
@@ -155,6 +200,8 @@ class DmaEngine
                     std::uint32_t nwords);
 
   private:
+    friend class DmaTicket;
+
     struct Transfer
     {
         DmaTransferId id = 0;
@@ -182,10 +229,14 @@ class DmaEngine
     Counter &statReads;
     Counter &statWordsMoved;
 
-    DmaTransferId start(bool device_writes, PhysAddr pa,
-                        const std::uint32_t *words, std::uint32_t *out,
-                        std::uint32_t nwords,
-                        std::function<void()> on_complete);
+    DmaTicket start(bool device_writes, PhysAddr pa,
+                    const std::uint32_t *words, std::uint32_t *out,
+                    std::uint32_t nwords,
+                    std::function<void()> on_complete);
+
+    /** Queue index of @p ticket's transfer, or queue.size() if it has
+     *  no beats pending here. */
+    std::size_t indexOf(const DmaTicket &ticket) const;
 
     /** Words the next beat of @p t moves (up to its line boundary). */
     std::uint32_t beatWords(const Transfer &t) const;

@@ -1,37 +1,23 @@
 #include "experiment/experiment_engine.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
+
+#include "common/parallel.hh"
+#include "common/random.hh"
 
 namespace vic
 {
 
 std::uint64_t
-ExperimentEngine::splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
 ExperimentEngine::effectiveSeed(std::uint64_t base,
                                 std::uint32_t replica)
 {
-    if (replica == 0)
-        return base;
-    // Two mix rounds over (base, replica) give unrelated streams for
-    // nearby replica indices while staying a pure function of the
-    // spec — no scheduling state can leak in.
-    return splitmix64(splitmix64(base) ^
-                      splitmix64(0x5eedULL + replica));
+    return replica == 0 ? base : streamSeed(base, replica);
 }
 
 bool
@@ -109,40 +95,12 @@ ExperimentEngine::run(const std::vector<RunSpec> &specs,
                      out.ok ? "ok" : "FAILED", out.wallSeconds);
     };
 
-    const unsigned jobs =
-        options.jobs < 2 || specs.size() < 2
-            ? 1
-            : std::min<unsigned>(options.jobs,
-                                 static_cast<unsigned>(specs.size()));
-
-    if (jobs == 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            outcomes[i] = runOne(specs[i]);
-            report(outcomes[i]);
-        }
-        return outcomes;
-    }
-
-    // Work-stealing by atomic index: completion order is arbitrary,
-    // but each worker writes only its claimed outcome slot, so the
-    // returned vector is in spec order by construction.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) {
-        workers.emplace_back([&] {
-            while (true) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= specs.size())
-                    return;
-                outcomes[i] = runOne(specs[i]);
-                report(outcomes[i]);
-            }
-        });
-    }
-    for (auto &w : workers)
-        w.join();
+    // Each call writes only its own outcome slot, so the returned
+    // vector is in spec order whatever the completion order.
+    parallelFor(specs.size(), options.jobs, [&](std::size_t i) {
+        outcomes[i] = runOne(specs[i]);
+        report(outcomes[i]);
+    });
     return outcomes;
 }
 

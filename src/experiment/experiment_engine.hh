@@ -57,13 +57,10 @@ class ExperimentEngine
      *  or has no workload factory — yields ok == false. */
     static RunOutcome runOne(const RunSpec &spec);
 
-    /** SplitMix64 mix step (public for tests and seed derivation). */
-    static std::uint64_t splitmix64(std::uint64_t x);
-
     /**
      * The seed a (base, replica) pair actually runs with: replica 0
      * is the base seed verbatim (preserving every workload's
-     * calibrated stream), replica N > 0 is a SplitMix64 expansion —
+     * calibrated stream), replica N > 0 is streamSeed(base, N) —
      * unrelated across replicas, identical across schedules.
      */
     static std::uint64_t effectiveSeed(std::uint64_t base,

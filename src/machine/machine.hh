@@ -22,7 +22,6 @@
 #ifndef VIC_MACHINE_MACHINE_HH
 #define VIC_MACHINE_MACHINE_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -91,37 +90,6 @@ class Machine
 
     MemoryObserver *observer() const { return memObserver; }
 
-    /**
-     * Concurrency yield hook. The OS layers call yieldPoint() at the
-     * places where, on the real machine, other processors or pending
-     * DMA could run: around DMA transfers and between pageout steps.
-     * With no hook installed (the default, and all production
-     * configurations) a yield point is a single branch and drainDma()
-     * completes pending transfers inline — behaviour and cycle totals
-     * identical to the historic atomic DMA. Concurrency tests install
-     * a hook to interleave work into these windows.
-     */
-    using YieldHook = std::function<void(const char *point)>;
-    void setYieldHook(YieldHook hook) { yieldHook = std::move(hook); }
-
-    /** Announce an OS-level interleaving opportunity named @p point. */
-    void
-    yieldPoint(const char *point)
-    {
-        if (yieldHook)
-            yieldHook(point);
-    }
-
-    /** Drain all pending DMA, yielding at @p point before each beat. */
-    void
-    drainDma(const char *point)
-    {
-        while (dmaEngine->pendingTransfers() > 0) {
-            yieldPoint(point);
-            dmaEngine->stepBeat();
-        }
-    }
-
     /** Elapsed simulated seconds at the configured clock rate. */
     double elapsedSeconds() const
     { return double(cycleClock.now()) / mparams.clockHz; }
@@ -144,7 +112,6 @@ class Machine
     std::unique_ptr<DmaEngine> dmaEngine;
     std::unique_ptr<Disk> diskDev;
     MemoryObserver *memObserver = nullptr;
-    YieldHook yieldHook;
 };
 
 } // namespace vic

@@ -147,6 +147,11 @@ Executor::Executor(const Scenario &scenario)
 
 Executor::~Executor()
 {
+    // Explorers discard executors partway through a schedule; a
+    // transfer still in flight dies with the machine, its beats unrun.
+    for (ThreadState &t : threads)
+        if (t.isBeat)
+            machine.dma().abandon(std::move(t.ticket));
     machine.setObserver(nullptr);
     oracle.setViolationHook(nullptr);
 }
@@ -201,8 +206,9 @@ Executor::forwardSource(std::uint32_t cpu, FrameId frame) const
 bool
 Executor::transfersComplete(const ThreadState &t)
 {
-    for (DmaTransferId id : t.started)
-        if (machine.dma().transferPending(id))
+    for (int b : t.startedBeatThreads)
+        if (machine.dma().transferPending(
+                threads[static_cast<std::size_t>(b)].ticket))
             return false;
     return true;
 }
@@ -236,7 +242,7 @@ Executor::enabled()
     for (std::size_t i = 0; i < threads.size(); ++i) {
         const ThreadState &t = threads[i];
         if (t.isBeat) {
-            if (machine.dma().transferPending(t.transfer))
+            if (machine.dma().transferPending(t.ticket))
                 out.push_back(static_cast<int>(i));
             continue;
         }
@@ -261,7 +267,7 @@ Executor::allFinished()
 {
     for (const ThreadState &t : threads) {
         if (t.isBeat) {
-            if (machine.dma().transferPending(t.transfer))
+            if (machine.dma().transferPending(t.ticket))
                 return false;
             continue;
         }
@@ -349,7 +355,7 @@ Executor::peek(int t)
         DmaEngine &dma = machine.dma();
         for (std::size_t i = 0; i < dma.pendingTransfers(); ++i) {
             auto beat = dma.nextBeat(i);
-            if (!beat || beat->id != ts.transfer)
+            if (!beat || beat->id != ts.ticket.id())
                 continue;
             fp.dmaAccess = true;
             Footprint::addFrame(fp.frames,
@@ -406,8 +412,7 @@ Executor::remainingFootprint(int t)
     if (ts.isBeat) {
         // Conservative: the rest of the transfer may touch any line
         // of its frame.
-        DmaEngine &dma = machine.dma();
-        if (!dma.transferPending(ts.transfer))
+        if (!machine.dma().transferPending(ts.ticket))
             return fp;
         Footprint beat = peek(t);
         fp = beat;
@@ -471,7 +476,7 @@ Executor::execute(int t, StepRecord &cur)
     if (ts.isBeat) {
         cur.kind = OpKind::DmaBeat;
         cur.fp.dmaAccess = true;
-        const bool stepped = machine.dma().stepTransfer(ts.transfer);
+        const bool stepped = machine.dma().stepTransfer(ts.ticket);
         vic_assert(stepped, "beat thread stepped without pending beat");
         ++ts.pc;
         return;
@@ -635,39 +640,26 @@ Executor::execute(int t, StepRecord &cur)
       case OpKind::DmaStartRead:
       case OpKind::DmaStartWrite: {
         const std::uint32_t nwords = op.lines * lineWords;
-        DmaTransferId id = 0;
+        // The beat thread spawned here owns the transfer's ticket and
+        // steps its beats; the scheduler's DmaWait events gate every
+        // interleaving on its completion.
+        ThreadState beat;
         if (op.kind == OpKind::DmaStartRead) {
             readBufs.emplace_back(nwords, 0u);
-            // The beat thread spawned below drains this transfer;
-            // the scheduler's DmaWait events gate every
-            // interleaving on its completion. The lint summary
-            // domain is per-call-path (bottom-up over the call
-            // graph); an obligation handed to ANOTHER THREAD's
-            // schedule has no call edge to follow, so this is
-            // exactly the cross-thread hand-off the interprocedural
-            // proof cannot see.
-            // vic-lint: allow(drain-unpaired): drained cross-thread by the forked beat thread; no call edge for the summary domain to follow
-            id = machine.dma().startRead(machine.frameAddr(frame),
-                                         readBufs.back().data(),
-                                         nwords);
+            beat.ticket = machine.dma().startRead(
+                machine.frameAddr(frame), readBufs.back().data(), nwords);
         } else {
             std::vector<std::uint32_t> words(nwords);
             for (std::uint32_t i = 0; i < nwords; ++i)
                 words[i] = 0x80000000u +
                            (std::uint32_t(stamp) << 8) + i;
             ++stamp;
-            // Same cross-thread hand-off as the read case above.
-            // vic-lint: allow(drain-unpaired): drained cross-thread by the forked beat thread; no call edge for the summary domain to follow
-            id = machine.dma().startWrite(machine.frameAddr(frame),
-                                          words.data(), nwords);
+            beat.ticket = machine.dma().startWrite(
+                machine.frameAddr(frame), words.data(), nwords);
         }
-        ts.started.push_back(id);
-
-        ThreadState beat;
         beat.name = ts.name + ".dma" +
-                    std::to_string(ts.started.size());
+                    std::to_string(ts.startedBeatThreads.size() + 1);
         beat.isBeat = true;
-        beat.transfer = id;
         beat.starter = t;
         cur.startedBeat = static_cast<int>(threads.size());
         ts.startedBeatThreads.push_back(cur.startedBeat);
@@ -795,7 +787,7 @@ Executor::stateHash()
         mix(f);
     for (const ThreadState &t : threads) {
         mix(t.pc);
-        mix(t.started.size());
+        mix(t.startedBeatThreads.size());
     }
     // Undrained store-buffer entries, FIFO order (no-op in SC mode).
     for (std::size_t c = 0; c < sbFifo.size(); ++c) {

@@ -98,9 +98,8 @@ class Executor
         bool isBeat = false;
         std::size_t pc = 0;       ///< next op (beats: beats done)
         int scenarioIndex = -1;   ///< static threads: index in scenario
-        DmaTransferId transfer = 0;
+        DmaTicket ticket;         ///< beat threads: the transfer stepped
         int starter = -1;         ///< beat threads: starting thread
-        std::vector<DmaTransferId> started;
         std::vector<int> startedBeatThreads;
         /** Drain threads (WeakStoreOrder): one buffered store. The
          *  single step deposits it into the memory system through the

@@ -1,12 +1,11 @@
 #include "mc/explorer.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <set>
-#include <thread>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/random.hh"
 #include "mc/executor.hh"
 
@@ -284,54 +283,11 @@ exploreMany(const std::vector<Scenario> &scenarios,
             const ExploreOptions &options, unsigned jobs)
 {
     std::vector<ScenarioResult> out(scenarios.size());
-    if (jobs <= 1 || scenarios.size() <= 1) {
-        for (std::size_t i = 0; i < scenarios.size(); ++i)
-            out[i] = explore(scenarios[i], options);
-        return out;
-    }
-
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= scenarios.size())
-                return;
-            out[i] = explore(scenarios[i], options);
-        }
-    };
-    std::vector<std::thread> pool;
-    const unsigned n = std::min<unsigned>(
-        jobs, static_cast<unsigned>(scenarios.size()));
-    for (unsigned i = 0; i < n; ++i)
-        pool.emplace_back(worker);
-    for (std::thread &th : pool)
-        th.join();
+    parallelFor(scenarios.size(), jobs, [&](std::size_t i) {
+        out[i] = explore(scenarios[i], options);
+    });
     return out;
 }
-
-namespace
-{
-
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Per-scenario stream seed: the same double-SplitMix64 mix the
- *  experiment engine uses for replica seeds, keyed by catalog index
- *  so the stream is independent of scheduling across --jobs. */
-std::uint64_t
-fuzzStreamSeed(std::uint64_t base, std::size_t scenario_index)
-{
-    return splitmix64(splitmix64(base) ^
-                      splitmix64(0x5eedull + scenario_index));
-}
-
-} // namespace
 
 FuzzResult
 fuzzSchedules(const Scenario &scenario, const FuzzOptions &options,
@@ -343,7 +299,9 @@ fuzzSchedules(const Scenario &scenario, const FuzzOptions &options,
     res.policy = scenario.policy.name;
     res.memoryOrder = scenario.memoryOrder;
 
-    Random rng(fuzzStreamSeed(options.seed, scenarioIndex));
+    // Keyed by catalog index, so the stream does not depend on which
+    // worker fuzzes the scenario.
+    Random rng(streamSeed(options.seed, scenarioIndex));
     std::set<std::uint64_t> canon;
     std::set<std::uint64_t> endStates;
     std::set<std::string> raceKeys;
@@ -436,30 +394,9 @@ fuzzMany(const std::vector<Scenario> &scenarios,
     };
 
     std::vector<FuzzResult> out(scenarios.size());
-    if (jobs <= 1 || scenarios.size() <= 1) {
-        for (std::size_t i = 0; i < scenarios.size(); ++i)
-            out[i] = fuzzSchedules(scenarios[i], options, i,
-                                   baseline(i));
-        return out;
-    }
-
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= scenarios.size())
-                return;
-            out[i] = fuzzSchedules(scenarios[i], options, i,
-                                   baseline(i));
-        }
-    };
-    std::vector<std::thread> pool;
-    const unsigned n = std::min<unsigned>(
-        jobs, static_cast<unsigned>(scenarios.size()));
-    for (unsigned i = 0; i < n; ++i)
-        pool.emplace_back(worker);
-    for (std::thread &th : pool)
-        th.join();
+    parallelFor(scenarios.size(), jobs, [&](std::size_t i) {
+        out[i] = fuzzSchedules(scenarios[i], options, i, baseline(i));
+    });
     return out;
 }
 

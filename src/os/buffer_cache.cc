@@ -99,10 +99,9 @@ BufferCache::flushSlot(std::uint32_t slot)
     kernel.pmap().dmaRead(s.frame, true);
     const std::uint64_t disk_block =
         kernel.fs().diskBlockFor(s.file, s.block);
+    Machine &m = kernel.machine();
     kernel.pageout().wire(s.frame);
-    kernel.machine().disk().writeBlockAsync(
-        disk_block, kernel.machine().frameAddr(s.frame));
-    kernel.machine().drainDma("bufcache.write-back");
+    m.dma().drain(m.disk().writeBlock(disk_block, m.frameAddr(s.frame)));
     kernel.pageout().unwire(s.frame);
     s.dirty = false;
 }
@@ -119,10 +118,10 @@ BufferCache::fillSlot(std::uint32_t slot, FileId file,
         // must not shadow or clobber it (the DMA-write consistency
         // step, ordered before the first beat).
         kernel.pmap().dmaWrite(s.frame);
+        Machine &m = kernel.machine();
         kernel.pageout().wire(s.frame);
-        kernel.machine().disk().readBlockAsync(
-            *disk_block, kernel.machine().frameAddr(s.frame));
-        kernel.machine().drainDma("bufcache.fill");
+        m.dma().drain(
+            m.disk().readBlock(*disk_block, m.frameAddr(s.frame)));
         kernel.pageout().unwire(s.frame);
     } else if (!disk_block && !whole_block_write) {
         // A block that has never been written reads as zeros; the

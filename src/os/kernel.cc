@@ -672,8 +672,8 @@ Kernel::faultInPage(Region &region, std::uint32_t page_idx,
         frame = allocFrame(pmapImpl->dColourOf(page_va));
         pmapImpl->dmaWrite(frame);
         pageoutDaemon->wire(frame);
-        mach.disk().readBlockAsync(*swap_block, mach.frameAddr(frame));
-        mach.drainDma("kernel.swap-in");
+        mach.dma().drain(
+            mach.disk().readBlock(*swap_block, mach.frameAddr(frame)));
         pageoutDaemon->unwire(frame);
         pageoutDaemon->freeSwapBlock(*swap_block);
         region.object->clearSwapBlock(obj_page);

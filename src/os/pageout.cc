@@ -78,7 +78,6 @@ PageoutDaemon::pageOut(const Candidate &c)
     // Evict every translation so no access can race the transfer.
     for (const SpaceVa &va : pmap.mappingsOf(c.frame))
         pmap.remove(va);
-    m.yieldPoint("pageout.unmapped");
 
     if (obj->backing() == VmObject::Backing::File) {
         // Text and mapped-file pages are clean copies of file data:
@@ -94,8 +93,7 @@ PageoutDaemon::pageOut(const Candidate &c)
         const std::uint64_t block = allocSwapBlock();
         pmap.dmaRead(c.frame, true);
         wire(c.frame);
-        m.disk().writeBlockAsync(block, m.frameAddr(c.frame));
-        m.drainDma("pageout.swap-out");
+        m.dma().drain(m.disk().writeBlock(block, m.frameAddr(c.frame)));
         unwire(c.frame);
         obj->setSwapBlock(c.page, block);
         ++statSwapWrites;

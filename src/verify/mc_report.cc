@@ -133,8 +133,7 @@ readScenario(const JsonValue &js)
 {
     McScenarioSummary s;
     s.scenario = strOr(js, "scenario", "");
-    // v2 predates the memory-order axis: every v2 scenario ran SC.
-    s.memoryOrder = strOr(js, "memoryOrder", "sc");
+    s.memoryOrder = strOr(js, "memoryOrder", "");
     s.exhausted = boolOr(js, "exhausted", false);
     s.executions = u64Or(js, "executions", 0);
     s.canonicalTraces = u64Or(js, "canonicalTraces", 0);
@@ -145,9 +144,7 @@ readScenario(const JsonValue &js)
         s.races = races->items().size();
     s.benignRaces = u64Or(js, "benignRaces", 0);
     s.confirmedRaces = u64Or(js, "confirmedRaces", 0);
-    // Pre-v4 writers carried the counts but not the difference.
-    s.reportedRaces =
-        u64Or(js, "reportedRaces", s.races - s.benignRaces);
+    s.reportedRaces = u64Or(js, "reportedRaces", 0);
     s.passed = boolOr(js, "passed", false);
 
     if (const JsonValue *fuzz = js.find("fuzz");
@@ -168,9 +165,9 @@ readMcReport(const JsonValue &report)
 {
     McReportSummary out;
     out.schema = strOr(report, "schema", "");
-    out.recognised = out.schema == kVerifyReportSchemaV2 ||
-                     out.schema == kVerifyReportSchemaV3 ||
-                     out.schema == kVerifyReportSchemaV4;
+    out.recognised = out.schema == kVerifyReportSchemaV4;
+    if (!out.recognised)
+        return out;
     out.ok = boolOr(report, "ok", false);
 
     const JsonValue *policies = report.find("policies");

@@ -4,18 +4,14 @@
  *
  * Builders turn mc exploration and fuzzing results into the JSON
  * shape verify_policy embeds per scenario, and a reader summarises a
- * whole report back out of JSON. v3 added over v2: a per-scenario
- * "memoryOrder" ("sc" / "weak"), the "weakWindow" race class on each
- * race pair plus a per-scenario counter, and an optional "fuzz"
- * object with coverage counters (samples, distinct traces, traces not
- * seen by the exhaustive pass). v4 adds the benign-race accounting:
- * an explicit per-scenario "reportedRaces" (non-benign pairs — the
- * number the pass/fail verdict is about) alongside the "benignRaces"
- * count, so hardware-coherent pairs are visible distinctly instead of
- * being buried inside the races array. The reader accepts v2 through
- * v4 documents: absent fields default to the values an older writer
- * would have implied, so downstream consumers can diff old and new
- * artifacts with one code path.
+ * whole report back out of JSON. Each scenario entry carries its
+ * "memoryOrder" ("sc" / "weak"), the race pairs (each classed benign
+ * and/or "weakWindow") with per-class counters, an explicit
+ * "reportedRaces" (non-benign pairs — the number the pass/fail
+ * verdict is about), and an optional "fuzz" object with coverage
+ * counters (samples, distinct traces, traces not seen by the
+ * exhaustive pass). The reader accepts v4 only; nothing writes the
+ * older schemas.
  */
 
 #ifndef VIC_VERIFY_MC_REPORT_HH
@@ -33,21 +29,16 @@ namespace vic::verify
 /** Schema tag verify_policy writes. */
 inline constexpr const char *kVerifyReportSchemaV4 =
     "vic-verify-report-v4";
-/** Previous schema tags, still accepted by the reader. */
-inline constexpr const char *kVerifyReportSchemaV3 =
-    "vic-verify-report-v3";
-inline constexpr const char *kVerifyReportSchemaV2 =
-    "vic-verify-report-v2";
 
-/** One race pair as a v3 JSON object. */
+/** One race pair as a v4 JSON object. */
 JsonValue raceJson(const mc::RaceReport &race);
 
-/** One explored scenario as a v3 JSON object (the per-scenario entry
+/** One explored scenario as a v4 JSON object (the per-scenario entry
  *  of the "interleave.scenarios" array). */
 JsonValue scenarioResultJson(const mc::ScenarioResult &result,
                              bool passed);
 
-/** One fuzzing pass as a v3 JSON object (the scenario's "fuzz"
+/** One fuzzing pass as a v4 JSON object (the scenario's "fuzz"
  *  member). */
 JsonValue fuzzResultJson(const mc::FuzzResult &result, bool passed);
 
@@ -57,21 +48,19 @@ JsonValue fuzzResultJson(const mc::FuzzResult &result, bool passed);
 struct McScenarioSummary
 {
     std::string scenario;
-    std::string memoryOrder = "sc"; ///< v2 documents imply SC
+    std::string memoryOrder;
     bool exhausted = false;
     std::uint64_t executions = 0;
     std::uint64_t canonicalTraces = 0;
     std::uint64_t violatingRuns = 0;
-    std::uint64_t weakWindowRaces = 0; ///< 0 in v2 documents
+    std::uint64_t weakWindowRaces = 0;
     std::size_t races = 0;             ///< all pairs, benign included
     std::uint64_t benignRaces = 0;
     std::uint64_t confirmedRaces = 0;
-    /** Non-benign pairs. Pre-v4 documents lack the explicit field;
-     *  the reader falls back to races - benignRaces. */
-    std::uint64_t reportedRaces = 0;
+    std::uint64_t reportedRaces = 0;   ///< non-benign pairs
     bool passed = false;
 
-    bool hasFuzz = false; ///< a "fuzz" member was present (v3 only)
+    bool hasFuzz = false; ///< a "fuzz" member was present
     std::uint64_t fuzzSamples = 0;
     std::uint64_t fuzzTraces = 0;
     std::uint64_t fuzzNewTraces = 0;
@@ -82,13 +71,13 @@ struct McScenarioSummary
 struct McReportSummary
 {
     std::string schema;
-    bool recognised = false; ///< schema is v2, v3 or v4
+    bool recognised = false; ///< schema is v4
     bool ok = false;         ///< the report's top-level verdict
     std::vector<McScenarioSummary> scenarios; ///< across all policies
 };
 
-/** Read a v2/v3/v4 verify report (parsed JSON document). Unknown
- *  schemas yield recognised=false with whatever fields still parse. */
+/** Read a v4 verify report (parsed JSON document). Any other schema
+ *  yields recognised=false and nothing else. */
 McReportSummary readMcReport(const JsonValue &report);
 
 } // namespace vic::verify

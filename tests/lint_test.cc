@@ -89,36 +89,6 @@ TEST(LintFixtures, DeterminismCatchesEveryRule)
     EXPECT_EQ(r.diagnostics.size(), 7u);
 }
 
-TEST(LintFixtures, DrainCatchesLeakedTransferOnly)
-{
-    const LintReport r = runLint(fixtureRoot("drain"), {"drain"});
-    const std::string f = "src/os/bad_drain.cc";
-    // flushLeaky's startWrite (line 16) escapes via the early return.
-    EXPECT_TRUE(hasDiag(r, "drain-unpaired", f, 16));
-    // flushPaired and fillStepped drain on every path: exactly the
-    // one diagnostic.
-    EXPECT_EQ(countRule(r, "drain-unpaired"), 1u);
-}
-
-TEST(LintFixtures, DrainCrossesCallsAndLambdas)
-{
-    const LintReport r =
-        runLint(fixtureRoot("interdrain"), {"drain"});
-    const std::string f = "src/os/through.cc";
-    // The per-file pass exempted "*Async" names and never looked at
-    // callers; both findings below prove the old blind spots.
-    // flushThroughHelper inherits beginFlushAsync's summarised leak
-    // at the call site (line 22)...
-    EXPECT_TRUE(hasDiag(r, "drain-unpaired", f, 22));
-    // ...and the start inside the deferred lambda (line 36) is an
-    // anonymous island nobody else can drain.
-    EXPECT_TRUE(hasDiag(r, "drain-unpaired", f, 36));
-    // beginFlushAsync itself leaks BY CONTRACT (it has callers), so
-    // its own `return dma.startWrite(...)` stays silent, and
-    // flushAndDrain pairs the helper call with drainAll.
-    EXPECT_EQ(countRule(r, "drain-unpaired"), 2u);
-}
-
 TEST(LintFixtures, AddrKindMixedAndRewrap)
 {
     const LintReport r =
@@ -224,12 +194,15 @@ TEST(LintCleanTree, ZeroDiagnosticsAllPasses)
 {
     const LintReport r = runLint(VIC_LINT_SOURCE_ROOT, {});
     ASSERT_GT(r.filesScanned, 100u);  // sanity: found the real tree
-    EXPECT_EQ(r.passesRun.size(), 7u);
+    EXPECT_EQ(r.passesRun.size(), 6u);
     for (const Diagnostic &d : r.diagnostics)
         ADD_FAILURE() << d.render();
     // Every inline suppression carries a reason and silences a real
-    // diagnostic (unused/undocumented ones would be diagnostics).
+    // diagnostic (unused/undocumented ones would be diagnostics). The
+    // inventory is the one polymorphic addr-kind channel.
+    EXPECT_EQ(r.suppressions.size(), 1u);
     for (const Suppression &s : r.suppressions) {
+        EXPECT_EQ(s.rule, "addr-kind-mixed");
         EXPECT_TRUE(s.used) << s.file << ":" << s.commentLine;
         EXPECT_FALSE(s.reason.empty())
             << s.file << ":" << s.commentLine;
@@ -237,8 +210,7 @@ TEST(LintCleanTree, ZeroDiagnosticsAllPasses)
     // The interprocedural passes did real whole-program work.
     bool saw_fixpoint = false;
     for (const PassRunStats &p : r.passStats) {
-        if (p.pass == "drain" || p.pass == "addr-kind" ||
-            p.pass == "counter-liveness") {
+        if (p.pass == "addr-kind" || p.pass == "counter-liveness") {
             EXPECT_GT(p.stats.functionsAnalyzed, 100u) << p.pass;
             EXPECT_GT(p.stats.fixpointIterations, 0u) << p.pass;
             saw_fixpoint = true;
@@ -281,10 +253,10 @@ TEST(LintCleanTree, ByteIdenticalAcrossRuns)
 }
 
 // ---------------------------------------------------------------------
-// Report round-trips: v2 writer, v1-compatible reader, SARIF shape
+// Report round-trips: v2 writer and reader, SARIF shape
 // ---------------------------------------------------------------------
 
-TEST(LintReportFormats, V2RoundTripAndV1Reader)
+TEST(LintReportFormats, V2RoundTripRejectsOtherSchemas)
 {
     const LintReport r =
         runLint(fixtureRoot("addrkind"), {"addr-kind"});
@@ -305,23 +277,15 @@ TEST(LintReportFormats, V2RoundTripAndV1Reader)
     EXPECT_EQ(back.passStats[0].stats.functionsAnalyzed,
               r.passStats[0].stats.functionsAnalyzed);
 
-    // A v1 document (no pass_stats) still reads: archived PR 8
-    // artifacts stay diffable.
-    JsonValue v1 = JsonValue::parse(r.toJson().dump(2));
-    v1.set("schema", JsonValue::str("vic-lint-report-v1"));
-    JsonValue stripped = JsonValue::object();
-    for (auto &kv : v1.members()) {
-        if (kv.first != "pass_stats")
-            stripped.set(kv.first, std::move(kv.second));
+    // Nothing writes v1 any more, so a v1 document is rejected like
+    // any unknown schema rather than misread.
+    for (const char *schema :
+         {"vic-lint-report-v1", "vic-lint-report-v99"}) {
+        JsonValue old = JsonValue::parse(r.toJson().dump(2));
+        old.set("schema", JsonValue::str(schema));
+        EXPECT_THROW(LintReport::fromJson(old), std::runtime_error)
+            << schema;
     }
-    const LintReport old = LintReport::fromJson(stripped);
-    EXPECT_EQ(old.diagnostics.size(), r.diagnostics.size());
-    EXPECT_TRUE(old.passStats.empty());
-
-    // Unknown schemas are rejected, not misread.
-    JsonValue bogus = JsonValue::object();
-    bogus.set("schema", JsonValue::str("vic-lint-report-v99"));
-    EXPECT_THROW(LintReport::fromJson(bogus), std::runtime_error);
 }
 
 TEST(LintReportFormats, SarifShape)

@@ -278,9 +278,9 @@ TEST(WeakOrder, FuzzCoverageIsSubsetOfExhaustiveExploration)
     }
 }
 
-// --- report schema v2/v3 -----------------------------------------------
+// --- report schema v4 ----------------------------------------------------
 
-TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
+TEST(WeakOrder, ReportV4RoundTripsThroughTheReader)
 {
     const Scenario s = missingFenceExemplar(PolicyConfig::cmu());
     const ScenarioResult r = explore(s, defaults());
@@ -301,7 +301,7 @@ TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
     policies.push(std::move(policyEntry));
     JsonValue report = JsonValue::object();
     report.set("schema",
-               JsonValue::str(verify::kVerifyReportSchemaV3));
+               JsonValue::str(verify::kVerifyReportSchemaV4));
     report.set("ok", JsonValue::boolean(true));
     report.set("policies", std::move(policies));
 
@@ -309,7 +309,7 @@ TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
     const JsonValue parsed = JsonValue::parse(report.dump(2));
     const verify::McReportSummary sum = verify::readMcReport(parsed);
     EXPECT_TRUE(sum.recognised);
-    EXPECT_EQ(sum.schema, verify::kVerifyReportSchemaV3);
+    EXPECT_EQ(sum.schema, verify::kVerifyReportSchemaV4);
     EXPECT_TRUE(sum.ok);
     ASSERT_EQ(sum.scenarios.size(), 1u);
     const verify::McScenarioSummary &ss = sum.scenarios[0];
@@ -320,6 +320,7 @@ TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
     EXPECT_EQ(ss.violatingRuns, r.violatingRuns);
     EXPECT_EQ(ss.weakWindowRaces, r.weakWindowRaces);
     EXPECT_EQ(ss.races, r.races.size());
+    EXPECT_EQ(ss.reportedRaces, r.reportedRaces());
     EXPECT_TRUE(ss.passed);
     EXPECT_TRUE(ss.hasFuzz);
     EXPECT_EQ(ss.fuzzSamples, f.samples);
@@ -328,38 +329,36 @@ TEST(WeakOrder, ReportV3RoundTripsThroughTheReader)
     EXPECT_TRUE(ss.fuzzPassed);
 }
 
-TEST(WeakOrder, ReportReaderAcceptsV2WithScDefaults)
+TEST(WeakOrder, ReportReaderRejectsV2AndV3)
 {
-    // A v2 document has no memoryOrder, no weakWindowRaces, and no
-    // fuzz member; the reader must fill in the SC-mode defaults.
-    const char *v2 = R"({
-      "schema": "vic-verify-report-v2",
-      "ok": true,
-      "policies": [{
-        "interleave": {
-          "scenarios": [{
-            "scenario": "dma-out-guarded",
-            "exhausted": true,
-            "executions": 3,
-            "canonicalTraces": 3,
-            "violatingRuns": 0,
-            "races": [],
-            "passed": true
+    // Nothing writes the older schemas any more: a well-formed v2 or
+    // v3 document is rejected, not read with guessed defaults.
+    for (const char *schema :
+         {"vic-verify-report-v2", "vic-verify-report-v3"}) {
+        const std::string doc = std::string(R"({
+          "schema": ")") + schema + R"(",
+          "ok": true,
+          "policies": [{
+            "interleave": {
+              "scenarios": [{
+                "scenario": "dma-out-guarded",
+                "exhausted": true,
+                "executions": 3,
+                "canonicalTraces": 3,
+                "violatingRuns": 0,
+                "races": [],
+                "passed": true
+              }]
+            }
           }]
-        }
-      }]
-    })";
-    const verify::McReportSummary sum =
-        verify::readMcReport(JsonValue::parse(v2));
-    EXPECT_TRUE(sum.recognised);
-    EXPECT_EQ(sum.schema, verify::kVerifyReportSchemaV2);
-    ASSERT_EQ(sum.scenarios.size(), 1u);
-    const verify::McScenarioSummary &ss = sum.scenarios[0];
-    EXPECT_EQ(ss.memoryOrder, "sc");
-    EXPECT_EQ(ss.weakWindowRaces, 0u);
-    EXPECT_FALSE(ss.hasFuzz);
-    EXPECT_EQ(ss.executions, 3u);
-    EXPECT_TRUE(ss.passed);
+        })";
+        const verify::McReportSummary sum =
+            verify::readMcReport(JsonValue::parse(doc));
+        EXPECT_FALSE(sum.recognised) << schema;
+        EXPECT_EQ(sum.schema, schema);
+        EXPECT_FALSE(sum.ok) << schema;
+        EXPECT_TRUE(sum.scenarios.empty()) << schema;
+    }
 }
 
 TEST(WeakOrder, ReportReaderFlagsUnknownSchema)

@@ -57,15 +57,17 @@
  *                 (schema vic-verify-report-v4)
  *
  * Exit status 0 iff every expectation holds, so CI can gate on it.
- * Unknown flags exit 2.
+ * Unknown flags exit 2, and so does a numeric flag whose value is not
+ * a whole decimal number in range (--fuzz, --budget and --jobs must
+ * be positive).
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json_writer.hh"
 #include "core/policy_config.hh"
 #include "mc/explorer.hh"
@@ -666,38 +668,25 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "--fuzz requires a count\n");
                 return usage(argv[0]);
             }
-            fuzz_samples = std::strtoull(argv[++i], nullptr, 10);
-            if (fuzz_samples == 0) {
-                std::fprintf(stderr, "--fuzz must be positive\n");
-                return usage(argv[0]);
-            }
+            fuzz_samples = vic::parseCount(arg, argv[++i], std::uint64_t(1));
         } else if (arg == "--fuzz-seed") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--fuzz-seed requires a seed\n");
                 return usage(argv[0]);
             }
-            fuzz_seed = std::strtoull(argv[++i], nullptr, 0);
+            fuzz_seed = vic::parseCount(arg, argv[++i], std::uint64_t(0));
         } else if (arg == "--budget") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--budget requires a count\n");
                 return usage(argv[0]);
             }
-            budget = std::strtoull(argv[++i], nullptr, 10);
-            if (budget == 0) {
-                std::fprintf(stderr, "--budget must be positive\n");
-                return usage(argv[0]);
-            }
+            budget = vic::parseCount(arg, argv[++i], std::uint64_t(1));
         } else if (arg == "--jobs") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--jobs requires a count\n");
                 return usage(argv[0]);
             }
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0) {
-                std::fprintf(stderr, "--jobs must be positive\n");
-                return usage(argv[0]);
-            }
+            jobs = vic::parseCount(arg, argv[++i], 1u);
         } else if (arg == "--policy") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--policy requires a name\n");

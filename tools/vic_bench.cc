@@ -38,13 +38,10 @@
  * on pass; the throughput file is not written when the ratchet fails.
  */
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -52,6 +49,7 @@
 #include <vector>
 
 #include "bench/suites.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 
 namespace
@@ -91,27 +89,6 @@ loadThroughput(const std::string &path)
         by_suite.clear();
     }
     return by_suite;
-}
-
-/** Parse @p text as a whole decimal number in [@p lo, max of T];
- *  anything else (sign, suffix, overflow) exits 2 naming @p flag. */
-template <typename T>
-T
-parseCount(const std::string &flag, const char *text, T lo)
-{
-    T value{};
-    const char *end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc() || ptr != end || value < lo) {
-        std::fprintf(stderr,
-                     "%s needs a whole number in [%llu, %llu], got "
-                     "'%s'\n",
-                     flag.c_str(), (unsigned long long)lo,
-                     (unsigned long long)std::numeric_limits<T>::max(),
-                     text);
-        std::exit(2);
-    }
-    return value;
 }
 
 int
