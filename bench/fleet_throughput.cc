@@ -9,11 +9,6 @@
  * expansion of the workload's calibrated seed. The engine spreads the
  * replicas across its --jobs pool like any other run; the report sums
  * each workload's replicas in replica order.
- *
- * This is also the suite the throughput ratchet watches most closely:
- * its runs carry the largest sim_cycles per artifact entry, so a
- * hot-path regression (cache probe, translate walk, arena churn)
- * moves its cycles_per_host_second first.
  */
 
 #include <cstdio>

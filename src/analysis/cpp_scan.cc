@@ -2,57 +2,6 @@
 
 namespace vic::analysis
 {
-namespace
-{
-
-bool
-isQualifier(const Token &t)
-{
-    return t.kind == TokKind::Ident &&
-           (t.text == "const" || t.text == "noexcept" ||
-            t.text == "override" || t.text == "final");
-}
-
-bool
-isControlKeyword(const std::string &s)
-{
-    return s == "if" || s == "for" || s == "while" || s == "switch" ||
-           s == "catch" || s == "return";
-}
-
-/** Previous non-comment token index, or npos-like toks.size(). */
-std::size_t
-prevCode(const std::vector<Token> &toks, std::size_t i)
-{
-    while (i > 0) {
-        --i;
-        if (toks[i].kind != TokKind::Comment)
-            return i;
-    }
-    return toks.size();
-}
-
-/** Given @p i at a ')', index of its matching '(' walking backwards;
- *  toks.size() when unbalanced. */
-std::size_t
-matchBackParen(const std::vector<Token> &toks, std::size_t i)
-{
-    int depth = 0;
-    for (std::size_t j = i + 1; j-- > 0;) {
-        if (toks[j].kind != TokKind::Punct)
-            continue;
-        if (toks[j].text == ")")
-            ++depth;
-        else if (toks[j].text == "(") {
-            --depth;
-            if (depth == 0)
-                return j;
-        }
-    }
-    return toks.size();
-}
-
-} // anonymous namespace
 
 bool
 isPunct(const std::vector<Token> &toks, std::size_t i, const char *p)
@@ -104,42 +53,6 @@ matchForward(const std::vector<Token> &toks, std::size_t i)
         }
     }
     return toks.size();
-}
-
-std::vector<FnBody>
-findFunctions(const std::vector<Token> &toks)
-{
-    std::vector<FnBody> out;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (!isPunct(toks, i, "{"))
-            continue;
-
-        // Walk back over qualifiers to the parameter list's ')'.
-        std::size_t j = prevCode(toks, i);
-        while (j < toks.size() && isQualifier(toks[j]))
-            j = prevCode(toks, j);
-        if (j >= toks.size() || !isPunct(toks, j, ")"))
-            continue;  // namespace/class/init block: scan inside
-        const std::size_t open_paren = matchBackParen(toks, j);
-        if (open_paren >= toks.size())
-            continue;
-        const std::size_t name_tok = prevCode(toks, open_paren);
-        if (name_tok >= toks.size() ||
-            toks[name_tok].kind != TokKind::Ident ||
-            isControlKeyword(toks[name_tok].text))
-            continue;
-
-        const std::size_t close = matchForward(toks, i);
-        if (close >= toks.size())
-            continue;
-        FnBody fn;
-        fn.name = toks[name_tok].text;
-        fn.open = i;
-        fn.close = close;
-        out.push_back(std::move(fn));
-        i = close;  // nested lambdas stay inside their function
-    }
-    return out;
 }
 
 } // namespace vic::analysis

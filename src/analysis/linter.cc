@@ -15,7 +15,6 @@ makeAllPasses()
     std::vector<std::unique_ptr<Pass>> passes;
     passes.push_back(makeDeterminismPass());
     passes.push_back(makeAddrKindPass());
-    passes.push_back(makeSpecTablePass());
     passes.push_back(makeCounterPass());
     passes.push_back(makeCounterLivenessPass());
     passes.push_back(makeLayeringPass());

@@ -62,7 +62,6 @@ class Pass
 
 // Factories, one per pass (definitions live with each pass).
 std::unique_ptr<Pass> makeDeterminismPass();
-std::unique_ptr<Pass> makeSpecTablePass();
 std::unique_ptr<Pass> makeCounterPass();
 std::unique_ptr<Pass> makeCounterLivenessPass();
 std::unique_ptr<Pass> makeAddrKindPass();

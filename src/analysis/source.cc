@@ -87,26 +87,4 @@ loadTree(const std::string &root)
     return files;
 }
 
-const SourceFile *
-findFile(const std::vector<SourceFile> &files,
-         const std::string &rel_path)
-{
-    for (const SourceFile &f : files) {
-        if (f.path == rel_path)
-            return &f;
-    }
-    return nullptr;
-}
-
-bool
-hasDir(const std::vector<SourceFile> &files, const std::string &rel_dir)
-{
-    const std::string prefix = rel_dir + "/";
-    for (const SourceFile &f : files) {
-        if (f.path.compare(0, prefix.size(), prefix) == 0)
-            return true;
-    }
-    return false;
-}
-
 } // namespace vic::analysis

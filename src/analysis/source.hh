@@ -41,15 +41,6 @@ std::vector<SourceFile> loadTree(const std::string &root);
 /** @return @p root ends with a path separator stripped, for display. */
 std::string normalizeRoot(const std::string &root);
 
-/** First file whose path equals @p rel_path, or nullptr. */
-const SourceFile *findFile(const std::vector<SourceFile> &files,
-                           const std::string &rel_path);
-
-/** True when any discovered file lives under directory @p rel_dir
- *  (e.g. "src/core"). */
-bool hasDir(const std::vector<SourceFile> &files,
-            const std::string &rel_dir);
-
 } // namespace vic::analysis
 
 #endif // VIC_ANALYSIS_SOURCE_HH

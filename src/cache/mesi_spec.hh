@@ -9,15 +9,13 @@
  * style as core/cache_page_state.hh states Table 2. They are the
  * protocol's source of truth for checking:
  *
- *  - tests/lint_test.cc drives a two-port bus machine through every
- *    local/snoop transition and requires the concrete line states to
- *    match these tables (conformance);
- *  - the vic_lint spec-table pass parses this file's switches,
- *    verifies every (state, event) pair is covered, every state
- *    reachable from Invalid, the write-back/bus-op structure
- *    internally consistent, and the parsed entries bit-for-bit equal
- *    to these compiled functions (so the documented table can never
- *    drift from the binary).
+ *  - tests/multiprocessor_test.cc drives a three-CPU bus machine
+ *    through every local/snoop transition and requires the concrete
+ *    line states to match these tables (conformance);
+ *  - tests/spec_model_test.cc evaluates every (state, event) cell,
+ *    walks every state reachable from Invalid, and checks the
+ *    write-back/bus-op structure; each switch has no default:, so
+ *    under -Werror=switch a dropped case does not build.
  *
  * Two tables:
  *  - LOCAL: the requesting cache's own transition for a CPU read or

@@ -26,7 +26,7 @@ ClassicPmap::conflicts(VirtAddr a, VirtAddr b) const
 
 void
 ClassicPmap::cleanResidue(FrameId frame, FrameMeta &meta,
-                          const char *reason, bool base_modified)
+                          Reason reason, bool base_modified)
 {
     if (!meta.residue)
         return;
@@ -69,7 +69,7 @@ ClassicPmap::colourPossiblyDirty(const FrameMeta &meta,
 
 void
 ClassicPmap::cleanThroughMapping(FrameId frame, const VaMapping &m,
-                                 bool flush_dirty, const char *reason)
+                                 bool flush_dirty, Reason reason)
 {
     if (flush_dirty)
         flushDataPage(frame, dColourOf(m.va.va), reason);
@@ -96,18 +96,18 @@ ClassicPmap::enterExecMode(FrameId frame, FrameMeta &meta,
             continue;
         const bool modified = mach.pageTable().clearModified(m.va);
         if (colourPossiblyDirty(meta, c, modified)) {
-            flushDataPage(frame, c, "ifetch");
+            flushDataPage(frame, c, Reason::IFetch);
             flushed.push_back(c);
         }
     }
     // A dirty residue (Tut) holds newest data in its cache page too,
     // and no live mapping's modified bit covers it.
     if (meta.residue && meta.residue->dirty) {
-        flushDataPage(frame, dColourOf(meta.residue->va.va), "ifetch");
+        flushDataPage(frame, dColourOf(meta.residue->va.va), Reason::IFetch);
         meta.residue->dirty = false;
     }
     // Without stale state, assume the instruction cache copy is old.
-    purgeInstPage(frame, icolour, "ifetch");
+    purgeInstPage(frame, icolour, Reason::IFetch);
 
     // Revoke write everywhere; a later store faults into write mode.
     for (const auto &m : meta.mappings) {
@@ -137,7 +137,7 @@ ClassicPmap::enterWriteMode(FrameMeta &meta)
 
 void
 ClassicPmap::breakMapping(FrameId frame, FrameMeta &meta,
-                          const VaMapping &m, const char *reason)
+                          const VaMapping &m, Reason reason)
 {
     const bool modified = dropTranslation(m.va);
     const bool dirty =
@@ -190,7 +190,7 @@ ClassicPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
             ? r.va.va == va.va
             : mach.dcache().geometry().aligned(r.va.va, va.va);
         if (!matches) {
-            cleanResidue(frame, meta, "newmap");
+            cleanResidue(frame, meta, Reason::NewMap);
             // No purge of the new cache page: the residue is the only
             // place this frame's lines survive outside live mappings
             // (an earlier residue was cleaned when it was replaced),
@@ -222,7 +222,7 @@ ClassicPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
         }
     }
     for (const auto &m : to_break)
-        breakMapping(frame, meta, m, "alias");
+        breakMapping(frame, meta, m, Reason::Alias);
 
     // Effective protection: conflicting read aliases stay read-only so
     // the next write traps and can break them.
@@ -239,7 +239,7 @@ ClassicPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
             // executed; enterExecMode cannot see it (this mapping is
             // not installed yet), so flush it to memory first.
             if (carry_dirty) {
-                flushDataPage(frame, dColourOf(va.va), "ifetch");
+                flushDataPage(frame, dColourOf(va.va), Reason::IFetch);
                 carry_dirty = false;
             }
             enterExecMode(frame, meta, iColourOf(va.va));
@@ -298,14 +298,14 @@ ClassicPmap::remove(SpaceVa va)
         // aligned sibling mapping, whose modified bit lives elsewhere.
         const bool dirty = colourPossiblyDirty(
             meta, dColourOf(removed_mapping.va.va), modified);
-        cleanThroughMapping(frame, removed_mapping, dirty, "unmap");
+        cleanThroughMapping(frame, removed_mapping, dirty, Reason::Unmap);
     } else {
         // Tut: remember the residue; clean it only if/when the frame
         // is remapped at a non-matching address. A pre-existing
         // residue at another address must be cleaned now — only one is
         // tracked per frame.
         if (meta.residue && meta.residue->va.va != va.va)
-            cleanResidue(frame, meta, "unmap",
+            cleanResidue(frame, meta, Reason::Unmap,
                          modified &&
                              mach.dcache().geometry().aligned(
                                  va.va, meta.residue->va.va));
@@ -387,14 +387,14 @@ ClassicPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
     // clean it now — otherwise a later matching re-enter would revive
     // the stale copy.
     if (meta.residue && conflicts(meta.residue->va.va, va.va))
-        cleanResidue(frame, meta, "alias");
+        cleanResidue(frame, meta, Reason::Alias);
     std::vector<VaMapping> to_break;
     for (const auto &other : meta.mappings) {
         if (other.va != va && conflicts(other.va.va, va.va))
             to_break.push_back(other);
     }
     for (const auto &other : to_break)
-        breakMapping(frame, meta, other, "alias");
+        breakMapping(frame, meta, other, Reason::Alias);
 
     Protection eff = m->vmProt;
     eff.execute = false;
@@ -418,10 +418,10 @@ ClassicPmap::dmaRead(FrameId frame, bool need_data)
         // have dirtied the cache; clean mappings need nothing, since
         // memory is already current.
         if (mach.pageTable().clearModified(m.va))
-            flushDataPage(frame, dColourOf(m.va.va), "dma_read");
+            flushDataPage(frame, dColourOf(m.va.va), Reason::DmaRead);
     }
     if (meta.residue && meta.residue->dirty) {
-        flushDataPage(frame, dColourOf(meta.residue->va.va), "dma_read");
+        flushDataPage(frame, dColourOf(meta.residue->va.va), Reason::DmaRead);
         meta.residue->dirty = false;
     }
 }
@@ -438,16 +438,16 @@ ClassicPmap::dmaWrite(FrameId frame)
 
     for (const auto &m : meta.mappings) {
         mach.pageTable().clearModified(m.va);
-        purgeDataPage(frame, dColourOf(m.va.va), "dma_write");
+        purgeDataPage(frame, dColourOf(m.va.va), Reason::DmaWrite);
         if (m.vmProt.execute)
-            purgeInstPage(frame, iColourOf(m.va.va), "dma_write");
+            purgeInstPage(frame, iColourOf(m.va.va), Reason::DmaWrite);
     }
     if (meta.residue) {
         purgeDataPage(frame, dColourOf(meta.residue->va.va),
-                      "dma_write");
+                      Reason::DmaWrite);
         if (meta.residue->exec)
             purgeInstPage(frame, iColourOf(meta.residue->va.va),
-                          "dma_write");
+                          Reason::DmaWrite);
         meta.residue.reset();
     }
 }

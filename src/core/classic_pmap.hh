@@ -79,17 +79,17 @@ class ClassicPmap : public Pmap
     FrameId frameOf(SpaceVa va) const;
 
     /** Remove @p frame's residue from the cache (flush if dirty). */
-    void cleanResidue(FrameId frame, FrameMeta &meta, const char *reason,
+    void cleanResidue(FrameId frame, FrameMeta &meta, Reason reason,
                       bool base_modified = false);
 
     /** Break one existing mapping: clean its cache pages and drop the
      *  translation. */
     void breakMapping(FrameId frame, FrameMeta &meta, const VaMapping &m,
-                      const char *reason);
+                      Reason reason);
 
     /** Clean the cache pages reachable through mapping @p m. */
     void cleanThroughMapping(FrameId frame, const VaMapping &m,
-                             bool flush_dirty, const char *reason);
+                             bool flush_dirty, Reason reason);
 
     /** @return true iff data-cache colour @p colour may hold dirty
      *  data of the frame: @p base_modified (the bit of a mapping

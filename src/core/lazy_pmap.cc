@@ -197,7 +197,7 @@ void
 LazyPmap::cacheControl(FrameId frame, PhysPageInfo &info, MemOp op,
                        std::optional<SpaceVa> target, AccessType access,
                        bool will_overwrite, bool need_data,
-                       const char *reason)
+                       Reason reason)
 {
     mach.clock().advance(mach.params().pmapOverheadCycles);
 
@@ -256,8 +256,8 @@ LazyPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
     pi.addMapping(va, vm_prot);
 
     const MemOp op = isWrite(access) ? MemOp::CpuWrite : MemOp::CpuRead;
-    const char *reason =
-        access == AccessType::IFetch ? "ifetch" : "newmap";
+    const Reason reason =
+        access == AccessType::IFetch ? Reason::IFetch : Reason::NewMap;
     cacheControl(frame, pi, op, va, access, hints.willOverwrite,
                  hints.needData, reason);
 }
@@ -316,8 +316,8 @@ LazyPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
         return false;  // genuine VM-level denial (e.g. copy-on-write)
 
     const MemOp op = isWrite(access) ? MemOp::CpuWrite : MemOp::CpuRead;
-    const char *reason =
-        access == AccessType::IFetch ? "ifetch" : "fault";
+    const Reason reason =
+        access == AccessType::IFetch ? Reason::IFetch : Reason::Fault;
     cacheControl(pte->frame, pi, op, va, access, false, true, reason);
 
     vic_assert(protPermits(mach.pageTable().lookup(va)->prot, access),
@@ -332,7 +332,7 @@ LazyPmap::dmaRead(FrameId frame, bool need_data)
     if (it == pages.end())
         return;  // never cached: memory is trivially current
     cacheControl(frame, it->second, MemOp::DmaRead, std::nullopt,
-                 AccessType::Load, false, need_data, "dma_read");
+                 AccessType::Load, false, need_data, Reason::DmaRead);
 }
 
 void
@@ -345,7 +345,7 @@ LazyPmap::dmaWrite(FrameId frame)
     if (it == pages.end())
         return;
     cacheControl(frame, it->second, MemOp::DmaWrite, std::nullopt,
-                 AccessType::Load, false, false, "dma_write");
+                 AccessType::Load, false, false, Reason::DmaWrite);
 }
 
 void

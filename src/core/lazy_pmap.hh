@@ -132,7 +132,7 @@ class LazyPmap : public Pmap
     void cacheControl(FrameId frame, PhysPageInfo &info, MemOp op,
                       std::optional<SpaceVa> target, AccessType access,
                       bool will_overwrite, bool need_data,
-                      const char *reason);
+                      Reason reason);
 
     /** Cache-state-permitted protection for one mapping (the final
      *  stanza's per-mapping decision). */

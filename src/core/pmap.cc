@@ -15,21 +15,45 @@ Pmap::Pmap(Machine &m, const PolicyConfig &policy_config)
 {
 }
 
-Counter &
-Pmap::reasonCounter(const char *kind, const char *reason)
+const char *
+Pmap::reasonName(Reason reason)
 {
-    return mach.stats().counter(format("pmap.%s.%s", kind, reason));
+    switch (reason) {
+      case Reason::Unmap: return "unmap";
+      case Reason::NewMap: return "newmap";
+      case Reason::Alias: return "alias";
+      case Reason::Fault: return "fault";
+      case Reason::IFetch: return "ifetch";
+      case Reason::DmaRead: return "dma_read";
+      case Reason::DmaWrite: return "dma_write";
+    }
+    vic_panic("invalid Pmap::Reason %d", static_cast<int>(reason));
 }
 
 void
-Pmap::flushDataPage(FrameId frame, CachePageId colour,
-                    const char *reason)
+Pmap::countReason(PageOp op, Reason reason)
+{
+    Counter *&c = reasonCounters[static_cast<std::size_t>(op)]
+                                [static_cast<std::size_t>(reason)];
+    if (c == nullptr) {
+        static const char *const kOpNames[] = {"d_flush", "d_purge",
+                                               "i_purge"};
+        c = &mach.stats().counter(
+            format("pmap.%s.%s", kOpNames[static_cast<std::size_t>(op)],
+                   reasonName(reason)));
+    }
+    ++*c;
+}
+
+void
+Pmap::flushDataPage(FrameId frame, CachePageId colour, Reason reason)
 {
     ++statDFlushes;
-    ++reasonCounter("d_flush", reason);
+    countReason(PageOp::DFlush, reason);
     VIC_EVLOG(mach.events(),
               format("flush  D frame=%llu colour=%u (%s)",
-                     (unsigned long long)frame, colour, reason));
+                     (unsigned long long)frame, colour,
+                     reasonName(reason)));
     // On a multiprocessor the dirty line may live in any CPU's cache
     // (hardware coherence migrates it): the operation is broadcast, as
     // a cross-processor shootdown would be.
@@ -39,28 +63,28 @@ Pmap::flushDataPage(FrameId frame, CachePageId colour,
 }
 
 void
-Pmap::purgeDataPage(FrameId frame, CachePageId colour,
-                    const char *reason)
+Pmap::purgeDataPage(FrameId frame, CachePageId colour, Reason reason)
 {
     ++statDPurges;
-    ++reasonCounter("d_purge", reason);
+    countReason(PageOp::DPurge, reason);
     VIC_EVLOG(mach.events(),
               format("purge  D frame=%llu colour=%u (%s)",
-                     (unsigned long long)frame, colour, reason));
+                     (unsigned long long)frame, colour,
+                     reasonName(reason)));
     for (std::uint32_t cpu = 0; cpu < mach.numCpus(); ++cpu)
         mach.dcache(cpu).purgePage(dColourVa(colour),
                                    mach.frameAddr(frame));
 }
 
 void
-Pmap::purgeInstPage(FrameId frame, CachePageId colour,
-                    const char *reason)
+Pmap::purgeInstPage(FrameId frame, CachePageId colour, Reason reason)
 {
     ++statIPurges;
-    ++reasonCounter("i_purge", reason);
+    countReason(PageOp::IPurge, reason);
     VIC_EVLOG(mach.events(),
               format("purge  I frame=%llu colour=%u (%s)",
-                     (unsigned long long)frame, colour, reason));
+                     (unsigned long long)frame, colour,
+                     reasonName(reason)));
     for (std::uint32_t cpu = 0; cpu < mach.numCpus(); ++cpu)
         mach.icache(cpu).purgePage(iColourVa(colour),
                                    mach.frameAddr(frame));

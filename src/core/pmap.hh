@@ -21,6 +21,8 @@
 #ifndef VIC_CORE_PMAP_HH
 #define VIC_CORE_PMAP_HH
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -146,16 +148,25 @@ class Pmap
     Machine &mach;
     PolicyConfig cfg;
 
-    // --- cache page operations with statistics attribution ---
-    // @p reason tags the operation for the evaluation tables, e.g.
-    // "unmap", "newmap", "alias", "dma_read", "dma_write", "ifetch".
+    /** Why a cache page is flushed or purged. Each (operation,
+     *  reason) pair counts into "pmap.<op>.<reason>", e.g.
+     *  "pmap.d_flush.dma_read". */
+    enum class Reason : std::uint8_t
+    {
+        Unmap,     ///< a mapping went away
+        NewMap,    ///< a frame gained a mapping
+        Alias,     ///< an unaligned alias was broken
+        Fault,     ///< a consistency fault
+        IFetch,    ///< an instruction fetch
+        DmaRead,   ///< a device reads the frame
+        DmaWrite,  ///< a device writes the frame
+    };
 
-    void flushDataPage(FrameId frame, CachePageId colour,
-                       const char *reason);
-    void purgeDataPage(FrameId frame, CachePageId colour,
-                       const char *reason);
-    void purgeInstPage(FrameId frame, CachePageId colour,
-                       const char *reason);
+    // --- cache page operations with statistics attribution ---
+
+    void flushDataPage(FrameId frame, CachePageId colour, Reason reason);
+    void purgeDataPage(FrameId frame, CachePageId colour, Reason reason);
+    void purgeInstPage(FrameId frame, CachePageId colour, Reason reason);
 
     // --- page table + TLB updates ---
 
@@ -169,11 +180,25 @@ class Pmap
     void setHardwareProt(SpaceVa va, Protection prot);
 
   private:
+    /** The page operations counted per reason. */
+    enum class PageOp : std::uint8_t
+    {
+        DFlush,
+        DPurge,
+        IPurge,
+    };
+
+    static const char *reasonName(Reason reason);
+
+    /** Bump the counter of (@p op, @p reason), registered on first
+     *  use so a run's stats list only the pairs it exercised. */
+    void countReason(PageOp op, Reason reason);
+
     Counter &statDFlushes;
     Counter &statDPurges;
     Counter &statIPurges;
-
-    Counter &reasonCounter(const char *kind, const char *reason);
+    /** [PageOp][Reason]; null until the pair is first used. */
+    std::array<std::array<Counter *, 7>, 3> reasonCounters{};
 };
 
 } // namespace vic

@@ -104,6 +104,8 @@ struct PolicyConfig
     FreePageList::Organisation freeListOrg =
         FreePageList::Organisation::Single;
 
+    bool operator==(const PolicyConfig &) const = default;
+
     // --- Named configurations ---
     static PolicyConfig configA();
     static PolicyConfig configB();

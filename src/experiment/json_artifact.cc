@@ -12,13 +12,6 @@ namespace vic
 namespace
 {
 
-/** Simulated-cycles-per-host-second; 0 when no time was measured. */
-double
-cyclesPerHostSecond(std::uint64_t cycles, double wall_seconds)
-{
-    return wall_seconds > 0 ? double(cycles) / wall_seconds : 0.0;
-}
-
 /** Write @p text to @p path; false on I/O error. */
 bool
 writeTextFile(const std::string &path, const std::string &text)
@@ -111,15 +104,8 @@ outcomeToJson(const RunOutcome &out)
     if (!out.ok)
         v.set("error", JsonValue::str(out.error));
     v.set("wall_seconds", JsonValue::number(out.wallSeconds));
-    if (out.ok) {
-        // Host throughput: how many simulated cycles this run got
-        // through per second of host time. Wall-derived, so
-        // stripWallClock() drops it for equivalence checks.
-        v.set("cycles_per_host_second",
-              JsonValue::number(cyclesPerHostSecond(
-                  std::uint64_t(out.result.cycles), out.wallSeconds)));
+    if (out.ok)
         v.set("result", runResultToJson(out.result));
-    }
     return v;
 }
 
@@ -135,14 +121,6 @@ artifactToJson(const ArtifactMeta &meta,
     v.set("jobs", JsonValue::number(std::uint64_t(meta.jobs)));
     v.set("filter", JsonValue::str(meta.filter));
     v.set("wall_seconds", JsonValue::number(meta.wallSeconds));
-    std::uint64_t total_cycles = 0;
-    for (const auto &out : outcomes) {
-        if (out.ok)
-            total_cycles += std::uint64_t(out.result.cycles);
-    }
-    v.set("cycles_per_host_second",
-          JsonValue::number(
-              cyclesPerHostSecond(total_cycles, meta.wallSeconds)));
     JsonValue runs = JsonValue::array();
     for (const auto &out : outcomes)
         runs.push(outcomeToJson(out));
@@ -164,75 +142,18 @@ writeArtifactFile(const std::string &path, const ArtifactMeta &meta,
     return writeTextFile(path, renderArtifact(meta, outcomes));
 }
 
-JsonValue
-throughputToJson(const ArtifactMeta &meta,
-                 const std::vector<RunOutcome> &outcomes)
-{
-    JsonValue v = JsonValue::object();
-    v.set("schema", JsonValue::str("vic-bench-throughput"));
-    v.set("schema_version",
-          JsonValue::number(std::int64_t(kBenchSchemaVersion)));
-    v.set("smoke", JsonValue::boolean(meta.smoke));
-    v.set("jobs", JsonValue::number(std::uint64_t(meta.jobs)));
-    v.set("filter", JsonValue::str(meta.filter));
-
-    std::uint64_t total_cycles = 0;
-    JsonValue runs = JsonValue::array();
-    for (const auto &out : outcomes) {
-        if (!out.ok)
-            continue;
-        const std::uint64_t cycles = std::uint64_t(out.result.cycles);
-        total_cycles += cycles;
-        JsonValue run = JsonValue::object();
-        run.set("id", JsonValue::str(out.id));
-        run.set("suite", JsonValue::str(out.suite));
-        run.set("host_seconds", JsonValue::number(out.wallSeconds));
-        run.set("sim_cycles", JsonValue::number(cycles));
-        run.set("cycles_per_host_second",
-                JsonValue::number(
-                    cyclesPerHostSecond(cycles, out.wallSeconds)));
-        runs.push(std::move(run));
-    }
-
-    // Batch totals use the batch wall clock (which, under --jobs > 1,
-    // is less than the sum of per-run times).
-    v.set("host_seconds", JsonValue::number(meta.wallSeconds));
-    v.set("sim_cycles", JsonValue::number(total_cycles));
-    v.set("cycles_per_host_second",
-          JsonValue::number(
-              cyclesPerHostSecond(total_cycles, meta.wallSeconds)));
-    v.set("runs", std::move(runs));
-    return v;
-}
-
-bool
-writeThroughputFile(const std::string &path, const ArtifactMeta &meta,
-                    const std::vector<RunOutcome> &outcomes)
-{
-    return writeTextFile(path, throughputToJson(meta, outcomes).dump(2));
-}
-
 void
 stripWallClock(JsonValue &v)
 {
     switch (v.kind()) {
-      case JsonValue::Kind::Object: {
-        // Throughput fields are wall-derived AND schema additions:
-        // removing (not zeroing) them lets an artifact written before
-        // the field existed compare equivalent to one written after.
-        auto &members = v.members();
-        std::erase_if(members, [](const auto &m) {
-            return m.first == "cycles_per_host_second" ||
-                   m.first == "host_seconds";
-        });
-        for (auto &[key, member] : members) {
+      case JsonValue::Kind::Object:
+        for (auto &[key, member] : v.members()) {
             if (key == "wall_seconds")
                 member = JsonValue::number(std::uint64_t(0));
             else
                 stripWallClock(member);
         }
         break;
-      }
       case JsonValue::Kind::Array:
         for (auto &item : v.items())
             stripWallClock(item);

@@ -20,18 +20,10 @@
  *   }
  *
  * Run entry: id, suite, workload, policy, seed, replica,
- * effective_seed, ok, error, wall_seconds, cycles_per_host_second
- * (host throughput: simulated cycles per host second — wall-derived,
- * stripped for equivalence along with wall_seconds), and on success
- * the full RunResult: cycles, seconds (= cycles / 50 MHz), oracle
- * {checked, violations}, stats (name -> counter, sorted by name) and
- * trace (when tracing was requested). The batch header carries the
- * aggregate cycles_per_host_second.
- *
- * A companion throughput artifact (schema "vic-bench-throughput",
- * same version) extracts just the perf trajectory — per run:
- * host_seconds, sim_cycles, cycles_per_host_second, plus batch
- * totals — so CI can archive a small perf baseline per commit.
+ * effective_seed, ok, error, wall_seconds, and on success the full
+ * RunResult: cycles, seconds (= cycles / 50 MHz), oracle {checked,
+ * violations}, stats (name -> counter, sorted by name) and trace
+ * (when tracing was requested).
  */
 
 #ifndef VIC_EXPERIMENT_JSON_ARTIFACT_HH
@@ -79,20 +71,8 @@ bool writeArtifactFile(const std::string &path,
                        const ArtifactMeta &meta,
                        const std::vector<RunOutcome> &outcomes);
 
-/** Throughput-only companion artifact (see file doc). */
-JsonValue throughputToJson(const ArtifactMeta &meta,
-                           const std::vector<RunOutcome> &outcomes);
-
-/** Write throughputToJson output to @p path; false on I/O error. */
-bool writeThroughputFile(const std::string &path,
-                         const ArtifactMeta &meta,
-                         const std::vector<RunOutcome> &outcomes);
-
-/** Zero every "wall_seconds" member and drop the wall-derived
- *  throughput members ("cycles_per_host_second", "host_seconds"),
- *  recursively, so two artifacts can be compared modulo host timing
- *  — including artifacts written before the throughput fields
- *  existed. */
+/** Zero every "wall_seconds" member, recursively, so two artifacts
+ *  can be compared modulo host timing. */
 void stripWallClock(JsonValue &v);
 
 /**

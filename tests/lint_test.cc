@@ -1,20 +1,13 @@
 /**
  * @file
- * The static analyzer, tested three ways:
+ * The static analyzer, tested two ways:
  *
  *  - FIXTURES: each pass runs over a seeded mini-tree under
  *    tests/lint_fixtures/ and must catch its planted violation with
- *    the right rule id at the right line — including the re-seeded
- *    Dirty+DmaRead -> {Present, Flush} bug that Table 2 actually
- *    shipped with once;
+ *    the right rule id at the right line;
  *  - CLEAN TREE: the real repo (VIC_LINT_SOURCE_ROOT) must produce
  *    zero diagnostics, and every inline suppression must be both
- *    documented and in use;
- *  - CONFORMANCE: the executable MESI spec tables the lint pass
- *    parses (cache/mesi_spec) must match what a real multi-CPU
- *    machine's caches and CoherenceBus do, transition by transition
- *    — the same tables, checked against the hardware model from
- *    above and against the source text from below.
+ *    documented and in use.
  */
 
 #include <algorithm>
@@ -24,10 +17,6 @@
 
 #include "analysis/linter.hh"
 #include "analysis/sarif.hh"
-
-#include "cache/mesi_spec.hh"
-#include "machine/cpu.hh"
-#include "machine/machine.hh"
 
 namespace vic::analysis
 {
@@ -118,31 +107,6 @@ TEST(LintFixtures, CounterLivenessDeadAndOrphan)
     EXPECT_EQ(r.diagnostics.size(), 2u);
 }
 
-TEST(LintFixtures, SpecCatchesTheDirtyDmaReadBugClass)
-{
-    const LintReport r = runLint(fixtureRoot("spec"), {"spec"});
-    const std::string f = "src/core/cache_page_state.cc";
-
-    // The seeded {Present, Flush} entry (line 44) is inconsistent
-    // with flush-then-DmaRead composition AND differs from both the
-    // compiled table and the abstract SpecExecutor.
-    EXPECT_TRUE(hasDiag(r, "spec-compose", f, 44));
-    EXPECT_TRUE(hasDiag(r, "spec-mismatch", f, 44));
-    // otherTransition delegates to targetTransition for DMA, so the
-    // same bug surfaces through the delegation (line 92).
-    EXPECT_TRUE(hasDiag(r, "spec-compose", f, 92));
-    EXPECT_TRUE(hasDiag(r, "spec-mismatch", f, 92));
-
-    // The deleted (Stale, CpuWrite) row is a coverage hole.
-    bool coverage_hole = false;
-    for (const Diagnostic &d : r.diagnostics) {
-        coverage_hole |=
-            d.rule == "spec-coverage" &&
-            d.message.find("(Stale, CpuWrite)") != std::string::npos;
-    }
-    EXPECT_TRUE(coverage_hole);
-}
-
 TEST(LintFixtures, CounterCatchesNameDuplicateAndEagerBus)
 {
     const LintReport r = runLint(fixtureRoot("counter"), {"counter"});
@@ -194,7 +158,7 @@ TEST(LintCleanTree, ZeroDiagnosticsAllPasses)
 {
     const LintReport r = runLint(VIC_LINT_SOURCE_ROOT, {});
     ASSERT_GT(r.filesScanned, 100u);  // sanity: found the real tree
-    EXPECT_EQ(r.passesRun.size(), 6u);
+    EXPECT_EQ(r.passesRun.size(), 5u);
     for (const Diagnostic &d : r.diagnostics)
         ADD_FAILURE() << d.render();
     // Every inline suppression carries a reason and silences a real
@@ -335,154 +299,6 @@ TEST(LintReportFormats, SarifShape)
                   "SRCROOT");
         EXPECT_EQ(phys.find("region")->find("startLine")->asU64(),
                   r.diagnostics[i].line);
-    }
-}
-
-// ---------------------------------------------------------------------
-// MESI conformance: spec tables vs the real hardware model
-// ---------------------------------------------------------------------
-
-struct MesiRig
-{
-    MesiRig() : machine(params()), cpu0(machine, 0),
-                cpu1(machine, 1), cpu2(machine, 2)
-    {
-        machine.pageTable().enter(SpaceVa(1, VirtAddr(0x4000)), 2,
-                                  Protection::all());
-        cpu0.setSpace(1);
-        cpu1.setSpace(1);
-        cpu2.setSpace(1);
-    }
-
-    static MachineParams params()
-    {
-        MachineParams p = MachineParams::hp720();
-        p.numCpus = 3;
-        return p;
-    }
-
-    MesiState state(std::uint32_t cpu)
-    {
-        return machine
-            .dcache(cpu)
-            .probe(VirtAddr(0x4000), machine.frameAddr(2))
-            .state;
-    }
-
-    std::uint64_t stat(const char *name)
-    {
-        return machine.stats().value(name);
-    }
-
-    /** Drive cpu0's line into @p s; @p peer_holds makes cpu1 keep a
-     *  copy. Returns false for combinations the protocol itself
-     *  cannot construct (Exclusive/Modified with a peer copy). */
-    bool setup(MesiState s, bool peer_holds)
-    {
-        switch (s) {
-          case MesiState::Invalid:
-            if (peer_holds)
-                cpu1.load(VirtAddr(0x4000));
-            return true;
-          case MesiState::Shared:
-            if (!peer_holds)
-                return false;
-            cpu0.load(VirtAddr(0x4000));
-            cpu1.load(VirtAddr(0x4000));
-            return true;
-          case MesiState::Exclusive:
-            if (peer_holds)
-                return false;
-            cpu0.load(VirtAddr(0x4000));
-            return true;
-          case MesiState::Modified:
-            if (peer_holds)
-                return false;
-            cpu0.store(VirtAddr(0x4000), 7);
-            return true;
-        }
-        return false;
-    }
-
-    Machine machine;
-    Cpu cpu0;
-    Cpu cpu1;
-    Cpu cpu2;
-};
-
-TEST(MesiConformance, LocalTableMatchesHardware)
-{
-    for (MesiState s : allMesiStates) {
-        for (MesiLocalEvent e : allMesiLocalEvents) {
-            for (bool peer : {false, true}) {
-                MesiRig rig;
-                if (!rig.setup(s, peer))
-                    continue;
-                ASSERT_EQ(rig.state(0), s);
-
-                const std::uint64_t reads = rig.stat("bus.reads");
-                const std::uint64_t rdx =
-                    rig.stat("bus.read_exclusives");
-                const std::uint64_t upg = rig.stat("bus.upgrades");
-
-                if (e == MesiLocalEvent::Read)
-                    rig.cpu0.load(VirtAddr(0x4000));
-                else
-                    rig.cpu0.store(VirtAddr(0x4000), 9);
-
-                const MesiLocalTransition t =
-                    mesiLocalTransition(s, e);
-                EXPECT_EQ(rig.state(0),
-                          peer ? t.nextIfPeerHolds : t.next)
-                    << mesiStateName(s) << " + "
-                    << mesiLocalEventName(e)
-                    << (peer ? " (peer copy)" : "");
-
-                // The bus transaction column, via the lazy bus.*
-                // counters the counter pass keeps honest.
-                const std::uint64_t d_reads =
-                    rig.stat("bus.reads") - reads;
-                const std::uint64_t d_rdx =
-                    rig.stat("bus.read_exclusives") - rdx;
-                const std::uint64_t d_upg =
-                    rig.stat("bus.upgrades") - upg;
-                EXPECT_EQ(d_reads,
-                          t.bus == MesiBusOp::BusRead ? 1u : 0u);
-                EXPECT_EQ(d_rdx,
-                          t.bus == MesiBusOp::BusReadExclusive ? 1u
-                                                               : 0u);
-                EXPECT_EQ(d_upg,
-                          t.bus == MesiBusOp::BusUpgrade ? 1u : 0u);
-            }
-        }
-    }
-}
-
-TEST(MesiConformance, SnoopTableMatchesHardware)
-{
-    for (MesiState s : allMesiStates) {
-        for (MesiSnoopEvent e : allMesiSnoopEvents) {
-            MesiRig rig;
-            // cpu0 holds @p s; Shared needs cpu1 as the co-holder,
-            // so cpu2 plays the requester in every scenario.
-            if (!rig.setup(s, s == MesiState::Shared))
-                continue;
-            ASSERT_EQ(rig.state(0), s);
-
-            const std::uint64_t iv = rig.stat("bus.interventions");
-            if (e == MesiSnoopEvent::BusRead)
-                rig.cpu2.load(VirtAddr(0x4000));
-            else
-                rig.cpu2.store(VirtAddr(0x4000), 11);
-
-            const MesiSnoopTransition t = mesiSnoopTransition(s, e);
-            EXPECT_EQ(rig.state(0), t.next)
-                << mesiStateName(s) << " + " << mesiSnoopEventName(e);
-            // A write-back surfaces as a bus intervention.
-            EXPECT_EQ(rig.stat("bus.interventions") - iv,
-                      t.writeBack ? 1u : 0u)
-                << mesiStateName(s) << " + " << mesiSnoopEventName(e);
-        }
     }
 }
 

@@ -175,6 +175,11 @@ TEST(WorkloadNameTest, EveryWorkloadHasAStableName)
 TEST(PolicyNameTest, SweepsAreOrderedAndNamed)
 {
     auto sweep = PolicyConfig::table4Sweep();
+    const std::vector<PolicyConfig> ladder = {
+        PolicyConfig::configA(), PolicyConfig::configB(),
+        PolicyConfig::configC(), PolicyConfig::configD(),
+        PolicyConfig::configE(), PolicyConfig::configF()};
+    EXPECT_TRUE(sweep == ladder);
     ASSERT_EQ(sweep.size(), 6u);
     EXPECT_EQ(sweep.front().name, "A (old)");
     EXPECT_EQ(sweep.back().name, "F (+will overwrite)");

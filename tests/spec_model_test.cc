@@ -1,15 +1,35 @@
 /**
  * @file
- * Tests of the consistency specification itself: the Table 2
- * transition functions (checked exhaustively against the published
- * table), the SpecExecutor's invariants, and the Table 3 encoding in
- * CacheStateVector.
+ * Tests of the consistency specification itself, on the compiled
+ * tables:
+ *
+ *  - Table 2 (targetTransition/otherTransition): every cell against
+ *    the published table, every state reachable from Empty, and every
+ *    cell that requires a purge or flush consistent with running the
+ *    op first and then the event;
+ *  - the SpecExecutor: its invariants, and that its probes agree with
+ *    both columns;
+ *  - the MESI local and snoop tables: every state reachable from
+ *    Invalid and the protocol's write-back/bus-op invariants;
+ *  - the Table 4 ladder: each config is its predecessor plus the
+ *    feature the paper adds;
+ *  - the Table 3 encoding in CacheStateVector.
+ *
+ * A dropped case in any of these switches does not build
+ * (-Werror=switch; see spec_table_misuse.cc).
  */
+
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/mesi_spec.hh"
 #include "core/cache_page_state.hh"
 #include "core/phys_page_info.hh"
+#include "core/policy_config.hh"
 #include "core/spec_executor.hh"
 
 namespace vic
@@ -118,6 +138,66 @@ TEST(Table2Test, StateNamesAndLetters)
     EXPECT_EQ(cachePageStateLetter(S::Stale), 'S');
     EXPECT_STREQ(requiredOpName(R::Flush), "flush");
     EXPECT_STREQ(requiredOpName(R::None), "");
+}
+
+TEST(Table2Test, EveryStateReachableFromEmpty)
+{
+    // Fixed point over both columns from the power-up state: no row of
+    // the table is dead specification.
+    std::set<S> reach = {S::Empty};
+    for (bool grew = true; grew;) {
+        grew = false;
+        for (S s : std::set<S>(reach)) {
+            for (MemOp op : allMemOps) {
+                for (auto column : {targetTransition, otherTransition})
+                    grew |= reach.insert(column(s, op).next).second;
+            }
+        }
+    }
+    EXPECT_EQ(reach.size(), allCachePageStates.size());
+}
+
+using Column = SpecTransition (*)(S, MemOp);
+
+/**
+ * Cells of @p column that disagree with op-then-event composition. A
+ * purge or flush leaves the line Empty, so a cell that requires one
+ * must equal the column's (Empty, event) cell with no op.
+ */
+std::vector<std::pair<S, MemOp>>
+compositionFindings(Column column)
+{
+    std::vector<std::pair<S, MemOp>> bad;
+    for (MemOp op : allMemOps) {
+        const SpecTransition after_op = column(S::Empty, op);
+        for (S s : allCachePageStates) {
+            const SpecTransition t = column(s, op);
+            if (t.required != R::None &&
+                after_op != SpecTransition{t.next})
+                bad.emplace_back(s, op);
+        }
+    }
+    return bad;
+}
+
+TEST(Table2Test, RequiredOpsComposeWithTheEvent)
+{
+    EXPECT_TRUE(compositionFindings(targetTransition).empty());
+    EXPECT_TRUE(compositionFindings(otherTransition).empty());
+}
+
+TEST(Table2Test, CompositionCatchesTheDirtyDmaReadBug)
+{
+    // The bug Table 2 once shipped with: a flush writes back AND
+    // invalidates, so (Dirty, DmaRead) must end Empty, not Present.
+    const Column seeded = [](S s, MemOp op) {
+        if (s == S::Dirty && op == MemOp::DmaRead)
+            return SpecTransition{S::Present, R::Flush};
+        return targetTransition(s, op);
+    };
+    const std::vector<std::pair<S, MemOp>> expect = {
+        {S::Dirty, MemOp::DmaRead}};
+    EXPECT_EQ(compositionFindings(seeded), expect);
 }
 
 // ---------------------------------------------------------------------
@@ -260,6 +340,136 @@ TEST(SpecExecutorTest, InvariantPreservedUnderAllOpSequences)
             }
         }
     }
+}
+
+/** The op @p ops applied to @p colour, or None. */
+RequiredOp
+opOn(const std::vector<SpecExecutor::AppliedOp> &ops, CachePageId colour)
+{
+    RequiredOp applied = R::None;
+    for (const SpecExecutor::AppliedOp &a : ops) {
+        if (a.colour == colour)
+            applied = a.op;
+    }
+    return applied;
+}
+
+TEST(SpecExecutorTest, ProbesMatchBothColumns)
+{
+    for (MemOp op : allMemOps) {
+        const bool dma = op == MemOp::DmaRead || op == MemOp::DmaWrite;
+        for (S s : allCachePageStates) {
+            // One colour: it is the target (DMA has no target, and
+            // both columns agree there).
+            SpecExecutor one(1);
+            one.setState(0, s);
+            const auto one_ops = one.apply(
+                op, dma ? std::nullopt : std::optional<CachePageId>(0));
+            EXPECT_EQ((SpecTransition{one.state(0), opOn(one_ops, 0)}),
+                      targetTransition(s, op))
+                << memOpName(op) << " target from "
+                << cachePageStateName(s);
+
+            // Two colours: observe colour 0 while colour 1 is the
+            // target.
+            SpecExecutor two(2);
+            two.setState(0, s);
+            const auto two_ops = two.apply(
+                op, dma ? std::nullopt : std::optional<CachePageId>(1));
+            EXPECT_EQ((SpecTransition{two.state(0), opOn(two_ops, 0)}),
+                      otherTransition(s, op))
+                << memOpName(op) << " other from "
+                << cachePageStateName(s);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// MESI local and snoop tables
+// ---------------------------------------------------------------------
+
+TEST(MesiSpecTest, EveryStateReachableFromInvalid)
+{
+    std::set<MesiState> reach = {MesiState::Invalid};
+    for (bool grew = true; grew;) {
+        grew = false;
+        for (MesiState s : std::set<MesiState>(reach)) {
+            for (MesiLocalEvent e : allMesiLocalEvents) {
+                const MesiLocalTransition t = mesiLocalTransition(s, e);
+                grew |= reach.insert(t.next).second;
+                grew |= reach.insert(t.nextIfPeerHolds).second;
+            }
+            for (MesiSnoopEvent e : allMesiSnoopEvents)
+                grew |= reach.insert(mesiSnoopTransition(s, e).next).second;
+        }
+    }
+    EXPECT_EQ(reach.size(), allMesiStates.size());
+}
+
+TEST(MesiSpecTest, SnoopWritesBackOnlyFromModified)
+{
+    for (MesiState s : allMesiStates) {
+        for (MesiSnoopEvent e : allMesiSnoopEvents) {
+            const MesiSnoopTransition t = mesiSnoopTransition(s, e);
+            // Memory is current in every state but Modified.
+            EXPECT_EQ(t.writeBack, s == MesiState::Modified)
+                << mesiStateName(s) << " + " << mesiSnoopEventName(e);
+            if (e == MesiSnoopEvent::BusInvalidate) {
+                EXPECT_EQ(t.next, MesiState::Invalid) << mesiStateName(s);
+            }
+        }
+    }
+}
+
+TEST(MesiSpecTest, LocalTableBusStructure)
+{
+    for (MesiState s : allMesiStates) {
+        for (MesiLocalEvent e : allMesiLocalEvents) {
+            const MesiLocalTransition t = mesiLocalTransition(s, e);
+            const std::string cell = std::string(mesiStateName(s)) +
+                                     " + " + mesiLocalEventName(e);
+            if (e == MesiLocalEvent::Write) {
+                EXPECT_EQ(t.next, MesiState::Modified) << cell;
+                EXPECT_EQ(t.nextIfPeerHolds, MesiState::Modified) << cell;
+            }
+            const bool fill = t.bus == MesiBusOp::BusRead ||
+                              t.bus == MesiBusOp::BusReadExclusive;
+            if (fill) {
+                EXPECT_EQ(s, MesiState::Invalid) << cell;
+            }
+            if (t.bus == MesiBusOp::BusRead) {
+                EXPECT_EQ(t.nextIfPeerHolds, MesiState::Shared) << cell;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Table 4: configs A-F add one feature at a time
+// ---------------------------------------------------------------------
+
+TEST(PolicyLadderTest, EachConfigIsItsPredecessorPlusOneFeature)
+{
+    PolicyConfig c = PolicyConfig::configB();
+    c.name = "C (+align pages)";
+    c.alignIpc = true;
+    c.alignSharedPages = true;
+    EXPECT_TRUE(PolicyConfig::configC() == c);
+
+    PolicyConfig d = PolicyConfig::configC();
+    d.name = "D (+aligned prepare)";
+    d.alignedPrepare = true;
+    EXPECT_TRUE(PolicyConfig::configD() == d);
+
+    PolicyConfig e = PolicyConfig::configD();
+    e.name = "E (+need data)";
+    e.useNeedData = true;
+    EXPECT_TRUE(PolicyConfig::configE() == e);
+
+    PolicyConfig f = PolicyConfig::configE();
+    f.name = "F (+will overwrite)";
+    f.useWillOverwrite = true;
+    EXPECT_TRUE(PolicyConfig::configF() == f);
 }
 
 // ---------------------------------------------------------------------

@@ -5,8 +5,8 @@
  *   vic_lint [--root DIR] [--pass NAME]... [--json FILE]
  *            [--sarif FILE] [--list-rules]
  *
- * Runs the six invariant passes (determinism, addr-kind, spec,
- * counter, counter-liveness, layering) over the tree at --root
+ * Runs the five invariant passes (determinism, addr-kind, counter,
+ * counter-liveness, layering) over the tree at --root
  * (default: the current directory), prints one
  * "file:line:col: rule: message" line per diagnostic, and optionally
  * writes the deterministic "vic-lint-report-v2" JSON artifact and/or
