@@ -47,15 +47,15 @@
 #      tests + the --jobs 4 smoke sweep, fleet replicas included +
 #      the model checker's exploreMany + the CoherenceBus
 #      head-to-head paths) rebuilt and rerun under TSan;
-#   9. static analysis: tools/vic_lint runs all five invariant passes
-#      (determinism, address-kind laundering, counter registration,
-#      whole-program counter liveness, layering — see
+#   9. static analysis: tools/vic_lint runs all three invariant passes
+#      (determinism, address-kind laundering, layering — see
 #      docs/STATIC_ANALYSIS.md) over the tree, gating on zero
 #      diagnostics, and archives LINT_report.json (schema v2, with
 #      per-pass effort stats) plus LINT_report.sarif for CI
-#      annotators (DMA drain pairing is a type, DmaTicket, and the
+#      annotators (DMA drain pairing is a type, DmaTicket; the
 #      protocol tables are checked by spec_model_test and
-#      -Werror=switch, so neither needs a pass);
+#      -Werror=switch; counters register once by construction and
+#      counter_coverage_test sweeps them — so none needs a pass);
 #  10. style lint: clang-format / clang-tidy, gating when installed
 #      and skipped with a notice otherwise (they are configs-first:
 #      the repo must stay clean under gcc -Werror regardless).

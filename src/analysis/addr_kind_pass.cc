@@ -185,13 +185,7 @@ class AddrKindPass : public Pass
     void run(const PassContext &ctx, Sink &sink,
              PassStats &stats) const override
     {
-        CallGraph local;
-        const CallGraph *gp = ctx.graph;
-        if (gp == nullptr) {
-            local = CallGraph::build(ctx.files);
-            gp = &local;
-        }
-        const CallGraph &g = *gp;
+        const CallGraph g = CallGraph::build(ctx.files);
         const std::vector<FnInfo> &fns = g.functions();
 
         std::vector<FnEnv> envs(fns.size());

@@ -1,11 +1,5 @@
 #include "analysis/linter.hh"
 
-#include <stdexcept>
-
-#include "analysis/callgraph.hh"
-
-#include "common/logging.hh"
-
 namespace vic::analysis
 {
 
@@ -15,8 +9,6 @@ makeAllPasses()
     std::vector<std::unique_ptr<Pass>> passes;
     passes.push_back(makeDeterminismPass());
     passes.push_back(makeAddrKindPass());
-    passes.push_back(makeCounterPass());
-    passes.push_back(makeCounterLivenessPass());
     passes.push_back(makeLayeringPass());
     return passes;
 }
@@ -77,63 +69,6 @@ LintReport::toJson() const
     return doc;
 }
 
-LintReport
-LintReport::fromJson(const JsonValue &doc)
-{
-    const JsonValue *schema = doc.find("schema");
-    if (schema == nullptr || schema->asString() != "vic-lint-report-v2")
-        throw std::runtime_error("not a vic-lint-report-v2 document");
-
-    LintReport r;
-    if (const JsonValue *v = doc.find("root"))
-        r.root = v->asString();
-    if (const JsonValue *v = doc.find("passes")) {
-        for (const JsonValue &p : v->items())
-            r.passesRun.push_back(p.asString());
-    }
-    if (const JsonValue *v = doc.find("files_scanned"))
-        r.filesScanned = static_cast<std::size_t>(v->asU64());
-    if (const JsonValue *v = doc.find("diagnostics")) {
-        for (const JsonValue &j : v->items()) {
-            Diagnostic d;
-            d.rule = j.find("rule")->asString();
-            d.file = j.find("file")->asString();
-            d.line =
-                static_cast<std::uint32_t>(j.find("line")->asU64());
-            d.col =
-                static_cast<std::uint32_t>(j.find("col")->asU64());
-            d.message = j.find("message")->asString();
-            r.diagnostics.push_back(std::move(d));
-        }
-    }
-    if (const JsonValue *v = doc.find("suppressions")) {
-        for (const JsonValue &j : v->items()) {
-            Suppression s;
-            s.rule = j.find("rule")->asString();
-            s.file = j.find("file")->asString();
-            s.commentLine =
-                static_cast<std::uint32_t>(j.find("line")->asU64());
-            s.reason = j.find("reason")->asString();
-            s.used = j.find("used")->asBool();
-            r.suppressions.push_back(std::move(s));
-        }
-    }
-    if (const JsonValue *v = doc.find("pass_stats")) {
-        for (const JsonValue &j : v->items()) {
-            PassRunStats p;
-            p.pass = j.find("pass")->asString();
-            p.stats.functionsAnalyzed =
-                j.find("functions_analyzed")->asU64();
-            p.stats.summariesComputed =
-                j.find("summaries_computed")->asU64();
-            p.stats.fixpointIterations =
-                j.find("fixpoint_iterations")->asU64();
-            r.passStats.push_back(std::move(p));
-        }
-    }
-    return r;
-}
-
 std::vector<std::string>
 LintReport::renderLines() const
 {
@@ -155,10 +90,7 @@ runLintOnFiles(const std::string &root, std::vector<SourceFile> files,
     Sink sink;
     sink.collectSuppressions(files);
 
-    // One call graph for every interprocedural pass in the run.
-    const CallGraph graph = CallGraph::build(files);
-    PassContext ctx{report.root, files};
-    ctx.graph = &graph;
+    const PassContext ctx{report.root, files};
 
     std::vector<std::string> active_rules;
     for (const auto &pass : makeAllPasses()) {

@@ -57,10 +57,6 @@ struct LintReport
     /** The "vic-lint-report-v2" document. */
     JsonValue toJson() const;
 
-    /** Read back a "vic-lint-report-v2" document. Throws
-     *  std::runtime_error on any other schema. */
-    static LintReport fromJson(const JsonValue &doc);
-
     /** One "file:line:col: rule: message" line per diagnostic. */
     std::vector<std::string> renderLines() const;
 };

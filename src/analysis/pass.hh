@@ -22,8 +22,6 @@
 namespace vic::analysis
 {
 
-class CallGraph;
-
 struct RuleInfo
 {
     const char *id;
@@ -43,10 +41,6 @@ struct PassContext
 {
     std::string root;
     const std::vector<SourceFile> &files;
-    /** Whole-program call graph, built once per lint run; the
-     *  interprocedural passes fall back to building their own when a
-     *  bespoke context (tests) leaves it null. */
-    const CallGraph *graph = nullptr;
 };
 
 class Pass
@@ -62,8 +56,6 @@ class Pass
 
 // Factories, one per pass (definitions live with each pass).
 std::unique_ptr<Pass> makeDeterminismPass();
-std::unique_ptr<Pass> makeCounterPass();
-std::unique_ptr<Pass> makeCounterLivenessPass();
 std::unique_ptr<Pass> makeAddrKindPass();
 std::unique_ptr<Pass> makeLayeringPass();
 

@@ -104,10 +104,8 @@ Cache::selfSnoopSynonyms(std::uint32_t keep_id, PhysAddr pa_line)
             if (lineDirty(id))
                 writeBack(id);
             lineState[id] = MesiState::Invalid;
-            if (statSynonymSnoops != nullptr) {
-                ++*statSynonymSnoops;
-                *statSynonymSnoopCycles += selfSnoopPenalty;
-            }
+            ++*statSynonymSnoops;
+            *statSynonymSnoopCycles += selfSnoopPenalty;
             clk.advance(selfSnoopPenalty);
         }
     });

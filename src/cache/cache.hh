@@ -311,8 +311,8 @@ class Cache
     Counter &statPurgeAbsent;
     Counter &statFlushCycles; ///< cycles spent in flush operations
     Counter &statPurgeCycles; ///< cycles spent in purge operations
-    Counter *statSynonymSnoops = nullptr;      ///< lazily registered
-    Counter *statSynonymSnoopCycles = nullptr; ///< lazily registered
+    Counter *statSynonymSnoops = nullptr;      ///< by enableSelfSnoop
+    Counter *statSynonymSnoopCycles = nullptr; ///< by enableSelfSnoop
 
     std::uint64_t
     indexBits(VirtAddr va, PhysAddr pa) const

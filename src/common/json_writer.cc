@@ -323,6 +323,11 @@ JsonValue::dump(int indent) const
 namespace
 {
 
+/** Deepest array/object nesting parse() accepts. The parser recurses
+ *  once per level, so an unbounded input could exhaust the stack; the
+ *  deepest documents the repo writes (SARIF, VERIFY reports) nest 9. */
+constexpr int kMaxNesting = 64;
+
 class Parser
 {
   public:
@@ -331,7 +336,7 @@ class Parser
     JsonValue
     parseDocument()
     {
-        JsonValue v = parseValue();
+        JsonValue v = parseValue(0);
         skipWs();
         if (pos != text.size())
             fail("trailing characters");
@@ -467,9 +472,13 @@ class Parser
     }
 
     JsonValue
-    parseValue()
+    parseValue(int depth)
     {
-        switch (peek()) {
+        const char c0 = peek();
+        if ((c0 == '{' || c0 == '[') && depth == kMaxNesting)
+            fail(format("nesting deeper than %d levels", kMaxNesting)
+                     .c_str());
+        switch (c0) {
           case '{': {
               ++pos;
               JsonValue obj = JsonValue::object();
@@ -481,7 +490,7 @@ class Parser
                   skipWs();
                   std::string key = parseStringBody();
                   expect(':');
-                  obj.set(key, parseValue());
+                  obj.set(key, parseValue(depth + 1));
                   char c = peek();
                   ++pos;
                   if (c == '}')
@@ -498,7 +507,7 @@ class Parser
                   return arr;
               }
               while (true) {
-                  arr.push(parseValue());
+                  arr.push(parseValue(depth + 1));
                   char c = peek();
                   ++pos;
                   if (c == ']')

@@ -80,7 +80,8 @@ class JsonValue
     /** Serialise; indent > 0 pretty-prints with that many spaces. */
     std::string dump(int indent = 0) const;
 
-    /** Parse @p text; throws std::runtime_error on malformed input. */
+    /** Parse @p text; throws std::runtime_error on malformed input
+     *  and on arrays/objects nested more than 64 levels deep. */
     static JsonValue parse(const std::string &text);
 
     bool operator==(const JsonValue &other) const;

@@ -7,71 +7,47 @@
 namespace vic
 {
 
+namespace
+{
+
+/** Counter names are artifact keys: lower-case dotted snake_case, so
+ *  diffing and plotting never have to quote or normalise them. */
+bool
+validName(const std::string &name)
+{
+    return !name.empty() &&
+           std::all_of(name.begin(), name.end(), [](char c) {
+               return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                      c == '_' || c == '.';
+           });
+}
+
+} // anonymous namespace
+
 Counter &
 StatSet::counter(const std::string &name)
 {
-    auto it = index.find(name);
-    if (it != index.end())
-        return *it->second;
-    storage.emplace_back(name);
-    Counter &c = storage.back();
-    index.emplace(name, &c);
-    return c;
+    if (!validName(name))
+        vic_panic("counter name '%s' is not [a-z0-9_.]+", name.c_str());
+    auto [it, inserted] = counters.try_emplace(name, Counter::Key());
+    if (!inserted)
+        vic_panic("counter '%s' registered twice", name.c_str());
+    return it->second;
 }
 
 std::uint64_t
 StatSet::value(const std::string &name) const
 {
-    auto it = index.find(name);
-    return it == index.end() ? 0 : it->second->value();
-}
-
-void
-StatSet::clearAll()
-{
-    for (auto &c : storage)
-        c.clear();
-}
-
-std::vector<const Counter *>
-StatSet::all() const
-{
-    std::vector<const Counter *> out;
-    out.reserve(storage.size());
-    for (const auto &c : storage)
-        out.push_back(&c);
-    return out;
+    auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second.value();
 }
 
 std::map<std::string, std::uint64_t>
 StatSet::snapshot() const
 {
     std::map<std::string, std::uint64_t> out;
-    for (const auto &c : storage)
-        out.emplace(c.name(), c.value());
-    return out;
-}
-
-std::string
-StatSet::render(const std::string &prefix, bool include_zero) const
-{
-    std::vector<const Counter *> selected;
-    for (const auto &c : storage) {
-        if (c.name().rfind(prefix, 0) != 0)
-            continue;
-        if (c.value() == 0 && !include_zero)
-            continue;
-        selected.push_back(&c);
-    }
-    std::sort(selected.begin(), selected.end(),
-              [](const Counter *a, const Counter *b) {
-                  return a->name() < b->name();
-              });
-    std::string out;
-    for (const Counter *c : selected) {
-        out += format("%-36s %llu\n", c->name().c_str(),
-                      (unsigned long long)c->value());
-    }
+    for (const auto &[name, c] : counters)
+        out.emplace_hint(out.end(), name, c.value());
     return out;
 }
 

@@ -2,44 +2,54 @@
  * @file
  * Named statistic counters.
  *
- * Each simulated machine owns a StatSet; components obtain stable
- * references to named counters at construction time and bump them on the
- * hot path with plain integer increments. Benches read the set back by
- * name to print the paper's tables.
+ * Each simulated machine owns a StatSet; components register named
+ * counters at construction time and bump them on the hot path with
+ * plain integer increments. Benches read the set back by name to
+ * print the paper's tables.
+ *
+ * Every Counter is a registered artifact row, by construction: only a
+ * StatSet can make one, none can be copied, and each name registers
+ * exactly once (a second registration panics). Components that report
+ * into one row — the per-CPU TLBs' tlb.hits — share the Counter their
+ * owner registered.
  */
 
 #ifndef VIC_COMMON_STATS_HH
 #define VIC_COMMON_STATS_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace vic
 {
+
+class StatSet;
 
 /** A single monotonically increasing statistic. */
 class Counter
 {
   public:
-    explicit Counter(std::string counter_name)
-        : name_(std::move(counter_name))
-    {}
+    /** Passkey: only a StatSet can make one, so only a StatSet can
+     *  make a Counter. (A private constructor would not do: std::map
+     *  builds the Counter in place, outside StatSet's friendship.) */
+    class Key
+    {
+        friend class StatSet;
+        Key() = default;
+    };
 
-    const std::string &name() const { return name_; }
+    explicit Counter(Key) {}
+    Counter(const Counter &) = delete;
+    Counter &operator=(const Counter &) = delete;
+
     std::uint64_t value() const { return value_; }
 
     void operator+=(std::uint64_t n) { value_ += n; }
     void operator++() { ++value_; }
     void operator++(int) { ++value_; }
 
-    /** Reset to zero (used between workload phases). */
-    void clear() { value_ = 0; }
-
   private:
-    std::string name_;
     std::uint64_t value_ = 0;
 };
 
@@ -51,18 +61,13 @@ class StatSet
     StatSet(const StatSet &) = delete;
     StatSet &operator=(const StatSet &) = delete;
 
-    /** Get (creating on first use) the counter called @p name. The
+    /** Register the counter called @p name. Panics, naming it, when
+     *  @p name is already registered or is not [a-z0-9_.]+. The
      *  returned reference remains valid for the StatSet's lifetime. */
     Counter &counter(const std::string &name);
 
-    /** Current value of @p name; 0 if the counter was never created. */
+    /** Current value of @p name; 0 if it was never registered. */
     std::uint64_t value(const std::string &name) const;
-
-    /** Reset every counter to zero. */
-    void clearAll();
-
-    /** All counters in creation order. */
-    std::vector<const Counter *> all() const;
 
     /** Capture a snapshot of all current values, ordered by name.
      *  Snapshots feed the JSON artifacts, so the container must have a
@@ -70,16 +75,9 @@ class StatSet
      *  bans unordered containers in src/common sim-visible APIs). */
     std::map<std::string, std::uint64_t> snapshot() const;
 
-    /** Render all counters whose names start with @p prefix, sorted by
-     *  name, one per line ("name value\n"). Zero-valued counters are
-     *  skipped unless @p include_zero. */
-    std::string render(const std::string &prefix = "",
-                       bool include_zero = false) const;
-
   private:
-    std::deque<Counter> storage;
-    std::map<std::string, Counter *> index; ///< cold path: lookups
-                                            ///< happen at construction
+    /** Map nodes never move, so handed-out references stay valid. */
+    std::map<std::string, Counter> counters;
 };
 
 } // namespace vic

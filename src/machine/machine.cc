@@ -13,10 +13,14 @@ Machine::Machine(const MachineParams &machine_params)
     physMem = std::make_unique<PhysicalMemory>(mparams.numFrames,
                                                mparams.pageBytes);
     pgTable = std::make_unique<PageTable>(mparams.pageBytes);
+    // One tlb.hits/tlb.misses row for the whole machine: every CPU's
+    // TLB reports into the same pair.
+    Counter &tlb_hits = statSet.counter("tlb.hits");
+    Counter &tlb_misses = statSet.counter("tlb.misses");
     for (std::uint32_t cpu = 0; cpu < mparams.numCpus; ++cpu) {
         tlbs.push_back(std::make_unique<Tlb>(
             mparams.tlbEntries, mparams.tlbMissPenalty, *pgTable,
-            cycleClock, statSet));
+            cycleClock, tlb_hits, tlb_misses));
         const std::string suffix =
             mparams.numCpus > 1 ? format("%u", cpu) : std::string();
         dataCaches.push_back(std::make_unique<Cache>(

@@ -6,11 +6,9 @@ namespace vic
 {
 
 Tlb::Tlb(std::uint32_t num_entries, Cycles miss_penalty, PageTable &table,
-         CycleClock &clock, StatSet &stat_set)
+         CycleClock &clock, Counter &hits, Counter &misses)
     : capacity(num_entries), missPenalty(miss_penalty), pageTable(table),
-      clk(clock), entries(num_entries),
-      statHits(stat_set.counter("tlb.hits")),
-      statMisses(stat_set.counter("tlb.misses"))
+      clk(clock), entries(num_entries), statHits(hits), statMisses(misses)
 {
     vic_assert(num_entries > 0, "TLB needs at least one entry");
     slotIndex.reserve(num_entries * 2);

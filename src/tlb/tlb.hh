@@ -54,10 +54,12 @@ class Tlb
      * @param miss_penalty cycles charged on a refill
      * @param table     backing page table
      * @param clock     cycle clock
-     * @param stat_set  statistics registry
+     * @param hits      counter bumped per hit (the owner registers
+     *                  it; per-CPU TLBs share one)
+     * @param misses    counter bumped per refill
      */
     Tlb(std::uint32_t num_entries, Cycles miss_penalty, PageTable &table,
-        CycleClock &clock, StatSet &stat_set);
+        CycleClock &clock, Counter &hits, Counter &misses);
 
     /**
      * Translate the page containing @p key.va, refilling from the page

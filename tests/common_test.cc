@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "common/bitvector.hh"
 #include "common/event_log.hh"
+#include "common/json_writer.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -174,16 +176,6 @@ TEST(StatsTest, CountersStartAtZero)
     EXPECT_EQ(s.value("never_created"), 0u);
 }
 
-TEST(StatsTest, SameNameSameCounter)
-{
-    StatSet s;
-    Counter &a = s.counter("hits");
-    Counter &b = s.counter("hits");
-    EXPECT_EQ(&a, &b);
-    ++a;
-    EXPECT_EQ(b.value(), 1u);
-}
-
 TEST(StatsTest, IncrementOperators)
 {
     StatSet s;
@@ -195,47 +187,57 @@ TEST(StatsTest, IncrementOperators)
     EXPECT_EQ(s.value("c"), 7u);
 }
 
-TEST(StatsTest, SnapshotAndClear)
+TEST(StatsTest, SnapshotIsOrderedByName)
 {
     StatSet s;
+    Counter &z = s.counter("z");
     s.counter("a") += 3;
-    s.counter("b") += 4;
-    auto snap = s.snapshot();
-    EXPECT_EQ(snap.at("a"), 3u);
-    EXPECT_EQ(snap.at("b"), 4u);
-    s.clearAll();
-    EXPECT_EQ(s.value("a"), 0u);
+    // Later registrations leave earlier references valid.
+    for (int i = 0; i < 100; ++i)
+        s.counter(format("m.%d", i));
+    z += 4;
+    const auto snap = s.snapshot();
+    ASSERT_EQ(snap.size(), 102u);
+    EXPECT_EQ(snap.begin()->first, "a");
+    EXPECT_EQ(snap.begin()->second, 3u);
+    EXPECT_EQ(snap.rbegin()->first, "z");
+    EXPECT_EQ(snap.rbegin()->second, 4u);
 }
 
-TEST(StatsTest, AllPreservesCreationOrder)
+TEST(StatsDeathTest, SecondRegistrationPanicsNamingIt)
 {
     StatSet s;
-    s.counter("z");
-    s.counter("a");
-    auto all = s.all();
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all[0]->name(), "z");
-    EXPECT_EQ(all[1]->name(), "a");
+    s.counter("tlb.hits");
+    EXPECT_DEATH(s.counter("tlb.hits"),
+                 "counter 'tlb.hits' registered twice");
 }
 
-TEST(StatsTest, RenderFiltersAndSorts)
+TEST(StatsDeathTest, BadNamePanicsNamingIt)
 {
     StatSet s;
-    s.counter("pmap.z") += 2;
-    s.counter("pmap.a") += 1;
-    s.counter("os.x") += 3;
-    s.counter("pmap.zero");  // stays 0
+    EXPECT_DEATH(s.counter("OS.BadName"), "'OS.BadName' is not");
+    EXPECT_DEATH(s.counter("dcache0 reads"), "'dcache0 reads' is not");
+    EXPECT_DEATH(s.counter("pmap.d-flush"), "'pmap.d-flush' is not");
+    EXPECT_DEATH(s.counter(""), "'' is not");
+}
 
-    std::string all = s.render();
-    EXPECT_NE(all.find("os.x"), std::string::npos);
-    EXPECT_EQ(all.find("pmap.zero"), std::string::npos);
-
-    std::string pm = s.render("pmap.");
-    EXPECT_EQ(pm.find("os.x"), std::string::npos);
-    EXPECT_LT(pm.find("pmap.a"), pm.find("pmap.z"));
-
-    std::string zeros = s.render("pmap.", true);
-    EXPECT_NE(zeros.find("pmap.zero"), std::string::npos);
+TEST(JsonTest, DeepNestingThrowsInsteadOfOverflowingTheStack)
+{
+    // The parser recurses per level: 100000 levels overflow the
+    // stack unless nesting is bounded.
+    const std::size_t deep = 100000;
+    try {
+        JsonValue::parse(std::string(deep, '[') + std::string(deep, ']'));
+        ADD_FAILURE() << "a 100000-deep array parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than 64"),
+                  std::string::npos)
+            << e.what();
+    }
+    // 64 levels, far beyond any document the repo writes, still parse.
+    const JsonValue ok =
+        JsonValue::parse(std::string(64, '[') + std::string(64, ']'));
+    EXPECT_EQ(ok.items().size(), 1u);
 }
 
 TEST(TableTest, RendersAlignedColumns)

@@ -8,11 +8,11 @@
  * rebuild it with one defect macro, and each must be rejected by the
  * compiler:
  *
- *  - VIC_TICKET_DISCARD drops a returned ticket on the floor — an
- *    error under -Werror=unused-result, since DmaTicket is
+ *  - VIC_DMA_TICKET_DISCARD drops a returned ticket on the floor —
+ *    an error under -Werror=unused-result, since DmaTicket is
  *    [[nodiscard]];
- *  - VIC_TICKET_COPY copies a ticket, which would give one transfer
- *    two owners — DmaTicket's copy constructor is deleted.
+ *  - VIC_DMA_TICKET_COPY copies a ticket, which would give one
+ *    transfer two owners — DmaTicket's copy constructor is deleted.
  */
 
 #include <cstdint>
@@ -27,9 +27,9 @@ void
 drainOnePage(DmaEngine &dma, const std::uint32_t *words)
 {
     DmaTicket ticket = dma.startWrite(PhysAddr(0), words, 1024);
-#if defined(VIC_TICKET_DISCARD)
+#if defined(VIC_DMA_TICKET_DISCARD)
     dma.startWrite(PhysAddr(0x1000), words, 1024);
-#elif defined(VIC_TICKET_COPY)
+#elif defined(VIC_DMA_TICKET_COPY)
     DmaTicket copy = ticket;
     dma.drain(std::move(copy));
 #endif

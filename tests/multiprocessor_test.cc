@@ -345,8 +345,9 @@ TEST(MesiConformance, LocalTableMatchesHardware)
                     << mesiLocalEventName(e)
                     << (peer ? " (peer copy)" : "");
 
-                // The bus transaction column, via the lazy bus.*
-                // counters the counter pass keeps honest.
+                // The bus transaction column, via the bus.* counters
+                // (registered only on machines with a bus; see
+                // counter_coverage_test).
                 const std::uint64_t d_reads =
                     rig.stat("bus.reads") - reads;
                 const std::uint64_t d_rdx =

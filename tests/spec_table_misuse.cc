@@ -8,8 +8,9 @@
  * default:, so under -Werror=switch a dropped case breaks the build.
  * Built plain, this file is the control: Table 2's CPU-write target
  * column, in the same shape, compiles. The WILL_FAIL ctest entry in
- * tests/CMakeLists.txt rebuilds it with VIC_TABLE_DROP_CASE, which
- * deletes the (Stale, CpuWrite) case, and the compiler must reject it.
+ * tests/CMakeLists.txt rebuilds it with VIC_SPEC_TABLE_DROPPED_CASE,
+ * which deletes the (Stale, CpuWrite) case, and the compiler must
+ * reject it.
  */
 
 #include "core/cache_page_state.hh"
@@ -25,7 +26,7 @@ cpuWriteTarget(CachePageState current)
       case S::Empty: return {S::Dirty};
       case S::Present: return {S::Dirty};
       case S::Dirty: return {S::Dirty};
-#if !defined(VIC_TABLE_DROP_CASE)
+#if !defined(VIC_SPEC_TABLE_DROPPED_CASE)
       case S::Stale: return {S::Dirty, RequiredOp::Purge};
 #endif
     }

@@ -15,7 +15,11 @@ namespace
 class TlbTest : public ::testing::Test
 {
   protected:
-    TlbTest() : table(4096), tlb(4, 20, table, clk, stats) {}
+    TlbTest()
+        : table(4096),
+          tlb(4, 20, table, clk, stats.counter("tlb.hits"),
+              stats.counter("tlb.misses"))
+    {}
 
     CycleClock clk;
     StatSet stats;

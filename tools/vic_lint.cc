@@ -5,9 +5,8 @@
  *   vic_lint [--root DIR] [--pass NAME]... [--json FILE]
  *            [--sarif FILE] [--list-rules]
  *
- * Runs the five invariant passes (determinism, addr-kind, counter,
- * counter-liveness, layering) over the tree at --root
- * (default: the current directory), prints one
+ * Runs the three invariant passes (determinism, addr-kind, layering)
+ * over the tree at --root (default: the current directory), prints one
  * "file:line:col: rule: message" line per diagnostic, and optionally
  * writes the deterministic "vic-lint-report-v2" JSON artifact and/or
  * a SARIF 2.1.0 document for CI annotators.
