@@ -37,6 +37,10 @@
 #      the same sweep rerun serially must produce an artifact
 #      equivalent to the parallel one modulo wall-clock — the
 #      engine's determinism contract;
+#   6b. full-scale sweep: vic_bench without --smoke runs every suite
+#      at its calibrated size, so every shape check gates (smoke
+#      makes the calibrated ones advisory), and archives the artifact
+#      (BENCH_full.json);
 #   7. perf smoke: vic_bench --smoke rebuilt at Release (-O2), its
 #      artifact asserted equivalent to the default build's (the
 #      pipeline's functional behaviour must not depend on the
@@ -60,20 +64,11 @@
 #      and skipped with a notice otherwise (they are configs-first:
 #      the repo must stay clean under gcc -Werror regardless).
 #
-# Usage: ./ci.sh [--full] [jobs]
-#
-# --full additionally runs the full-scale (non-smoke) Table 1 sweep
-# with its calibrated shape checks gating — minutes of extra runtime,
-# so it is opt-in rather than part of every CI pass.
+# Usage: ./ci.sh [jobs]
 
 set -euo pipefail
 cd "$(dirname "$0")"
 
-FULL=0
-if [[ "${1:-}" == "--full" ]]; then
-    FULL=1
-    shift
-fi
 JOBS="${1:-$(nproc)}"
 
 step() { printf '\n=== %s ===\n' "$*"; }
@@ -123,6 +118,10 @@ step "bench determinism (--jobs 1 vs --jobs 2 artifacts)"
 ./build/tools/vic_bench --diff BENCH_smoke_j1.json BENCH_smoke.json
 rm -f BENCH_smoke_j1.json
 
+step "full-scale sweep (vic_bench, every shape check gating)"
+./build/tools/vic_bench --jobs "$JOBS" --json BENCH_full.json
+echo "artifact archived: BENCH_full.json"
+
 step "perf smoke (Release -O2 artifact equivalence, perfbench selftest)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" --target vic_bench
@@ -132,24 +131,6 @@ cmake --build build-release -j "$JOBS" --target vic_bench
 ./build/tools/vic_bench --diff BENCH_smoke.json BENCH_smoke_release.json
 rm -f BENCH_smoke_release.json
 python3 perfbench/selftest.py
-
-if [[ "$FULL" == 1 ]]; then
-    step "full-scale Table 1 sweep (opt-in, calibrated shape checks)"
-    ./build/tools/vic_bench --filter table1 --jobs "$JOBS" \
-        --json BENCH_table1_full.json
-    echo "artifact archived: BENCH_table1_full.json"
-
-    step "full-scale coherence head-to-head (opt-in, Release)"
-    # The hardware-vs-software suite at calibrated scale: its shape
-    # checks (zero software ops on the HW rows, nonzero bus/snoop
-    # work, lazy <= classic software cycles) gate rather than advise.
-    # Release build — full-scale 2-CPU MESI runs are the most
-    # expensive in the tree. Numbers are recorded in EXPERIMENTS.md.
-    cmake --build build-release -j "$JOBS" --target vic_bench
-    ./build-release/tools/vic_bench --filter coherence --jobs "$JOBS" \
-        --json BENCH_coherence_full.json
-    echo "artifact archived: BENCH_coherence_full.json"
-fi
 
 step "thread sanitizer build (experiment engine + model checker + coherence)"
 cmake -B build-tsan -S . -DVIC_SANITIZE=thread >/dev/null

@@ -3,8 +3,6 @@
 #include "cache/coherence.hh"
 #include "common/logging.hh"
 
-#include <algorithm>
-
 namespace vic
 {
 
@@ -32,6 +30,7 @@ Cache::Cache(std::string cache_name, const CacheGeometry &geom,
       lineCols(geo.numLines()), lineState(lineCols.column<0>()),
       lineTag(lineCols.column<1>()), lineUse(lineCols.column<2>()),
       data(std::uint64_t(geo.numLines()) * geo.wordsPerLine(), 0),
+      copies(memory.sizeBytes() >> geo.lineShift(), 0),
       statReads(stat_set.counter(cacheName + ".reads")),
       statWrites(stat_set.counter(cacheName + ".writes")),
       statHits(stat_set.counter(cacheName + ".hits")),
@@ -45,6 +44,10 @@ Cache::Cache(std::string cache_name, const CacheGeometry &geom,
       statFlushCycles(stat_set.counter(cacheName + ".flush_cycles")),
       statPurgeCycles(stat_set.counter(cacheName + ".purge_cycles"))
 {
+    if (geo.spanColours() > UINT8_MAX)
+        vic_fatal("%s: %u candidate sets per physical line overflow "
+                  "the residency index",
+                  cacheName.c_str(), geo.spanColours());
 }
 
 void
@@ -83,7 +86,7 @@ void
 Cache::writeBack(std::uint32_t line_id)
 {
     vic_assert(lineDirty(line_id), "write-back of non-dirty line");
-    PhysAddr base(lineTag[line_id] * geo.lineBytes());
+    PhysAddr base(lineTag[line_id] << geo.lineShift());
     mem.writeWords(base, lineData(line_id), geo.wordsPerLine());
     lineState[line_id] = MesiState::Exclusive;
     ++statWriteBacks;
@@ -93,7 +96,9 @@ Cache::writeBack(std::uint32_t line_id)
 void
 Cache::selfSnoopSynonyms(std::uint32_t keep_id, PhysAddr pa_line)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
+    const std::uint64_t tag = lineNumber(pa_line);
+    if (copies[tag] == 0)
+        return;
     forEachCandidateSet(pa_line, [&](std::uint32_t set) {
         for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
             const std::uint32_t id = lineId(set, w);
@@ -104,6 +109,7 @@ Cache::selfSnoopSynonyms(std::uint32_t keep_id, PhysAddr pa_line)
             if (lineDirty(id))
                 writeBack(id);
             lineState[id] = MesiState::Invalid;
+            --copies[tag];
             ++*statSynonymSnoops;
             *statSynonymSnoopCycles += selfSnoopPenalty;
             clk.advance(selfSnoopPenalty);
@@ -127,9 +133,12 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
     if (selfSnoop)
         selfSnoopSynonyms(line_id, base);
     mem.readWords(base, lineData(line_id), geo.wordsPerLine());
+    if (lineValid(line_id))
+        --copies[lineTag[line_id]];
     lineState[line_id] =
         shared ? MesiState::Shared : MesiState::Exclusive;
-    lineTag[line_id] = pa.value / geo.lineBytes();
+    lineTag[line_id] = lineNumber(pa);
+    ++copies[lineTag[line_id]];
     ++statFills;
     clk.advance(costs.missPenalty);
 }
@@ -156,9 +165,7 @@ Cache::read(VirtAddr va, PhysAddr pa)
     }
     const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
     lineUse[id] = ++useTick;
-    const std::uint32_t word_in_line =
-        static_cast<std::uint32_t>((pa.value / 4) % geo.wordsPerLine());
-    return lineData(id)[word_in_line];
+    return lineData(id)[wordInLine(pa)];
 }
 
 void
@@ -182,10 +189,7 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
         const std::uint32_t id =
             lineId(set, static_cast<std::uint32_t>(way));
         lineUse[id] = ++useTick;
-        const std::uint32_t word_in_line =
-            static_cast<std::uint32_t>((pa.value / 4) %
-                                       geo.wordsPerLine());
-        lineData(id)[word_in_line] = value;
+        lineData(id)[wordInLine(pa)] = value;
         return;
     }
 
@@ -209,9 +213,23 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
     const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
     lineUse[id] = ++useTick;
     lineState[id] = MesiState::Modified;
-    const std::uint32_t word_in_line =
-        static_cast<std::uint32_t>((pa.value / 4) % geo.wordsPerLine());
-    lineData(id)[word_in_line] = value;
+    lineData(id)[wordInLine(pa)] = value;
+}
+
+void
+Cache::chargeLineOps(bool write_back, bool present, std::uint32_t n)
+{
+    const Cycles cost = n * ((present || costs.uniformOpCost)
+                                 ? costs.opLinePresent
+                                 : costs.opLineAbsent);
+    clk.advance(cost);
+    if (write_back) {
+        statFlushCycles += cost;
+        (present ? statFlushPresent : statFlushAbsent) += n;
+    } else {
+        statPurgeCycles += cost;
+        (present ? statPurgePresent : statPurgeAbsent) += n;
+    }
 }
 
 bool
@@ -220,20 +238,7 @@ Cache::removeLine(VirtAddr va, PhysAddr pa, bool write_back)
     const std::uint32_t set = geo.setIndex(indexBits(va, pa));
     const int way = findWay(set, pa);
     const bool present = way >= 0;
-
-    const Cycles cost = (present || costs.uniformOpCost)
-        ? costs.opLinePresent
-        : costs.opLineAbsent;
-    clk.advance(cost);
-
-    if (write_back) {
-        statFlushCycles += cost;
-        present ? ++statFlushPresent : ++statFlushAbsent;
-    } else {
-        statPurgeCycles += cost;
-        present ? ++statPurgePresent : ++statPurgeAbsent;
-    }
-
+    chargeLineOps(write_back, present, 1);
     if (!present)
         return false;
 
@@ -241,6 +246,7 @@ Cache::removeLine(VirtAddr va, PhysAddr pa, bool write_back)
     if (write_back && lineDirty(id))
         writeBack(id);
     lineState[id] = MesiState::Invalid;
+    --copies[lineTag[id]];
     return true;
 }
 
@@ -257,45 +263,54 @@ Cache::purgeLine(VirtAddr va, PhysAddr pa)
 }
 
 std::uint32_t
-Cache::flushPage(VirtAddr page_va, PhysAddr page_pa)
+Cache::removePage(VirtAddr page_va, PhysAddr page_pa, bool write_back)
 {
+    // Probe only the lines with a copy somewhere, in ascending order,
+    // so write-backs happen in the order of a per-line loop. Every
+    // other line is absent at every colour: charge those in one step.
+    // Nothing reads the clock in between, so counters and clock end
+    // exactly where a per-line loop leaves them.
+    const std::uint64_t first = lineNumber(page_pa);
     std::uint32_t present = 0;
-    for (std::uint32_t off = 0; off < geo.pageBytes();
-         off += geo.lineBytes()) {
-        if (flushLine(page_va.plus(off), page_pa.plus(off)))
+    std::uint32_t absent = 0;
+    for (std::uint32_t i = 0; i < geo.linesPerPage(); ++i) {
+        if (copies[first + i] == 0) {
+            ++absent;
+            continue;
+        }
+        const std::uint64_t off = std::uint64_t(i) << geo.lineShift();
+        if (removeLine(page_va.plus(off), page_pa.plus(off), write_back))
             ++present;
     }
+    chargeLineOps(write_back, false, absent);
     return present;
+}
+
+std::uint32_t
+Cache::flushPage(VirtAddr page_va, PhysAddr page_pa)
+{
+    return removePage(page_va, page_pa, true);
 }
 
 std::uint32_t
 Cache::purgePage(VirtAddr page_va, PhysAddr page_pa)
 {
-    std::uint32_t present = 0;
-    for (std::uint32_t off = 0; off < geo.pageBytes();
-         off += geo.lineBytes()) {
-        if (purgeLine(page_va.plus(off), page_pa.plus(off)))
-            ++present;
-    }
-    return present;
-}
-
-void
-Cache::purgeAll()
-{
-    std::fill(lineState, lineState + geo.numLines(),
-              MesiState::Invalid);
+    return removePage(page_va, page_pa, false);
 }
 
 void
 Cache::snoopInvalidateLine(PhysAddr pa_line)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
+    const std::uint64_t tag = lineNumber(pa_line);
+    if (copies[tag] == 0)
+        return;
     forEachCandidateSet(pa_line, [&](std::uint32_t set) {
         for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
             const std::uint32_t id = lineId(set, w);
-            if (lineValid(id) && lineTag[id] == tag)
+            if (lineValid(id) && lineTag[id] == tag) {
                 lineState[id] = MesiState::Invalid;
+                --copies[tag];
+            }
         }
     });
 }
@@ -303,7 +318,9 @@ Cache::snoopInvalidateLine(PhysAddr pa_line)
 bool
 Cache::snoopWriteBackLine(PhysAddr pa_line)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
+    const std::uint64_t tag = lineNumber(pa_line);
+    if (copies[tag] == 0)
+        return false;
     bool wrote = false;
     forEachCandidateSet(pa_line, [&](std::uint32_t set) {
         for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
@@ -321,8 +338,10 @@ Cache::snoopWriteBackLine(PhysAddr pa_line)
 Cache::SnoopReply
 Cache::snoopBusRead(PhysAddr pa_line)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
+    const std::uint64_t tag = lineNumber(pa_line);
     SnoopReply reply;
+    if (copies[tag] == 0)
+        return reply;
     forEachCandidateSet(pa_line, [&](std::uint32_t set) {
         for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
             const std::uint32_t id = lineId(set, w);
@@ -342,8 +361,10 @@ Cache::snoopBusRead(PhysAddr pa_line)
 Cache::SnoopReply
 Cache::snoopBusInvalidate(PhysAddr pa_line)
 {
-    const std::uint64_t tag = pa_line.value / geo.lineBytes();
+    const std::uint64_t tag = lineNumber(pa_line);
     SnoopReply reply;
+    if (copies[tag] == 0)
+        return reply;
     forEachCandidateSet(pa_line, [&](std::uint32_t set) {
         for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
             const std::uint32_t id = lineId(set, w);
@@ -355,6 +376,7 @@ Cache::snoopBusInvalidate(PhysAddr pa_line)
                 reply.intervened = true;
             }
             lineState[id] = MesiState::Invalid;
+            --copies[tag];
         }
     });
     return reply;
@@ -372,9 +394,7 @@ Cache::probe(VirtAddr va, PhysAddr pa) const
     p.present = true;
     p.dirty = lineDirty(id);
     p.state = lineState[id];
-    const std::uint32_t word_in_line =
-        static_cast<std::uint32_t>((pa.value / 4) % geo.wordsPerLine());
-    p.word = lineData(id)[word_in_line];
+    p.word = lineData(id)[wordInLine(pa)];
     return p;
 }
 

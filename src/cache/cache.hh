@@ -159,9 +159,7 @@ class Cache
         const std::uint32_t id =
             lineId(set, static_cast<std::uint32_t>(way));
         lineUse[id] = ++useTick;
-        value = lineData(id)[
-            static_cast<std::uint32_t>((pa.value / 4) %
-                                       geo.wordsPerLine())];
+        value = lineData(id)[wordInLine(pa)];
         return true;
     }
 
@@ -191,8 +189,7 @@ class Cache
         clk.advance(costs.hit);
         lineUse[id] = ++useTick;
         lineState[id] = MesiState::Modified;
-        lineData(id)[static_cast<std::uint32_t>(
-            (pa.value / 4) % geo.wordsPerLine())] = value;
+        lineData(id)[wordInLine(pa)] = value;
         return true;
     }
 
@@ -217,9 +214,6 @@ class Cache
     /** Purge every line of the page at (@p page_va -> @p page_pa).
      *  @return number of lines that were present. */
     std::uint32_t purgePage(VirtAddr page_va, PhysAddr page_pa);
-
-    /** Invalidate the whole cache without write-back (power-up). */
-    void purgeAll();
 
     /**
      * Coherent-DMA support (Section 3.3, "DMA can access the cache"):
@@ -267,6 +261,11 @@ class Cache
     /** Inspect the cache without charging cycles or changing state. */
     Probe probe(VirtAddr va, PhysAddr pa) const;
 
+    /** Number of valid lines, under any colour, that hold the physical
+     *  line containing @p pa (the residency index; never charges). */
+    std::uint32_t copiesOf(PhysAddr pa) const
+    { return copies[lineNumber(pa)]; }
+
   private:
     std::string cacheName;
     CacheGeometry geo;
@@ -296,6 +295,19 @@ class Cache
     std::vector<std::uint32_t> data;
     std::uint64_t useTick = 0;
 
+    /**
+     * Residency index, the host-side form of the reverse-lookup table
+     * in arXiv 2108.00444: copies[n] is the number of valid lines
+     * whose tag is physical line n, for every line of the backing
+     * memory. It changes exactly where a line turns valid or invalid
+     * (fill, removeLine, the synonym and invalidating snoops), so a
+     * zero count proves the line absent at every colour: physical
+     * snoops return without probing, and page flush/purge probe only
+     * the lines that have a copy somewhere. A line is held at most
+     * once per candidate set, so a count never exceeds spanColours().
+     */
+    std::vector<std::uint8_t> copies;
+
     bool selfSnoop = false;
     Cycles selfSnoopPenalty = 0;
 
@@ -321,6 +333,14 @@ class Cache
     }
     std::uint32_t lineId(std::uint32_t set, std::uint32_t way) const
     { return set * geo.associativity() + way; }
+    /** Physical line number of @p pa: the tag and the index key. */
+    std::uint64_t lineNumber(PhysAddr pa) const
+    { return pa.value >> geo.lineShift(); }
+    std::uint32_t wordInLine(PhysAddr pa) const
+    {
+        return static_cast<std::uint32_t>(pa.value >> 2) &
+               (geo.wordsPerLine() - 1);
+    }
     std::uint32_t *lineData(std::uint32_t line_id)
     { return data.data() + std::uint64_t(line_id) * geo.wordsPerLine(); }
     const std::uint32_t *lineData(std::uint32_t line_id) const
@@ -345,7 +365,7 @@ class Cache
     int
     findWay(std::uint32_t set, PhysAddr pa) const
     {
-        const std::uint64_t tag = pa.value / geo.lineBytes();
+        const std::uint64_t tag = lineNumber(pa);
         const std::uint32_t ways = geo.associativity();
         const std::uint32_t base = set * ways;
         std::uint32_t hit = 0;
@@ -382,6 +402,14 @@ class Cache
     /** Shared flush/purge implementation. */
     bool removeLine(VirtAddr va, PhysAddr pa, bool write_back);
 
+    /** Shared flushPage/purgePage implementation. */
+    std::uint32_t removePage(VirtAddr page_va, PhysAddr page_pa,
+                             bool write_back);
+
+    /** Charge @p n flush (@p write_back) or purge operations on lines
+     *  that were @p present: cycles plus the matching counters. */
+    void chargeLineOps(bool write_back, bool present, std::uint32_t n);
+
     /**
      * Visit every set that could hold the line at physical address
      * @p pa_line. A virtual index shares the page-offset bits with
@@ -394,7 +422,7 @@ class Cache
     {
         const std::uint32_t lines_per_page = geo.linesPerPage();
         const std::uint32_t off_line = static_cast<std::uint32_t>(
-            (pa_line.value % geo.pageBytes()) / geo.lineBytes());
+            (pa_line.value & (geo.pageBytes() - 1)) >> geo.lineShift());
         const std::uint32_t span = geo.spanColours();
         for (std::uint32_t c = 0; c < span; ++c) {
             const std::uint32_t set =

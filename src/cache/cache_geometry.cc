@@ -24,17 +24,15 @@ CacheGeometry::CacheGeometry(std::uint64_t cache_bytes,
     if (ways == 0 || cache_bytes % (std::uint64_t(line_bytes) * ways) != 0)
         vic_fatal("associativity %u incompatible with geometry", ways);
 
+    shift = static_cast<std::uint32_t>(std::countr_zero(line));
     lines = static_cast<std::uint32_t>(bytes / line);
     sets = lines / numWays;
     if (!std::has_single_bit(sets))
         vic_fatal("number of sets %u not a power of two", sets);
 
-    std::uint64_t span = setSpanBytes();
-    colours = span > page
-        ? static_cast<std::uint32_t>(span / page)
-        : 1;
-    if (index == Indexing::Physical)
-        colours = 1;
+    const std::uint64_t span = setSpanBytes();
+    spanCols = span > page ? static_cast<std::uint32_t>(span / page) : 1;
+    colours = index == Indexing::Physical ? 1 : spanCols;
 }
 
 } // namespace vic

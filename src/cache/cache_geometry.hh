@@ -52,7 +52,11 @@ class CacheGeometry
     std::uint32_t numLines() const { return lines; }
     std::uint32_t numSets() const { return sets; }
     std::uint32_t wordsPerLine() const { return line / 4; }
-    std::uint32_t linesPerPage() const { return page / line; }
+    std::uint32_t linesPerPage() const { return page >> shift; }
+
+    /** log2(lineBytes()): every size is a power of two, so the access
+     *  path shifts and masks instead of dividing by run-time values. */
+    std::uint32_t lineShift() const { return shift; }
 
     /** Bytes spanned by one pass over all sets: the period of the index
      *  function in the address. */
@@ -67,13 +71,7 @@ class CacheGeometry
      *  number of distinct sets a given physical line could occupy
      *  (used by physical snooping, which must probe every candidate
      *  since only the page-offset bits of the index are known). */
-    std::uint32_t
-    spanColours() const
-    {
-        const std::uint64_t span = setSpanBytes();
-        return span > page ? static_cast<std::uint32_t>(span / page)
-                           : 1;
-    }
+    std::uint32_t spanColours() const { return spanCols; }
 
     /** Cache set selected by address bits @p addr_bits (virtual or
      *  physical value depending on indexing; the caller passes the
@@ -83,7 +81,7 @@ class CacheGeometry
     // vic-lint: allow(addr-kind-mixed): the paper's virtually-vs-physically-indexed split IS this channel — Cache::indexBits picks va or pa bits by Indexing, so this parameter is polymorphic by design
     setIndex(std::uint64_t addr_bits) const
     {
-        return static_cast<std::uint32_t>((addr_bits / line) &
+        return static_cast<std::uint32_t>((addr_bits >> shift) &
                                           (sets - 1));
     }
 
@@ -125,9 +123,11 @@ class CacheGeometry
     std::uint32_t numWays;
     Indexing index;
 
+    std::uint32_t shift;
     std::uint32_t lines;
     std::uint32_t sets;
     std::uint32_t colours;
+    std::uint32_t spanCols;
 };
 
 } // namespace vic

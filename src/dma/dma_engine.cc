@@ -184,26 +184,31 @@ DmaEngine::executeBeat(std::size_t index)
     const std::uint32_t words = beatWords(t);
     clk.advance(costs.perWord * words);
 
+    // Coherent DMA: a beat is atomic, so each snooped cache is snooped
+    // once per line of its own that the beat covers, before any word
+    // moves. A DMA-write kills cached copies so later CPU reads miss
+    // and fetch the new data; a DMA-read pulls dirty data out first.
+    const PhysAddr first = t.pa.plus(std::uint64_t(t.done) * 4);
+    const std::uint64_t end = first.value + std::uint64_t(words) * 4;
+    for (Cache *c : snooped) {
+        const CacheGeometry &g = c->geometry();
+        for (std::uint64_t line = g.lineBase(first.value); line < end;
+             line += g.lineBytes()) {
+            if (t.deviceWrites)
+                c->snoopInvalidateLine(PhysAddr(line));
+            else
+                c->snoopWriteBackLine(PhysAddr(line));
+        }
+    }
+
     for (std::uint32_t i = 0; i < words; ++i) {
         const PhysAddr addr =
             t.pa.plus(std::uint64_t(t.done + i) * 4);
         if (t.deviceWrites) {
-            if (!snooped.empty()) {
-                // Coherent DMA: kill any cached copies so later CPU
-                // reads miss and fetch the new data.
-                for (Cache *c : snooped)
-                    c->snoopInvalidateLine(addr);
-            }
             mem.writeWord(addr, t.buf[t.done + i]);
             if (observer)
                 observer->dmaWrite(addr, t.buf[t.done + i]);
         } else {
-            if (!snooped.empty()) {
-                // Coherent DMA: pull dirty data out of the caches
-                // first.
-                for (Cache *c : snooped)
-                    c->snoopWriteBackLine(addr);
-            }
             t.out[t.done + i] = mem.readWord(addr);
             if (observer)
                 observer->dmaRead(addr, t.out[t.done + i]);

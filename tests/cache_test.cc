@@ -167,14 +167,6 @@ TEST_F(CacheTest, UniformOpCostModelsICachePurge)
     EXPECT_EQ(clk.now() - before, costs.opLinePresent);
 }
 
-TEST_F(CacheTest, PurgeAllEmptiesCache)
-{
-    cache.write(va1, pa, 5);
-    cache.purgeAll();
-    EXPECT_FALSE(cache.probe(va1, pa).present);
-    EXPECT_EQ(mem.readWord(pa), 0u);  // no write-back on power-cycle
-}
-
 TEST_F(CacheTest, SnoopInvalidateKillsAllAliases)
 {
     cache.write(va1, pa, 1);

@@ -82,6 +82,28 @@ TEST_F(DmaTest, SnoopingWriteInvalidatesCachedCopies)
     EXPECT_EQ(cache.read(VirtAddr(0x1000), PhysAddr(0x1000)), 42u);
 }
 
+TEST_F(DmaTest, SnoopingCoversEveryCacheLineOfABeat)
+{
+    // A 32-byte beat spans two lines of a 16-byte-line cache; the
+    // beat snoops each of them once before its words move.
+    CacheGeometry geo(64 * 1024, 16, 4096, 1, Indexing::Virtual);
+    Cache cache("d", geo, CacheCosts{}, WritePolicy::WriteBack, mem,
+                clk, stats);
+    dma.attachSnoopedCache(&cache);
+
+    cache.write(VirtAddr(0x1000), PhysAddr(0x1000), 7);
+    cache.write(VirtAddr(0x1010), PhysAddr(0x1010), 8);
+    std::uint32_t out[8] = {};
+    dma.deviceRead(PhysAddr(0x1000), out, 8);
+    EXPECT_EQ(out[0], 7u);
+    EXPECT_EQ(out[4], 8u);
+
+    const std::uint32_t data[8] = {};
+    dma.deviceWrite(PhysAddr(0x1000), data, 8);
+    EXPECT_EQ(cache.copiesOf(PhysAddr(0x1000)), 0u);
+    EXPECT_EQ(cache.copiesOf(PhysAddr(0x1010)), 0u);
+}
+
 TEST_F(DmaTest, TransfersChargeCycles)
 {
     std::uint32_t data[8] = {};
