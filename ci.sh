@@ -4,7 +4,8 @@
 #
 #   1. tier-1: plain build + full ctest suite (the seed contract);
 #   2. sanitizer: rebuild and rerun the suite under
-#      AddressSanitizer + UndefinedBehaviorSanitizer;
+#      AddressSanitizer + UndefinedBehaviorSanitizer (a UBSan finding
+#      fails its test) with the checked standard library;
 #   3. protocol lint: verify_policy must prove every shipping policy
 #      sound and the broken one unsound with a replaying
 #      counterexample; the --necessity pass additionally proves every
@@ -41,12 +42,13 @@
 #      at its calibrated size, so every shape check gates (smoke
 #      makes the calibrated ones advisory), and archives the artifact
 #      (BENCH_full.json);
-#   7. perf smoke: vic_bench --smoke rebuilt at Release (-O2), its
-#      artifact asserted equivalent to the default build's (the
-#      pipeline's functional behaviour must not depend on the
-#      optimisation level), then perfbench/selftest.py builds and
-#      runs the repository benchmark once and checks its output
-#      (host throughput is measured there, not by vic_bench);
+#   7. perf smoke: vic_bench rebuilt at Release (-O2), its smoke and
+#      full-scale artifacts asserted equivalent to the default
+#      build's (the pipeline's functional behaviour, inline hit paths
+#      and line runs included, must not depend on the optimisation
+#      level), then perfbench/selftest.py builds and runs the
+#      repository benchmark once and checks its output (host
+#      throughput is measured there, not by vic_bench);
 #   8. thread sanitizer: the threaded fan-outs (experiment engine
 #      tests + the --jobs 4 smoke sweep, fleet replicas included +
 #      the model checker's exploreMany + the CoherenceBus
@@ -130,6 +132,10 @@ cmake --build build-release -j "$JOBS" --target vic_bench
     --json BENCH_smoke_release.json
 ./build/tools/vic_bench --diff BENCH_smoke.json BENCH_smoke_release.json
 rm -f BENCH_smoke_release.json
+./build-release/tools/vic_bench --jobs "$JOBS" \
+    --json BENCH_full_release.json >/dev/null
+./build/tools/vic_bench --diff BENCH_full.json BENCH_full_release.json
+rm -f BENCH_full_release.json
 python3 perfbench/selftest.py
 
 step "thread sanitizer build (experiment engine + model checker + coherence)"

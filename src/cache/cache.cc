@@ -144,38 +144,24 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
 }
 
 std::uint32_t
-Cache::read(VirtAddr va, PhysAddr pa)
+Cache::readMiss(std::uint32_t set, PhysAddr pa)
 {
-    vic_assert(va.value % 4 == 0 && pa.value % 4 == 0,
-               "unaligned cache access");
     ++statReads;
-    const std::uint32_t set = geo.setIndex(indexBits(va, pa));
-    int way = findWay(set, pa);
     clk.advance(costs.hit);
-    if (way < 0) {
-        ++statMisses;
-        const std::uint32_t victim = victimWay(set);
-        const std::uint32_t id = lineId(set, victim);
-        if (lineDirty(id))
-            writeBack(id);
-        fill(id, pa, false);
-        way = static_cast<int>(victim);
-    } else {
-        ++statHits;
-    }
-    const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
+    ++statMisses;
+    const std::uint32_t id = lineId(set, victimWay(set));
+    if (lineDirty(id))
+        writeBack(id);
+    fill(id, pa, false);
     lineUse[id] = ++useTick;
     return lineData(id)[wordInLine(pa)];
 }
 
 void
-Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
+Cache::writeSlow(std::uint32_t set, int way, PhysAddr pa,
+                 std::uint32_t value)
 {
-    vic_assert(va.value % 4 == 0 && pa.value % 4 == 0,
-               "unaligned cache access");
     ++statWrites;
-    const std::uint32_t set = geo.setIndex(indexBits(va, pa));
-    int way = findWay(set, pa);
     clk.advance(costs.hit);
 
     if (policy == WritePolicy::WriteThrough) {
@@ -194,23 +180,20 @@ Cache::write(VirtAddr va, PhysAddr pa, std::uint32_t value)
     }
 
     // Write-back, write-allocate.
+    std::uint32_t id;
     if (way < 0) {
         ++statMisses;
-        const std::uint32_t victim = victimWay(set);
-        const std::uint32_t id = lineId(set, victim);
+        id = lineId(set, victimWay(set));
         if (lineDirty(id))
             writeBack(id);
         fill(id, pa, true);
-        way = static_cast<int>(victim);
     } else {
         ++statHits;
-        const std::uint32_t id =
-            lineId(set, static_cast<std::uint32_t>(way));
+        id = lineId(set, static_cast<std::uint32_t>(way));
         // A Shared hit must win exclusive ownership before writing.
         if (bus != nullptr && lineState[id] == MesiState::Shared)
             bus->busUpgrade(this, PhysAddr(geo.lineBase(pa.value)));
     }
-    const std::uint32_t id = lineId(set, static_cast<std::uint32_t>(way));
     lineUse[id] = ++useTick;
     lineState[id] = MesiState::Modified;
     lineData(id)[wordInLine(pa)] = value;

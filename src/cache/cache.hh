@@ -36,6 +36,7 @@
 #include "cache/cache_geometry.hh"
 #include "common/column_store.hh"
 #include "common/cycle_clock.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/physical_memory.hh"
@@ -132,65 +133,82 @@ class Cache
      */
     void enableSelfSnoop(Cycles penalty_cycles);
 
-    /** CPU load of the aligned word at (@p va -> @p pa). */
-    std::uint32_t read(VirtAddr va, PhysAddr pa);
-
-    /** CPU store of the aligned word at (@p va -> @p pa). */
-    void write(VirtAddr va, PhysAddr pa, std::uint32_t value);
-
-    /**
-     * Access-pipeline fast path: if the line holding (@p va -> @p pa)
-     * is present, complete the load of the aligned word — identical
-     * counters, LRU update and single cycle charge as read() — storing
-     * it in @p value and returning true. On a miss, no state or
-     * accounting is touched and the caller completes the access
-     * through read(), which performs the full miss handling.
-     */
-    bool
-    tryReadHit(VirtAddr va, PhysAddr pa, std::uint32_t &value)
+    /** CPU load of the aligned word at (@p va -> @p pa). A hit
+     *  completes inline; a miss continues out of line from the same
+     *  probe. */
+    std::uint32_t
+    read(VirtAddr va, PhysAddr pa)
     {
+        checkAligned(va, pa);
         const std::uint32_t set = geo.setIndex(indexBits(va, pa));
         const int way = findWay(set, pa);
-        if (way < 0)
-            return false;
+        if (way < 0) [[unlikely]]
+            return readMiss(set, pa);
         ++statReads;
         ++statHits;
         clk.advance(costs.hit);
         const std::uint32_t id =
             lineId(set, static_cast<std::uint32_t>(way));
         lineUse[id] = ++useTick;
-        value = lineData(id)[wordInLine(pa)];
-        return true;
+        return lineData(id)[wordInLine(pa)];
     }
 
-    /**
-     * Access-pipeline fast path for stores: the write-back, line-hit
-     * analogue of tryReadHit(). Returns false — with no accounting —
-     * on a line miss, for a write-through cache (whose stores always
-     * touch memory), or for a Shared line on a coherence bus (which
-     * must broadcast an upgrade first); the caller falls back to
-     * write().
-     */
-    bool
-    tryWriteHit(VirtAddr va, PhysAddr pa, std::uint32_t value)
+    /** CPU store of the aligned word at (@p va -> @p pa). A write-back
+     *  hit on a line this cache owns completes inline; a miss, a
+     *  write-through store or a Shared line (which must broadcast an
+     *  upgrade first) continues out of line from the same probe. */
+    void
+    write(VirtAddr va, PhysAddr pa, std::uint32_t value)
     {
-        if (policy != WritePolicy::WriteBack)
-            return false;
+        checkAligned(va, pa);
         const std::uint32_t set = geo.setIndex(indexBits(va, pa));
         const int way = findWay(set, pa);
-        if (way < 0)
-            return false;
-        const std::uint32_t id =
-            lineId(set, static_cast<std::uint32_t>(way));
-        if (bus != nullptr && lineState[id] == MesiState::Shared)
-            return false;
+        if (way < 0 || policy != WritePolicy::WriteBack ||
+            lineState[lineId(set, static_cast<std::uint32_t>(way))] ==
+                MesiState::Shared) [[unlikely]] {
+            writeSlow(set, way, pa, value);
+            return;
+        }
         ++statWrites;
         ++statHits;
         clk.advance(costs.hit);
+        const std::uint32_t id =
+            lineId(set, static_cast<std::uint32_t>(way));
         lineUse[id] = ++useTick;
         lineState[id] = MesiState::Modified;
         lineData(id)[wordInLine(pa)] = value;
-        return true;
+    }
+
+    /**
+     * Line run of loads: charge @p n more loads from the line holding
+     * (@p va -> @p pa), which the access just before left present —
+     * n reads, n hits, n hit cycles and one LRU touch, exactly what n
+     * read() hits on the line add. The caller reads the words.
+     * @return the line's words, valid until the next operation on
+     * this cache.
+     */
+    const std::uint32_t *
+    readRun(VirtAddr va, PhysAddr pa, std::uint32_t n)
+    {
+        const std::uint32_t id = runLine(va, pa, n);
+        statReads += n;
+        return lineData(id);
+    }
+
+    /**
+     * Line run of stores on a write-back cache: as readRun(), for a
+     * line the store just before left Modified; the caller writes the
+     * @p n words into the returned line.
+     */
+    std::uint32_t *
+    writeRun(VirtAddr va, PhysAddr pa, std::uint32_t n)
+    {
+        const std::uint32_t id = runLine(va, pa, n);
+        vic_assert(policy == WritePolicy::WriteBack && lineDirty(id),
+                   "%s: store run on a line that is not Modified",
+                   cacheName.c_str());
+        statWrites += n;
+        return lineData(id);
     }
 
     /**
@@ -378,6 +396,38 @@ class Cache
         }
         return static_cast<int>(hit) - 1;
     }
+
+    void
+    checkAligned(VirtAddr va, PhysAddr pa) const
+    {
+        vic_assert(((va.value | pa.value) & 3) == 0,
+                   "unaligned cache access");
+    }
+
+    /** The hit accounting shared by readRun() and writeRun(). */
+    std::uint32_t
+    runLine(VirtAddr va, PhysAddr pa, std::uint32_t n)
+    {
+        const std::uint32_t set = geo.setIndex(indexBits(va, pa));
+        const int way = findWay(set, pa);
+        vic_assert(way >= 0, "%s: line run on an absent line",
+                   cacheName.c_str());
+        statHits += n;
+        clk.advance(n * costs.hit);
+        useTick += n;
+        const std::uint32_t id =
+            lineId(set, static_cast<std::uint32_t>(way));
+        lineUse[id] = useTick;
+        return id;
+    }
+
+    /** read() after a failed probe of @p set: fill, then load. */
+    std::uint32_t readMiss(std::uint32_t set, PhysAddr pa);
+
+    /** write() after the probe of @p set found @p way (-1: absent),
+     *  for every case the inline hit does not complete. */
+    void writeSlow(std::uint32_t set, int way, PhysAddr pa,
+                   std::uint32_t value);
 
     /** Choose a victim way in @p set (invalid first, else LRU). */
     std::uint32_t victimWay(std::uint32_t set) const;

@@ -8,6 +8,12 @@
  * fetches, CPU stores, device reads of memory (DMA-read) and device
  * writes into memory (DMA-write) — is reported through this interface
  * so the consistency oracle can validate it against a golden model.
+ *
+ * Observers are passive: a callback must not call into the machine,
+ * the CPUs, the caches or the TLB. The CPU's range calls rely on this.
+ * They charge the words after the first of a cache line as one run of
+ * hits, which is exact only because nothing can run between those
+ * words; the observer still receives every word, in order.
  */
 
 #ifndef VIC_COMMON_OBSERVER_HH

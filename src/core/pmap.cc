@@ -100,9 +100,9 @@ Pmap::setTranslation(SpaceVa va, FrameId frame, Protection prot)
 bool
 Pmap::dropTranslation(SpaceVa va)
 {
-    bool modified = mach.pageTable().remove(va);
+    // Shoot down first, so no TLB holds a handle to an erased entry.
     mach.tlbShootdownPage(va);
-    return modified;
+    return mach.pageTable().remove(va);
 }
 
 void

@@ -1,5 +1,7 @@
 #include "machine/cpu.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace vic
@@ -52,17 +54,13 @@ Cpu::accessMapped(AccessType type, VirtAddr va, std::uint32_t store_value,
           // Coherence is the cache's own job now: a miss issues a bus
           // read that snoops the peers (coherence.hh); a hit is silent
           // exactly as real MESI hardware is.
-          std::uint32_t v;
-          if (!dcacheRef.tryReadHit(va, pa, v))
-              v = dcacheRef.read(va, pa);
+          const std::uint32_t v = dcacheRef.read(va, pa);
           if (obs)
               obs->cpuLoad(pa, v);
           return v;
       }
       case AccessType::IFetch: {
-          std::uint32_t v;
-          if (!icacheRef.tryReadHit(va, pa, v))
-              v = icacheRef.read(va, pa);
+          const std::uint32_t v = icacheRef.read(va, pa);
           if (obs)
               obs->cpuIFetch(pa, v);
           return v;
@@ -71,12 +69,12 @@ Cpu::accessMapped(AccessType type, VirtAddr va, std::uint32_t store_value,
           pte->modified = true;
           // Observer sees the store before the cache commits it (the
           // oracle's shadow memory must be current when the written
-          // line later leaves the cache). A Shared-line hit falls out
-          // of tryWriteHit into write(), which broadcasts the upgrade.
+          // line later leaves the cache). A Shared-line hit leaves
+          // write()'s inline path for the one that broadcasts the
+          // upgrade.
           if (obs)
               obs->cpuStore(pa, store_value);
-          if (!dcacheRef.tryWriteHit(va, pa, store_value))
-              dcacheRef.write(va, pa, store_value);
+          dcacheRef.write(va, pa, store_value);
           return 0;
       }
     }
@@ -145,19 +143,83 @@ Cpu::ifetch(VirtAddr va)
 }
 
 void
-Cpu::run(const Op *ops, std::size_t n)
+Cpu::lineRun(AccessType type, Cache &cache, VirtAddr va, std::uint32_t n,
+             std::uint32_t stride_bytes, std::uint32_t value,
+             std::uint32_t value_step)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        access(ops[i].type, ops[i].va, ops[i].value);
+    const PageTableEntry *pte =
+        tlbRef.repeatHit(SpaceVa(currentSpace, va), n);
+    const PhysAddr pa(pte->frame * pageBytesC +
+                      (va.value & pageOffsetMask));
+    const std::uint32_t first = static_cast<std::uint32_t>(
+        (pa.value & (cache.geometry().lineBytes() - 1)) >> 2);
+    const std::uint32_t step = stride_bytes >> 2;
+    MemoryObserver *obs = mach.observer();
+
+    if (type == AccessType::Store) {
+        std::uint32_t *words = cache.writeRun(va, pa, n);
+        for (std::uint32_t k = 1; k <= n; ++k) {
+            const std::uint32_t v = value + k * value_step;
+            if (obs)
+                obs->cpuStore(pa.plus(std::uint64_t(k) * stride_bytes),
+                              v);
+            words[first + k * step] = v;
+        }
+        return;
+    }
+    const std::uint32_t *words = cache.readRun(va, pa, n);
+    if (obs == nullptr)
+        return;
+    for (std::uint32_t k = 1; k <= n; ++k) {
+        const PhysAddr word_pa = pa.plus(std::uint64_t(k) * stride_bytes);
+        if (type == AccessType::Load)
+            obs->cpuLoad(word_pa, words[first + k * step]);
+        else
+            obs->cpuIFetch(word_pa, words[first + k * step]);
+    }
+}
+
+void
+Cpu::accessRange(AccessType type, VirtAddr base, std::uint32_t count,
+                 std::uint32_t stride_bytes, std::uint32_t seed,
+                 std::uint32_t seed_step)
+{
+    vic_assert(stride_bytes % 4 == 0,
+               "CPU range stride %u is not a whole number of words",
+               stride_bytes);
+    Cache &cache = type == AccessType::IFetch ? icacheRef : dcacheRef;
+    const std::uint32_t line = cache.geometry().lineBytes();
+    // A write-through store writes memory on every word.
+    const bool runs =
+        stride_bytes != 0 && stride_bytes < line &&
+        (type != AccessType::Store ||
+         cache.writePolicy() == WritePolicy::WriteBack);
+
+    for (std::uint32_t i = 0; i < count;) {
+        const VirtAddr va = base.plus(std::uint64_t(i) * stride_bytes);
+        const std::uint32_t value = seed + i * seed_step;
+        access(type, va, value);
+        ++i;
+        if (!runs)
+            continue;
+        // The words after va that lie in its line (byte offsets up to
+        // line - 1) hit the line access() just left present.
+        const std::uint32_t off =
+            static_cast<std::uint32_t>(va.value) & (line - 1);
+        const std::uint32_t n =
+            std::min(count - i, (line - 1 - off) / stride_bytes);
+        if (n == 0)
+            continue;
+        lineRun(type, cache, va, n, stride_bytes, value, seed_step);
+        i += n;
+    }
 }
 
 void
 Cpu::loadRange(VirtAddr base, std::uint32_t count,
                std::uint32_t stride_bytes)
 {
-    for (std::uint32_t i = 0; i < count; ++i)
-        access(AccessType::Load,
-               base.plus(std::uint64_t(i) * stride_bytes), 0);
+    accessRange(AccessType::Load, base, count, stride_bytes, 0, 0);
 }
 
 void
@@ -165,19 +227,15 @@ Cpu::storeRange(VirtAddr base, std::uint32_t count,
                 std::uint32_t stride_bytes, std::uint32_t seed,
                 std::uint32_t seed_step)
 {
-    for (std::uint32_t i = 0; i < count; ++i)
-        access(AccessType::Store,
-               base.plus(std::uint64_t(i) * stride_bytes),
-               seed + i * seed_step);
+    accessRange(AccessType::Store, base, count, stride_bytes, seed,
+                seed_step);
 }
 
 void
 Cpu::ifetchRange(VirtAddr base, std::uint32_t count,
                  std::uint32_t stride_bytes)
 {
-    for (std::uint32_t i = 0; i < count; ++i)
-        access(AccessType::IFetch,
-               base.plus(std::uint64_t(i) * stride_bytes), 0);
+    accessRange(AccessType::IFetch, base, count, stride_bytes, 0, 0);
 }
 
 } // namespace vic

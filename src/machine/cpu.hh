@@ -7,30 +7,33 @@
  *
  *   translate -> protect -> index -> tag-check -> account
  *
- * The common case — TLB hit, protection allows, cache line present —
- * runs straight-line through pre-resolved component references with a
- * single clock advance and no page-table walk (the TLB hands back a
- * mutable PTE handle, so referenced/modified bits are set directly).
- * Everything else (unmapped pages, protection traps, cache misses,
- * multiprocessor coherence, DMA busy-bits) falls back to the slow
- * path, whose trap-and-retry loop is the mechanism by which the
- * consistency algorithm interposes on exactly the accesses that need
- * cache state transitions.
+ * The common case — TLB hit, protection allows — runs straight-line
+ * through pre-resolved component references into Cache::read/write,
+ * whose hit completes inline and whose miss continues from the same
+ * probe; there is no page-table walk (the TLB hands back a mutable PTE
+ * handle, so referenced/modified bits are set directly). Only unmapped
+ * pages and protection traps fall back to the slow path, whose
+ * trap-and-retry loop is the mechanism by which the consistency
+ * algorithm interposes on exactly the accesses that need cache state
+ * transitions.
  *
  * Every access reaches the observer behind a single null check, so
  * observability costs one predictable branch when off.
  *
- * A batched API (run(), loadRange(), storeRange(), ifetchRange())
- * issues many accesses per call — semantically identical to a loop of
- * load()/store()/ifetch() (same stats, cycles, faults, observer
- * callbacks, in the same order) while amortizing per-call dispatch;
- * the OS kernel and the mc executor drive it.
+ * The range calls (loadRange(), storeRange(), ifetchRange()) are
+ * semantically identical to a loop of load()/store()/ifetch() — same
+ * stats, cycles, faults and observer callbacks, in the same order —
+ * but charge their host work per cache line: the first word of each
+ * line goes through access(), and the rest of that line's words are
+ * charged as one run of TLB and cache hits, since nothing can run
+ * between them (observers are passive, DMA runs only from drain(), and
+ * another CPU runs only when the kernel drives it). The observer still
+ * sees every word. Write-through stores stay per word.
  */
 
 #ifndef VIC_MACHINE_CPU_HH
 #define VIC_MACHINE_CPU_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -75,18 +78,14 @@ class Cpu
      *  instruction cache). */
     std::uint32_t ifetch(VirtAddr va);
 
-    /** One decoded operation of the batched access API. */
-    struct Op
-    {
-        AccessType type = AccessType::Load;
-        VirtAddr va;
-        std::uint32_t value = 0; ///< store data; ignored otherwise
-    };
+    /** One access of kind @p type to the aligned word at @p va;
+     *  @p store_value is the data of a store and ignored otherwise.
+     *  @return the loaded or fetched word (0 for a store). */
+    std::uint32_t access(AccessType type, VirtAddr va,
+                         std::uint32_t store_value);
 
-    /** Issue @p n operations back-to-back through the pipeline. */
-    void run(const Op *ops, std::size_t n);
-
-    /** Issue @p count loads at @p base, @p base + @p stride_bytes, ... */
+    /** Issue @p count loads at @p base, @p base + @p stride_bytes, ...
+     *  @p stride_bytes must be a multiple of 4. */
     void loadRange(VirtAddr base, std::uint32_t count,
                    std::uint32_t stride_bytes);
 
@@ -122,15 +121,25 @@ class Cpu
     const std::uint64_t pageOffsetMask; ///< pageBytes - 1
     const std::uint64_t pageBytesC;     ///< pageBytes
 
-    /** Core access path shared by load/store/ifetch. */
-    std::uint32_t access(AccessType type, VirtAddr va,
-                         std::uint32_t store_value);
-
     /** Stages index/tag-check/account for a translated, permitted
      *  access. */
     std::uint32_t accessMapped(AccessType type, VirtAddr va,
                                std::uint32_t store_value,
                                PageTableEntry *pte);
+
+    /** The loop shared by the range calls: store i writes
+     *  @p seed + i * @p seed_step. */
+    void accessRange(AccessType type, VirtAddr base, std::uint32_t count,
+                     std::uint32_t stride_bytes, std::uint32_t seed,
+                     std::uint32_t seed_step);
+
+    /** Charge the @p n words at @p va + k * @p stride_bytes (k = 1..n)
+     *  that follow the word access() just completed at @p va, all in
+     *  its cache line, as one run of hits; store k writes
+     *  @p value + k * @p value_step. */
+    void lineRun(AccessType type, Cache &cache, VirtAddr va,
+                 std::uint32_t n, std::uint32_t stride_bytes,
+                 std::uint32_t value, std::uint32_t value_step);
 
     /** Trap-and-retry loop for accesses the fast path rejected.
      *  @p pte is the (failed) translation of the first attempt. */

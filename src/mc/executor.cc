@@ -493,11 +493,7 @@ Executor::execute(int t, StepRecord &cur)
                    "drain out of FIFO order");
         Cpu &cpu = *cpus[ts.sbCpu];
         const std::uint64_t faults_before = cpu.faultCount();
-        Cpu::Op access;
-        access.va = ts.sbVa;
-        access.type = AccessType::Store;
-        access.value = ts.sbValue;
-        cpu.run(&access, 1);
+        cpu.access(AccessType::Store, ts.sbVa, ts.sbValue);
         cur.faulted = cpu.faultCount() != faults_before;
         cur.fp.cpuData = true;
         cur.fp.cpu = ts.sbCpu;
@@ -577,19 +573,12 @@ Executor::execute(int t, StepRecord &cur)
         }
 
         const std::uint64_t faults_before = cpu.faultCount();
-        // One scenario op is one decoded operation of the CPU's
-        // batched access API.
-        Cpu::Op access;
-        access.va = va;
-        if (op.kind == OpKind::CpuLoad) {
-            access.type = AccessType::Load;
-        } else if (op.kind == OpKind::CpuStore) {
-            access.type = AccessType::Store;
-            access.value = stamp++;
-        } else {
-            access.type = AccessType::IFetch;
-        }
-        cpu.run(&access, 1);
+        if (op.kind == OpKind::CpuLoad)
+            cpu.access(AccessType::Load, va, 0);
+        else if (op.kind == OpKind::CpuStore)
+            cpu.access(AccessType::Store, va, stamp++);
+        else
+            cpu.access(AccessType::IFetch, va, 0);
         cur.faulted = cpu.faultCount() != faults_before;
         break;
       }

@@ -14,51 +14,14 @@ PhysicalMemory::PhysicalMemory(std::uint64_t num_frames,
     store.assign(frames * (pageBytes / 4), 0);
 }
 
-std::uint64_t
-PhysicalMemory::wordIndex(PhysAddr pa) const
-{
-    vic_assert(pa.value % 4 == 0, "unaligned physical word access %llx",
-               (unsigned long long)pa.value);
-    std::uint64_t idx = pa.value / 4;
-    vic_assert(idx < store.size(), "physical address %llx out of range",
-               (unsigned long long)pa.value);
-    return idx;
-}
-
-std::uint32_t
-PhysicalMemory::readWord(PhysAddr pa) const
-{
-    return store[wordIndex(pa)];
-}
-
 void
-PhysicalMemory::writeWord(PhysAddr pa, std::uint32_t value)
+PhysicalMemory::badAccess(PhysAddr pa, std::uint32_t nwords) const
 {
-    store[wordIndex(pa)] = value;
-}
-
-void
-PhysicalMemory::readWords(PhysAddr pa, std::uint32_t *out,
-                          std::uint32_t nwords) const
-{
-    std::uint64_t idx = wordIndex(pa);
-    vic_assert(idx + nwords <= store.size(),
-               "physical range %llx+%u out of range",
-               (unsigned long long)pa.value, nwords * 4);
-    for (std::uint32_t i = 0; i < nwords; ++i)
-        out[i] = store[idx + i];
-}
-
-void
-PhysicalMemory::writeWords(PhysAddr pa, const std::uint32_t *in,
-                           std::uint32_t nwords)
-{
-    std::uint64_t idx = wordIndex(pa);
-    vic_assert(idx + nwords <= store.size(),
-               "physical range %llx+%u out of range",
-               (unsigned long long)pa.value, nwords * 4);
-    for (std::uint32_t i = 0; i < nwords; ++i)
-        store[idx + i] = in[i];
+    if (pa.value % 4 != 0)
+        vic_panic("unaligned physical word access %llx",
+                  (unsigned long long)pa.value);
+    vic_panic("physical range %llx+%u out of range",
+              (unsigned long long)pa.value, nwords * 4);
 }
 
 } // namespace vic

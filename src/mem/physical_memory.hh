@@ -9,11 +9,15 @@
  * snoop. Storing real data (not just metadata) is what lets an
  * incorrectly managed cache actually return stale values, which the
  * consistency oracle then detects.
+ *
+ * The word accessors are inline: every cache fill and write-back goes
+ * through them. Each checks alignment and bounds once, in every build.
  */
 
 #ifndef VIC_MEM_PHYSICAL_MEMORY_HH
 #define VIC_MEM_PHYSICAL_MEMORY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -41,27 +45,48 @@ class PhysicalMemory
     { return PhysAddr(frame * pageBytes); }
 
     /** Read the aligned 32-bit word at @p pa. */
-    std::uint32_t readWord(PhysAddr pa) const;
+    std::uint32_t readWord(PhysAddr pa) const
+    { return store[wordIndex(pa, 1)]; }
 
     /** Write the aligned 32-bit word at @p pa. */
-    void writeWord(PhysAddr pa, std::uint32_t value);
+    void writeWord(PhysAddr pa, std::uint32_t value)
+    { store[wordIndex(pa, 1)] = value; }
 
     /** Copy @p nwords words starting at @p pa into @p out (cache line
      *  fill). @p pa must be word aligned. */
-    void readWords(PhysAddr pa, std::uint32_t *out,
-                   std::uint32_t nwords) const;
+    void
+    readWords(PhysAddr pa, std::uint32_t *out, std::uint32_t nwords) const
+    {
+        std::copy_n(store.data() + wordIndex(pa, nwords), nwords, out);
+    }
 
     /** Copy @p nwords words from @p in to @p pa (cache line
      *  write-back or DMA input). */
-    void writeWords(PhysAddr pa, const std::uint32_t *in,
-                    std::uint32_t nwords);
+    void
+    writeWords(PhysAddr pa, const std::uint32_t *in, std::uint32_t nwords)
+    {
+        std::copy_n(in, nwords, store.data() + wordIndex(pa, nwords));
+    }
 
   private:
     std::uint64_t frames;
     std::uint32_t pageBytes;
     std::vector<std::uint32_t> store;
 
-    std::uint64_t wordIndex(PhysAddr pa) const;
+    /** Index of the word at @p pa; panics unless @p pa is word
+     *  aligned and the @p nwords words from it lie inside the
+     *  memory. */
+    std::uint64_t
+    wordIndex(PhysAddr pa, std::uint32_t nwords) const
+    {
+        const std::uint64_t idx = pa.value >> 2;
+        if ((pa.value & 3) != 0 || idx + nwords > store.size()) [[unlikely]]
+            badAccess(pa, nwords);
+        return idx;
+    }
+
+    /** Panic on an unaligned or out-of-range access. */
+    [[noreturn]] void badAccess(PhysAddr pa, std::uint32_t nwords) const;
 };
 
 } // namespace vic

@@ -129,10 +129,8 @@ BufferCache::fillSlot(std::uint32_t slot, FileId file,
         Cpu &cpu = kernel.cpu();
         const SpaceId saved = cpu.space();
         cpu.setSpace(OsParams::serverSpace);
-        const VirtAddr kva = slotKva(slot);
-        for (std::uint32_t off = 0; off < kernel.machine().pageBytes();
-             off += 4)
-            cpu.store(kva.plus(off), 0);
+        cpu.storeRange(slotKva(slot), kernel.machine().pageBytes() / 4, 4,
+                       0, 0);
         cpu.setSpace(saved);
     }
     // whole_block_write: the caller overwrites every byte, no fill.

@@ -70,8 +70,7 @@ PagePreparer::zeroPage(FrameId frame, std::optional<VirtAddr> ultimate_va)
     hints.needData = false;      // the frame's old contents are dead
     pmap.enter(SpaceVa(OsParams::kernelSpace, kva), frame,
                Protection::readWrite(), AccessType::Store, hints);
-    for (std::uint32_t off = 0; off < page_bytes; off += 4)
-        cpu.store(kva.plus(off), 0);
+    cpu.storeRange(kva, page_bytes / 4, 4, 0, 0);
     pmap.remove(SpaceVa(OsParams::kernelSpace, kva));
 }
 

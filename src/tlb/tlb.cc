@@ -22,7 +22,7 @@ Tlb::translateFull(SpaceVa page)
         Entry &e = entries[it->second];
         e.lastUse = ++useTick;
         ++statHits;
-        mru = &e;
+        promote(&e);
         return e.pte;
     }
 
@@ -53,7 +53,9 @@ Tlb::translateFull(SpaceVa page)
     victim->pte = pte;
     slotIndex.emplace(
         page, static_cast<std::uint32_t>(victim - entries.data()));
-    mru = victim;
+    // A victim named by the second pointer becomes the first; the old
+    // first moves down, so neither pointer is left on a stale page.
+    promote(victim);
     return pte;
 }
 
@@ -65,6 +67,8 @@ Tlb::invalidateSlot(Entry &e)
     slotIndex.erase(e.page);
     if (mru == &e)
         mru = nullptr;
+    if (mru2 == &e)
+        mru2 = nullptr;
 }
 
 void
@@ -94,6 +98,7 @@ Tlb::invalidateAll()
     }
     slotIndex.clear();
     mru = nullptr;
+    mru2 = nullptr;
 }
 
 std::uint32_t

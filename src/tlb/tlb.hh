@@ -24,11 +24,16 @@
  * mutate the entry in place and are therefore seen through the handle
  * immediately, preserving the historic read-through behaviour.
  *
- * The hot-path structure is a 1-entry MRU micro-cache (consecutive
- * accesses to one page resolve with a single compare — no hashing, no
- * scan) backed by a page -> slot hash index; the full-associativity
- * LRU semantics (victim = first invalid slot, else least recent) are
- * unchanged and pinned by tests/tlb_test.cc.
+ * The hot path checks the two most recently used entries (an MRU
+ * pair) before a page -> slot hash index: consecutive accesses to one
+ * page, and loops that alternate between two pages (a page copy),
+ * resolve with one or two compares — no hashing, no scan. The pair is
+ * a lookup shortcut only: every hit still bumps the hit counter and
+ * the entry's LRU tick, so the full-associativity LRU semantics
+ * (victim = first invalid slot, else least recent) are unchanged.
+ * tests/tlb_lockstep_test.cc runs the TLB beside a linear-scan LRU
+ * model. A CPU line run charges its repeated hits on the MRU entry in
+ * one repeatHit() call.
  */
 
 #ifndef VIC_TLB_TLB_HH
@@ -36,9 +41,11 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cycle_clock.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mmu/page_table.hh"
@@ -72,13 +79,37 @@ class Tlb
     translate(SpaceVa key)
     {
         const SpaceVa page(key.space, pageTable.pageBase(key.va));
-        Entry *e = mru;
-        if (e != nullptr && e->valid && e->page == page) {
-            e->lastUse = ++useTick;
+        if (mru != nullptr && mru->page == page) {
+            mru->lastUse = ++useTick;
             ++statHits;
-            return e->pte;
+            return mru->pte;
+        }
+        if (mru2 != nullptr && mru2->page == page) {
+            std::swap(mru, mru2);
+            mru->lastUse = ++useTick;
+            ++statHits;
+            return mru->pte;
         }
         return translateFull(page);
+    }
+
+    /**
+     * Charge @p n more hits on the page containing @p key.va, which
+     * the translation just before left most recently used: exactly
+     * what @p n translate() calls of that page would add.
+     * @return its page-table-entry handle.
+     */
+    PageTableEntry *
+    repeatHit(SpaceVa key, std::uint32_t n)
+    {
+        vic_assert(mru != nullptr &&
+                       mru->page == SpaceVa(key.space,
+                                            pageTable.pageBase(key.va)),
+                   "repeated TLB hit on a page that is not the MRU entry");
+        useTick += n;
+        mru->lastUse = useTick;
+        statHits += n;
+        return mru->pte;
     }
 
     /** Drop the cached entry for one page, if any. */
@@ -92,6 +123,14 @@ class Tlb
 
     /** Number of currently valid entries (for tests). */
     std::uint32_t validCount() const;
+
+    /** True iff the page containing @p key.va has a valid entry; no
+     *  accounting (for tests). */
+    bool holds(SpaceVa key) const
+    {
+        return slotIndex.count(
+                   SpaceVa(key.space, pageTable.pageBase(key.va))) != 0;
+    }
 
   private:
     struct Entry
@@ -110,9 +149,13 @@ class Tlb
     std::vector<Entry> entries;
     std::uint64_t useTick = 0;
 
-    /** Most recently used entry; entries never reallocates, so the
-     *  pointer is stable. Cleared by every invalidation. */
+    /** The most and second most recently used entries; entries
+     *  never reallocates, so the pointers are stable. A non-null
+     *  pointer always names a valid entry: every invalidation clears
+     *  the pointers to the entries it drops, and translate() relies on
+     *  that (it compares pages only). */
     Entry *mru = nullptr;
+    Entry *mru2 = nullptr;
 
     /** page -> slot in entries, maintained alongside entry validity.
      *  Lookup-only (never iterated), so determinism is unaffected. */
@@ -123,6 +166,16 @@ class Tlb
 
     /** Hit-via-index and miss/refill paths (out of line). */
     PageTableEntry *translateFull(SpaceVa page);
+
+    /** Make @p e the most recently used entry. */
+    void
+    promote(Entry *e)
+    {
+        if (e != mru) {
+            mru2 = mru;
+            mru = e;
+        }
+    }
 
     void invalidateSlot(Entry &e);
 };

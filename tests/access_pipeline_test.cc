@@ -288,7 +288,7 @@ TEST(AccessPipelineBatch, BatchedMatchesSingleAccessExactly)
     for (std::uint32_t i = 0; i < 8; ++i)
         single_values.push_back(
             single_cpu.ifetch(base.plus(params.pageBytes + 32 * i)));
-    // Mixed op batch equivalent, issued singly: store + load + load.
+    // Store + load through access(), then a load.
     single_cpu.store(base, 42);
     (void)single_cpu.load(base);
     single_values.push_back(single_cpu.load(base));
@@ -303,11 +303,8 @@ TEST(AccessPipelineBatch, BatchedMatchesSingleAccessExactly)
     for (std::uint32_t i = 0; i < 8; ++i)
         batched_values.push_back(
             batched_cpu.ifetch(base.plus(params.pageBytes + 32 * i)));
-    const Cpu::Op ops[] = {
-        {AccessType::Store, base, 42},
-        {AccessType::Load, base, 0},
-    };
-    batched_cpu.run(ops, 2);
+    batched_cpu.access(AccessType::Store, base, 42);
+    batched_cpu.access(AccessType::Load, base, 0);
     batched_values.push_back(batched_cpu.load(base));
 
     EXPECT_EQ(single_values, batched_values);

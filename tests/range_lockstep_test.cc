@@ -1,0 +1,359 @@
+/**
+ * @file
+ * CPU range calls against per-word loops, in lockstep.
+ *
+ * loadRange, storeRange and ifetchRange are defined as loops of load,
+ * store and ifetch, but they charge the words after the first of each
+ * cache line as one run of TLB and cache hits. Seeded streams drive two
+ * fresh twin machines, one through the range calls and one through the
+ * loops, on each machine organisation the suites use. Ranges start at
+ * any word, cross lines and pages, take strides of 4, 8 and 16 bytes,
+ * one line and two, and meet unmapped and read-only pages on the way,
+ * which the fault handler maps or upgrades. Between ranges the stream
+ * unmaps pages (shooting them down first) and downgrades them, and on
+ * the multiprocessors the peer CPU loads and stores, so lines sit
+ * Shared or Modified in its cache. After every range the observer's
+ * (kind, pa, value) sequence, the stats, the clock, the fault counts,
+ * the TLBs' contents and a probe of every touched word must agree.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "common/random.hh"
+#include "machine/cpu.hh"
+#include "machine/machine.hh"
+
+namespace vic
+{
+namespace
+{
+
+constexpr std::uint64_t kSeed = 0x2a46e;
+constexpr int kSteps = 500;
+constexpr SpaceId kSpace = 1;
+/** The virtual window the ranges touch: colour 0 under every cache
+ *  here, and 20 pages, more than a 64 KB cache's 16 colours, so the
+ *  last pages conflict with the first. */
+constexpr std::uint64_t kWindow = 0x100000;
+constexpr std::uint64_t kWindowPages = 20;
+
+/** The frame behind window page @p page: twelve frames, so the last
+ *  eight pages alias earlier ones at other colours. */
+FrameId
+frameFor(std::uint64_t page)
+{
+    return 8 + page % 12;
+}
+
+/** One CPU transfer as the observer saw it. */
+struct Transfer
+{
+    char kind; ///< 'L' load, 'I' instruction fetch, 'S' store
+    std::uint64_t pa;
+    std::uint32_t value;
+
+    bool operator==(const Transfer &) const = default;
+};
+
+struct Recorder : MemoryObserver
+{
+    void cpuLoad(PhysAddr pa, std::uint32_t v) override
+    { seen.push_back({'L', pa.value, v}); }
+    void cpuIFetch(PhysAddr pa, std::uint32_t v) override
+    { seen.push_back({'I', pa.value, v}); }
+    void cpuStore(PhysAddr pa, std::uint32_t v) override
+    { seen.push_back({'S', pa.value, v}); }
+
+    std::vector<Transfer> seen;
+};
+
+/** A machine whose CPUs all run in one space, with a handler that maps
+ *  an unmapped page (read-only for a load) and upgrades a protection
+ *  fault to every permission. */
+struct Twin
+{
+    explicit Twin(const MachineParams &params) : machine(params)
+    {
+        machine.setObserver(&recorder);
+        for (std::uint32_t c = 0; c < params.numCpus; ++c) {
+            cpus.push_back(std::make_unique<Cpu>(machine, c));
+            cpus.back()->setSpace(kSpace);
+            cpus.back()->setFaultHandler(
+                [this](const Fault &f) { return repair(f); });
+        }
+        // Every fifth page starts unmapped, every fourth read-only.
+        for (std::uint64_t p = 0; p < kWindowPages; ++p) {
+            if (p % 5 == 4)
+                continue;
+            machine.pageTable().enter(
+                SpaceVa(kSpace, VirtAddr(kWindow + p * params.pageBytes)),
+                frameFor(p),
+                p % 4 == 3 ? Protection::readOnly() : Protection::all());
+        }
+    }
+
+    Twin(const Twin &) = delete;
+    Twin &operator=(const Twin &) = delete;
+
+    bool
+    repair(const Fault &f)
+    {
+        PageTable &pt = machine.pageTable();
+        const SpaceVa page(f.address.space, pt.pageBase(f.address.va));
+        if (f.type == FaultType::Unmapped)
+            pt.enter(page,
+                     frameFor((page.va.value - kWindow) /
+                              machine.pageBytes()),
+                     f.access == AccessType::Load ? Protection::readOnly()
+                                                  : Protection::all());
+        else
+            pt.setProtection(page, Protection::all());
+        return true;
+    }
+
+    Machine machine;
+    Recorder recorder;
+    std::vector<std::unique_ptr<Cpu>> cpus;
+};
+
+/** After a range of @p count words of @p type at @p base: both twins
+ *  agree on everything a per-word loop could have changed. */
+void
+expectSame(Twin &a, Twin &b, AccessType type, VirtAddr base,
+           std::uint32_t count, std::uint32_t stride)
+{
+    ASSERT_EQ(a.recorder.seen, b.recorder.seen);
+    a.recorder.seen.clear();
+    b.recorder.seen.clear();
+    ASSERT_EQ(a.machine.clock().now(), b.machine.clock().now());
+    ASSERT_EQ(a.machine.stats().snapshot(), b.machine.stats().snapshot());
+
+    const std::uint32_t page_bytes = a.machine.pageBytes();
+    for (std::uint32_t c = 0; c < a.cpus.size(); ++c) {
+        ASSERT_EQ(a.cpus[c]->faultCount(), b.cpus[c]->faultCount());
+        Tlb &ta = a.machine.tlb(c);
+        Tlb &tb = b.machine.tlb(c);
+        ASSERT_EQ(ta.validCount(), tb.validCount());
+        for (std::uint64_t p = 0; p < kWindowPages; ++p) {
+            const SpaceVa page(kSpace, VirtAddr(kWindow + p * page_bytes));
+            ASSERT_EQ(ta.holds(page), tb.holds(page)) << "page " << p;
+        }
+    }
+
+    const CacheKind kind = type == AccessType::IFetch
+        ? CacheKind::Instruction
+        : CacheKind::Data;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const VirtAddr va = base.plus(std::uint64_t(i) * stride);
+        const PageTableEntry *pte =
+            a.machine.pageTable().lookup(SpaceVa(kSpace, va));
+        ASSERT_NE(pte, nullptr);
+        const PhysAddr pa(pte->frame * page_bytes + va.value % page_bytes);
+        for (std::uint32_t c = 0; c < a.cpus.size(); ++c) {
+            const Cache::Probe pa_probe =
+                a.machine.cacheFor(kind, c).probe(va, pa);
+            const Cache::Probe pb_probe =
+                b.machine.cacheFor(kind, c).probe(va, pa);
+            ASSERT_EQ(pa_probe.present, pb_probe.present) << "word " << i;
+            ASSERT_EQ(pa_probe.state, pb_probe.state) << "word " << i;
+            ASSERT_EQ(pa_probe.word, pb_probe.word) << "word " << i;
+        }
+    }
+}
+
+struct Case
+{
+    std::string name;
+    MachineParams params;
+    std::uint64_t stream = 0; ///< index of the case's op stream
+};
+
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+using RangeLockstepTest = ::testing::TestWithParam<Case>;
+
+TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
+{
+    const MachineParams &params = GetParam().params;
+    Twin ranged(params);
+    Twin looped(params);
+    const std::uint32_t page_bytes = params.pageBytes;
+    const std::uint64_t window_end = kWindow + kWindowPages * page_bytes;
+    const std::uint64_t window_words = (window_end - kWindow) / 4;
+
+    auto both = [&](auto &&fn) {
+        fn(ranged);
+        fn(looped);
+    };
+
+    Random rng(streamSeed(kSeed, GetParam().stream));
+    std::uint64_t runs_possible = 0;
+    for (int step = 0; step < kSteps; ++step) {
+        const std::uint64_t op = rng.below(10);
+        const SpaceVa page(kSpace,
+                           VirtAddr(kWindow +
+                                    rng.below(kWindowPages) * page_bytes));
+        SCOPED_TRACE("step " + std::to_string(step) + " op " +
+                     std::to_string(op));
+        if (op == 0) {
+            both([&](Twin &t) {
+                t.machine.tlbShootdownPage(page);
+                t.machine.pageTable().remove(page);
+            });
+            continue;
+        }
+        if (op == 1) {
+            both([&](Twin &t) {
+                if (t.machine.pageTable().lookup(page) != nullptr)
+                    t.machine.pageTable().setProtection(
+                        page, Protection::readOnly());
+            });
+            continue;
+        }
+        if (op == 2 && params.numCpus > 1) {
+            const bool store = rng.chance(1, 2);
+            const VirtAddr va(kWindow + 4 * rng.below(window_words - 64));
+            const std::uint32_t n =
+                static_cast<std::uint32_t>(rng.between(1, 64));
+            const std::uint32_t value =
+                static_cast<std::uint32_t>(rng.next64());
+            both([&](Twin &t) {
+                Cpu &peer = *t.cpus[1];
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    if (store)
+                        peer.store(va.plus(4 * i), value + i);
+                    else
+                        (void)peer.load(va.plus(4 * i));
+                }
+            });
+            continue;
+        }
+
+        const std::uint64_t kind = rng.below(5);
+        const AccessType type = kind < 2 ? AccessType::Load
+            : kind < 4                   ? AccessType::Store
+                                         : AccessType::IFetch;
+        const std::uint32_t line = type == AccessType::IFetch
+            ? params.icacheLineBytes
+            : params.dcacheLineBytes;
+        const std::uint32_t strides[] = {4, 8, 16, line, 2 * line};
+        const std::uint32_t stride = strides[rng.below(5)];
+        const VirtAddr base(kWindow + 4 * rng.below(window_words));
+        const std::uint64_t room = (window_end - 4 - base.value) / stride + 1;
+        const std::uint64_t most =
+            rng.chance(1, 3) ? 12 : 3 * page_bytes / stride;
+        const std::uint32_t count = static_cast<std::uint32_t>(
+            rng.between(1, std::min(room, most)));
+        const std::uint32_t seed = static_cast<std::uint32_t>(rng.next64());
+        const std::uint32_t seed_step =
+            static_cast<std::uint32_t>(rng.below(3));
+        SCOPED_TRACE(std::string("range ") + accessTypeName(type) +
+                     " base " + std::to_string(base.value) + " count " +
+                     std::to_string(count) + " stride " +
+                     std::to_string(stride));
+        if (stride < line && count > 1)
+            ++runs_possible;
+
+        // Now and then no observer: runs then skip the callbacks, and
+        // the probes still see every stored word.
+        const bool observed = !rng.chance(1, 4);
+        both([&](Twin &t) {
+            t.machine.setObserver(observed ? &t.recorder : nullptr);
+        });
+
+        Cpu &rc = *ranged.cpus[0];
+        Cpu &lc = *looped.cpus[0];
+        switch (type) {
+          case AccessType::Load:
+            rc.loadRange(base, count, stride);
+            for (std::uint32_t i = 0; i < count; ++i)
+                (void)lc.load(base.plus(std::uint64_t(i) * stride));
+            break;
+          case AccessType::Store:
+            rc.storeRange(base, count, stride, seed, seed_step);
+            for (std::uint32_t i = 0; i < count; ++i)
+                lc.store(base.plus(std::uint64_t(i) * stride),
+                         seed + i * seed_step);
+            break;
+          case AccessType::IFetch:
+            rc.ifetchRange(base, count, stride);
+            for (std::uint32_t i = 0; i < count; ++i)
+                (void)lc.ifetch(base.plus(std::uint64_t(i) * stride));
+            break;
+        }
+        ASSERT_NO_FATAL_FAILURE(
+            expectSame(ranged, looped, type, base, count, stride));
+    }
+
+    // The stream did real work: ranges with line runs, faults, fills.
+    EXPECT_GT(runs_possible, 50u);
+    EXPECT_GT(ranged.cpus[0]->faultCount(), 0u);
+    EXPECT_GT(ranged.machine.stats().value(
+                  ranged.machine.dcache().name() + ".fills"),
+              0u);
+}
+
+std::vector<Case>
+machines()
+{
+    std::vector<Case> out;
+    out.push_back({"hp720", MachineParams::hp720()});
+
+    MachineParams two_way = MachineParams::hp720();
+    two_way.dcacheWays = two_way.icacheWays = 2;
+    out.push_back({"two_way", two_way});
+
+    MachineParams sixteen_way = MachineParams::hp720();
+    sixteen_way.dcacheWays = sixteen_way.icacheWays = 16;
+    out.push_back({"sixteen_way", sixteen_way});
+
+    MachineParams pipt = MachineParams::hp720();
+    pipt.dcacheIndexing = pipt.icacheIndexing = Indexing::Physical;
+    out.push_back({"pipt", pipt});
+
+    MachineParams write_through = MachineParams::hp720();
+    write_through.dcachePolicy = WritePolicy::WriteThrough;
+    out.push_back({"write_through", write_through});
+
+    MachineParams mesi = MachineParams::hp720();
+    mesi.numCpus = 2;
+    out.push_back({"mesi_2cpu", mesi});
+
+    // The coherence suite's hardware-coherent machine: MESI, synonym
+    // self-snoop, coherent instruction caches and snooping DMA.
+    MachineParams hw = mesi;
+    hw.synonymCoherence = true;
+    hw.ifetchCoherence = true;
+    hw.dmaSnoops = true;
+    out.push_back({"hw_coherent", hw});
+
+    // Fewer TLB entries than window pages: LRU victim choice matters.
+    MachineParams tlb4 = MachineParams::hp720();
+    tlb4.tlbEntries = 4;
+    out.push_back({"tlb4", tlb4});
+
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i].params.numFrames = 32;
+        out[i].stream = i;
+    }
+    return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, RangeLockstepTest,
+                         ::testing::ValuesIn(machines()),
+                         [](const auto &machine) {
+                             return machine.param.name;
+                         });
+
+} // anonymous namespace
+} // namespace vic
