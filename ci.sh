@@ -53,15 +53,16 @@
 #      tests + the --jobs 4 smoke sweep, fleet replicas included +
 #      the model checker's exploreMany + the CoherenceBus
 #      head-to-head paths) rebuilt and rerun under TSan;
-#   9. static analysis: tools/vic_lint runs all three invariant passes
-#      (determinism, address-kind laundering, layering — see
-#      docs/STATIC_ANALYSIS.md) over the tree, gating on zero
-#      diagnostics, and archives LINT_report.json (schema v2, with
-#      per-pass effort stats) plus LINT_report.sarif for CI
+#   9. static analysis: tools/vic_lint runs both invariant passes
+#      (determinism, layering — see docs/STATIC_ANALYSIS.md) over
+#      the tree, gating on zero diagnostics, and archives
+#      LINT_report.json (schema v3) plus LINT_report.sarif for CI
 #      annotators (DMA drain pairing is a type, DmaTicket; the
 #      protocol tables are checked by spec_model_test and
 #      -Werror=switch; counters register once by construction and
-#      counter_coverage_test sweeps them — so none needs a pass);
+#      counter_coverage_test sweeps them; address kinds are types,
+#      held by step 1's addr_kind_rejects_* compile-fail entries —
+#      so none needs a pass);
 #  10. style lint: clang-format / clang-tidy, gating when installed
 #      and skipped with a notice otherwise (they are configs-first:
 #      the repo must stay clean under gcc -Werror regardless).

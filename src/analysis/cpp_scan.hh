@@ -1,9 +1,7 @@
 /**
  * @file
- * Lightweight structural scanning over token streams: token tests and
- * brace matching. This is NOT a C++ parser — it is the minimal
- * brace-matched view the passes need, tuned to this repository's code
- * style (clang-format enforced, no preprocessor tricks around braces).
+ * Token tests over token streams. This is NOT a C++ parser — it is the
+ * minimal view the per-file passes need.
  */
 
 #ifndef VIC_ANALYSIS_CPP_SCAN_HH
@@ -28,10 +26,6 @@ bool isIdent(const std::vector<Token> &toks, std::size_t i,
 /** Index of the next non-comment token at or after @p i (or
  *  toks.size()). */
 std::size_t skipComments(const std::vector<Token> &toks, std::size_t i);
-
-/** Given @p i at an opening '(' / '{' / '[', index of its matching
- *  closer; toks.size() when unbalanced. Comments are transparent. */
-std::size_t matchForward(const std::vector<Token> &toks, std::size_t i);
 
 } // namespace vic::analysis
 

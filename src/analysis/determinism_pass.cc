@@ -1,7 +1,6 @@
 /**
  * @file
- * Pass 1: determinism — the token-aware successor of the old
- * grep-based tools/lint_determinism.sh.
+ * Pass 1: determinism — a token-aware ban on nondeterministic sources.
  *
  * The simulator, benches and analyzers must be bit-reproducible: same
  * inputs, same artifacts, across runs, machines and --jobs settings
@@ -11,10 +10,10 @@
  * streams, so only the repo's own SplitMix64/xoshiro generators
  * (src/common/random.hh) are sanctioned.
  *
- * Being token-aware fixes both failure modes of the grep lint: a
- * banned name inside a comment or string literal is no longer a
- * false positive, and `time(` at the start of a line (which the
- * `[^a-zA-Z_]time\(` regex could not see) is no longer a miss.
+ * Being token-aware avoids both failure modes of a grep lint: a
+ * banned name inside a comment or string literal is not a false
+ * positive, and `time(` at the start of a line (which a
+ * `[^a-zA-Z_]time\(` regex cannot see) is not a miss.
  *
  * std::chrono::steady_clock stays legal: it measures elapsed host
  * time for progress/throughput reporting and never feeds simulated
@@ -116,10 +115,10 @@ class DeterminismPass : public Pass
         };
     }
 
-    void run(const PassContext &ctx, Sink &sink,
-             PassStats &) const override
+    void run(const std::vector<SourceFile> &files,
+             Sink &sink) const override
     {
-        for (const SourceFile &f : ctx.files) {
+        for (const SourceFile &f : files) {
             scanBans(f, sink);
             if (startsWith(f.path, "src/mc/") ||
                 startsWith(f.path, "src/mmu/") ||

@@ -87,10 +87,10 @@ class LayeringPass : public Pass
         };
     }
 
-    void run(const PassContext &ctx, Sink &sink,
-             PassStats &) const override
+    void run(const std::vector<SourceFile> &files,
+             Sink &sink) const override
     {
-        for (const SourceFile &f : ctx.files) {
+        for (const SourceFile &f : files) {
             if (f.path.rfind("src/", 0) != 0)
                 continue;
             const std::string from = dirOf(f.path);

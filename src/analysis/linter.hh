@@ -1,14 +1,13 @@
 /**
  * @file
  * Top-level orchestration: discover the tree, run the selected
- * passes, apply suppressions, render the report.
+ * passes, render the report.
  *
  * One Linter run is one LintReport — the in-memory form of the
- * LINT_report.json artifact (schema "vic-lint-report-v2"). The JSON
+ * LINT_report.json artifact (schema "vic-lint-report-v3"). The JSON
  * is built with the repo's insertion-ordered JsonValue, so a report
  * is byte-identical across runs on the same tree, like every other
- * vic artifact. Its "pass_stats" carry each pass's effort counters:
- * functions analyzed, summaries computed, fixpoint iterations.
+ * vic artifact.
  */
 
 #ifndef VIC_ANALYSIS_LINTER_HH
@@ -24,13 +23,6 @@
 namespace vic::analysis
 {
 
-/** One pass's effort counters, as recorded in "pass_stats". */
-struct PassRunStats
-{
-    std::string pass;
-    PassStats stats;
-};
-
 /** One active rule (id + summary), kept for the SARIF driver. */
 struct ActiveRule
 {
@@ -44,17 +36,12 @@ struct LintReport
     std::vector<std::string> passesRun;
     std::size_t filesScanned = 0;
     std::vector<Diagnostic> diagnostics;
-    /** Every allow() marker found, used or not. */
-    std::vector<Suppression> suppressions;
-    /** Per-pass effort counters, in run order. */
-    std::vector<PassRunStats> passStats;
-    /** Rules of the selected passes plus the suppression-hygiene
-     *  rules, in registration order. */
+    /** Rules of the selected passes, in registration order. */
     std::vector<ActiveRule> activeRules;
 
     bool clean() const { return diagnostics.empty(); }
 
-    /** The "vic-lint-report-v2" document. */
+    /** The "vic-lint-report-v3" document. */
     JsonValue toJson() const;
 
     /** One "file:line:col: rule: message" line per diagnostic. */
@@ -67,11 +54,6 @@ struct LintReport
  */
 LintReport runLint(const std::string &root,
                    const std::vector<std::string> &pass_names);
-
-/** Run passes over an already-loaded file set (for tests). */
-LintReport runLintOnFiles(const std::string &root,
-                          std::vector<SourceFile> files,
-                          const std::vector<std::string> &pass_names);
 
 } // namespace vic::analysis
 

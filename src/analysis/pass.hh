@@ -2,16 +2,15 @@
  * @file
  * The per-file pass framework.
  *
- * A Pass owns a family of rule ids, scans the discovered files and
- * reports diagnostics into the shared Sink (which applies inline
- * suppressions). Passes are stateless between runs and must be
- * deterministic: same tree in, byte-identical diagnostics out.
+ * A Pass owns a family of rule ids, scans the discovered files one at
+ * a time and reports diagnostics into the shared Sink. Passes are
+ * stateless between runs and must be deterministic: same tree in,
+ * byte-identical diagnostics out.
  */
 
 #ifndef VIC_ANALYSIS_PASS_HH
 #define VIC_ANALYSIS_PASS_HH
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,21 +27,6 @@ struct RuleInfo
     const char *summary;
 };
 
-/** Wall-independent effort counters one pass reports into the v2
- *  report ("pass_stats"); zero for the purely per-file passes. */
-struct PassStats
-{
-    std::uint64_t functionsAnalyzed = 0;
-    std::uint64_t summariesComputed = 0;
-    std::uint64_t fixpointIterations = 0;
-};
-
-struct PassContext
-{
-    std::string root;
-    const std::vector<SourceFile> &files;
-};
-
 class Pass
 {
   public:
@@ -50,13 +34,12 @@ class Pass
     virtual const char *name() const = 0;
     virtual const char *summary() const = 0;
     virtual std::vector<RuleInfo> rules() const = 0;
-    virtual void run(const PassContext &ctx, Sink &sink,
-                     PassStats &stats) const = 0;
+    virtual void run(const std::vector<SourceFile> &files,
+                     Sink &sink) const = 0;
 };
 
 // Factories, one per pass (definitions live with each pass).
 std::unique_ptr<Pass> makeDeterminismPass();
-std::unique_ptr<Pass> makeAddrKindPass();
 std::unique_ptr<Pass> makeLayeringPass();
 
 /** All passes in their canonical run order. */

@@ -40,9 +40,6 @@ struct Token
     std::string text;
     std::uint32_t line = 1;  ///< 1-based
     std::uint32_t col = 1;   ///< 1-based byte column
-    /** First token on its source line (suppression placement and the
-     *  #include detector care). */
-    bool firstOnLine = false;
 };
 
 /** Lex @p text. Never fails: unrecognised bytes become Punct. */

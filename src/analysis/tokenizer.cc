@@ -58,14 +58,13 @@ class Lexer
     }
 
     void emit(TokKind kind, std::size_t begin, std::uint32_t at_line,
-              std::uint32_t at_col, bool first)
+              std::uint32_t at_col)
     {
         Token t;
         t.kind = kind;
         t.text = text.substr(begin, pos - begin);
         t.line = at_line;
         t.col = at_col;
-        t.firstOnLine = first;
         out.push_back(std::move(t));
     }
 
@@ -95,7 +94,7 @@ class Lexer
         if (c == '/' && peek() == '/') {
             while (pos < text.size() && cur() != '\n')
                 advance();
-            emit(TokKind::Comment, begin, at_line, at_col, first);
+            emit(TokKind::Comment, begin, at_line, at_col);
             return;
         }
         if (c == '/' && peek() == '*') {
@@ -108,12 +107,12 @@ class Lexer
                 advance();
                 advance();
             }
-            emit(TokKind::Comment, begin, at_line, at_col, first);
+            emit(TokKind::Comment, begin, at_line, at_col);
             return;
         }
         if (c == '"' || (c == 'R' && peek() == '"')) {
             lexString();
-            emit(TokKind::String, begin, at_line, at_col, first);
+            emit(TokKind::String, begin, at_line, at_col);
             return;
         }
         if (c == '\'') {
@@ -126,13 +125,13 @@ class Lexer
             }
             if (pos < text.size())
                 advance();
-            emit(TokKind::CharLit, begin, at_line, at_col, first);
+            emit(TokKind::CharLit, begin, at_line, at_col);
             return;
         }
         if (identStart(c)) {
             while (pos < text.size() && identCont(cur()))
                 advance();
-            emit(TokKind::Ident, begin, at_line, at_col, first);
+            emit(TokKind::Ident, begin, at_line, at_col);
             return;
         }
         if (std::isdigit(static_cast<unsigned char>(c)) ||
@@ -147,24 +146,24 @@ class Lexer
                      (text[pos - 1] == 'e' || text[pos - 1] == 'E' ||
                       text[pos - 1] == 'p' || text[pos - 1] == 'P'))))
                 advance();
-            emit(TokKind::Number, begin, at_line, at_col, first);
+            emit(TokKind::Number, begin, at_line, at_col);
             return;
         }
         if (c == '#' && first) {
             if (lexInclude(begin, at_line, at_col))
                 return;
             advance();
-            emit(TokKind::Punct, begin, at_line, at_col, first);
+            emit(TokKind::Punct, begin, at_line, at_col);
             return;
         }
         if (c == ':' && peek() == ':') {
             advance();
             advance();
-            emit(TokKind::Punct, begin, at_line, at_col, first);
+            emit(TokKind::Punct, begin, at_line, at_col);
             return;
         }
         advance();
-        emit(TokKind::Punct, begin, at_line, at_col, first);
+        emit(TokKind::Punct, begin, at_line, at_col);
     }
 
     void lexString()
@@ -229,7 +228,6 @@ class Lexer
         t.text = text.substr(p, q - p + 1);
         t.line = at_line;
         t.col = at_col;
-        t.firstOnLine = true;
         out.push_back(std::move(t));
         while (pos <= q)
             advance();

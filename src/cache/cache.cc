@@ -120,7 +120,7 @@ Cache::selfSnoopSynonyms(std::uint32_t keep_id, PhysAddr pa_line)
 void
 Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
 {
-    PhysAddr base(geo.lineBase(pa.value));
+    const PhysAddr base = geo.lineBase(pa);
     // Coherence actions first, so peer (and synonym) write-backs land
     // in memory before this fill reads it.
     bool shared = false;
@@ -192,7 +192,7 @@ Cache::writeSlow(std::uint32_t set, int way, PhysAddr pa,
         id = lineId(set, static_cast<std::uint32_t>(way));
         // A Shared hit must win exclusive ownership before writing.
         if (bus != nullptr && lineState[id] == MesiState::Shared)
-            bus->busUpgrade(this, PhysAddr(geo.lineBase(pa.value)));
+            bus->busUpgrade(this, geo.lineBase(pa));
     }
     lineUse[id] = ++useTick;
     lineState[id] = MesiState::Modified;
@@ -218,7 +218,7 @@ Cache::chargeLineOps(bool write_back, bool present, std::uint32_t n)
 bool
 Cache::removeLine(VirtAddr va, PhysAddr pa, bool write_back)
 {
-    const std::uint32_t set = geo.setIndex(indexBits(va, pa));
+    const std::uint32_t set = geo.setIndex(va, pa);
     const int way = findWay(set, pa);
     const bool present = way >= 0;
     chargeLineOps(write_back, present, 1);
@@ -369,7 +369,7 @@ Cache::Probe
 Cache::probe(VirtAddr va, PhysAddr pa) const
 {
     Probe p;
-    const std::uint32_t set = geo.setIndex(indexBits(va, pa));
+    const std::uint32_t set = geo.setIndex(va, pa);
     const int way = findWay(set, pa);
     if (way < 0)
         return p;

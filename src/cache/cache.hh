@@ -140,7 +140,7 @@ class Cache
     read(VirtAddr va, PhysAddr pa)
     {
         checkAligned(va, pa);
-        const std::uint32_t set = geo.setIndex(indexBits(va, pa));
+        const std::uint32_t set = geo.setIndex(va, pa);
         const int way = findWay(set, pa);
         if (way < 0) [[unlikely]]
             return readMiss(set, pa);
@@ -161,7 +161,7 @@ class Cache
     write(VirtAddr va, PhysAddr pa, std::uint32_t value)
     {
         checkAligned(va, pa);
-        const std::uint32_t set = geo.setIndex(indexBits(va, pa));
+        const std::uint32_t set = geo.setIndex(va, pa);
         const int way = findWay(set, pa);
         if (way < 0 || policy != WritePolicy::WriteBack ||
             lineState[lineId(set, static_cast<std::uint32_t>(way))] ==
@@ -344,11 +344,6 @@ class Cache
     Counter *statSynonymSnoops = nullptr;      ///< by enableSelfSnoop
     Counter *statSynonymSnoopCycles = nullptr; ///< by enableSelfSnoop
 
-    std::uint64_t
-    indexBits(VirtAddr va, PhysAddr pa) const
-    {
-        return geo.indexing() == Indexing::Virtual ? va.value : pa.value;
-    }
     std::uint32_t lineId(std::uint32_t set, std::uint32_t way) const
     { return set * geo.associativity() + way; }
     /** Physical line number of @p pa: the tag and the index key. */
@@ -408,7 +403,7 @@ class Cache
     std::uint32_t
     runLine(VirtAddr va, PhysAddr pa, std::uint32_t n)
     {
-        const std::uint32_t set = geo.setIndex(indexBits(va, pa));
+        const std::uint32_t set = geo.setIndex(va, pa);
         const int way = findWay(set, pa);
         vic_assert(way >= 0, "%s: line run on an absent line",
                    cacheName.c_str());

@@ -73,16 +73,16 @@ class CacheGeometry
      *  since only the page-offset bits of the index are known). */
     std::uint32_t spanColours() const { return spanCols; }
 
-    /** Cache set selected by address bits @p addr_bits (virtual or
-     *  physical value depending on indexing; the caller passes the
-     *  right one via Cache). Inline: this runs once per simulated
-     *  access on the pipeline fast path. */
+    /** Cache set of the access (@p va -> @p pa): the set bits come
+     *  from @p va under virtual indexing and from @p pa under physical
+     *  indexing. Inline: this runs once per simulated access on the
+     *  pipeline fast path. */
     std::uint32_t
-    // vic-lint: allow(addr-kind-mixed): the paper's virtually-vs-physically-indexed split IS this channel — Cache::indexBits picks va or pa bits by Indexing, so this parameter is polymorphic by design
-    setIndex(std::uint64_t addr_bits) const
+    setIndex(VirtAddr va, PhysAddr pa) const
     {
-        return static_cast<std::uint32_t>((addr_bits >> shift) &
-                                          (sets - 1));
+        const std::uint64_t bits =
+            index == Indexing::Virtual ? va.value.bits : pa.value.bits;
+        return static_cast<std::uint32_t>((bits >> shift) & (sets - 1));
     }
 
     /** Cache page (colour) of the virtual page containing @p va. For a
@@ -97,24 +97,13 @@ class CacheGeometry
                                         (colours - 1));
     }
 
-    /** Colour of a physical page under physical indexing (used for DMA
-     *  and flush iteration). */
-    CachePageId
-    colourOfPhys(PhysAddr pa) const
-    {
-        if (colours == 1)
-            return 0;
-        return static_cast<CachePageId>((pa.value / page) &
-                                        (colours - 1));
-    }
-
     /** @return true iff @p a and @p b align in the cache. */
     bool aligned(VirtAddr a, VirtAddr b) const
     { return colourOf(a) == colourOf(b); }
 
-    /** First byte of the line containing @p addr_bits. */
-    std::uint64_t lineBase(std::uint64_t addr_bits) const
-    { return addr_bits & ~std::uint64_t(line - 1); }
+    /** First byte of the line containing @p pa. */
+    PhysAddr lineBase(PhysAddr pa) const
+    { return PhysAddr(pa.value & ~std::uint64_t(line - 1)); }
 
   private:
     std::uint64_t bytes;

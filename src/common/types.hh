@@ -5,9 +5,14 @@
  * Virtual and physical addresses are distinct wrapper types so that the
  * compiler rejects the classic cache-simulator bug of indexing a
  * virtually indexed cache with a physical address (or tagging it with a
- * virtual one). Both wrap a 64-bit value; arithmetic helpers are spelled
- * out explicitly rather than via operator overloads so call sites stay
- * greppable.
+ * virtual one). Both wrap 64 bits whose raw form, `.value`, still
+ * carries its kind (AddrBits<VirtTag> or AddrBits<PhysTag>): it reads
+ * as a plain integer, but the other wrapper refuses it, so
+ * `PhysAddr{va.value}` does not compile while a translation such as
+ * `PhysAddr(frame_base + (va.value & mask))` does — arithmetic yields
+ * a plain integer. Bits carried through a named raw integer are not
+ * caught. Arithmetic helpers are spelled out explicitly rather than
+ * via operator overloads so call sites stay greppable.
  */
 
 #ifndef VIC_COMMON_TYPES_HH
@@ -34,13 +39,28 @@ using CachePageId = std::uint32_t;
 /** Identifier of a physical page frame. */
 using FrameId = std::uint64_t;
 
+struct VirtTag;
+struct PhysTag;
+
+/** The raw bits of an address of kind @p Kind: reads as a plain
+ *  integer, but only the wrapper of the same kind accepts it back. */
+template <typename Kind>
+struct AddrBits
+{
+    std::uint64_t bits = 0;
+
+    constexpr auto operator<=>(const AddrBits &) const = default;
+    constexpr operator std::uint64_t() const { return bits; }
+};
+
 /** A virtual address within some address space. */
 struct VirtAddr
 {
-    std::uint64_t value = 0;
+    AddrBits<VirtTag> value;
 
     constexpr VirtAddr() = default;
-    constexpr explicit VirtAddr(std::uint64_t v) : value(v) {}
+    constexpr explicit VirtAddr(std::uint64_t v) : value{v} {}
+    explicit VirtAddr(AddrBits<PhysTag>) = delete;
 
     constexpr auto operator<=>(const VirtAddr &) const = default;
 
@@ -52,10 +72,11 @@ struct VirtAddr
 /** A physical (machine) address. */
 struct PhysAddr
 {
-    std::uint64_t value = 0;
+    AddrBits<PhysTag> value;
 
     constexpr PhysAddr() = default;
-    constexpr explicit PhysAddr(std::uint64_t v) : value(v) {}
+    constexpr explicit PhysAddr(std::uint64_t v) : value{v} {}
+    explicit PhysAddr(AddrBits<VirtTag>) = delete;
 
     constexpr auto operator<=>(const PhysAddr &) const = default;
 

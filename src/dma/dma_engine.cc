@@ -189,15 +189,15 @@ DmaEngine::executeBeat(std::size_t index)
     // moves. A DMA-write kills cached copies so later CPU reads miss
     // and fetch the new data; a DMA-read pulls dirty data out first.
     const PhysAddr first = t.pa.plus(std::uint64_t(t.done) * 4);
-    const std::uint64_t end = first.value + std::uint64_t(words) * 4;
+    const PhysAddr end = first.plus(std::uint64_t(words) * 4);
     for (Cache *c : snooped) {
         const CacheGeometry &g = c->geometry();
-        for (std::uint64_t line = g.lineBase(first.value); line < end;
-             line += g.lineBytes()) {
+        for (PhysAddr line = g.lineBase(first); line < end;
+             line = line.plus(g.lineBytes())) {
             if (t.deviceWrites)
-                c->snoopInvalidateLine(PhysAddr(line));
+                c->snoopInvalidateLine(line);
             else
-                c->snoopWriteBackLine(PhysAddr(line));
+                c->snoopWriteBackLine(line);
         }
     }
 

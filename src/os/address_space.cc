@@ -24,11 +24,11 @@ Region::pageIndexOf(VirtAddr va, std::uint32_t page_bytes) const
 
 AddressSpace::AddressSpace(SpaceId space_id, std::uint32_t page_bytes,
                            std::uint32_t num_colours,
-                           std::uint64_t dynamic_base)
+                           VirtAddr dynamic_base)
     : spaceId(space_id), pageBytes(page_bytes), colours(num_colours),
-      bump(dynamic_base)
+      bump(dynamic_base.value)
 {
-    vic_assert(dynamic_base % page_bytes == 0,
+    vic_assert(bump % page_bytes == 0,
                "dynamic base not page aligned");
 }
 

@@ -56,7 +56,7 @@ class AddressSpace
      * @param dynamic_base start of the kernel-chosen allocation area
      */
     AddressSpace(SpaceId space_id, std::uint32_t page_bytes,
-                 std::uint32_t num_colours, std::uint64_t dynamic_base);
+                 std::uint32_t num_colours, VirtAddr dynamic_base);
 
     SpaceId id() const { return spaceId; }
 

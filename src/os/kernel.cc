@@ -47,7 +47,7 @@ Kernel::Kernel(Machine &m, const PolicyConfig &policy,
     serverAs = std::make_unique<AddressSpace>(
         OsParams::serverSpace, mach.pageBytes(),
         mach.dcache().geometry().numColours(),
-        osParams.serverDynamicBase);
+        VirtAddr(osParams.serverDynamicBase));
 
     for (FrameId f = 0; f < mach.params().numFrames; ++f)
         framePool.free(f, std::nullopt);
@@ -131,7 +131,7 @@ Kernel::createTask()
     t.cpu = id % mach.numCpus();
     t.as = std::make_unique<AddressSpace>(
         t.space, mach.pageBytes(), mach.dcache().geometry().numColours(),
-        osParams.taskDynamicBase);
+        VirtAddr(osParams.taskDynamicBase));
     t.live = true;
 
     // The Unix-server shared syscall pages: one object aliased into

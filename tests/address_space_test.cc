@@ -16,7 +16,7 @@ constexpr std::uint64_t dynBase = 0x8000'0000;
 class AddressSpaceTest : public ::testing::Test
 {
   protected:
-    AddressSpace as{3, pageBytes, colours, dynBase};
+    AddressSpace as{3, pageBytes, colours, VirtAddr(dynBase)};
 
     std::shared_ptr<VmObject>
     obj(std::uint64_t pages)

@@ -1,6 +1,8 @@
 /** @file Unit tests for cache geometry: index math, colours,
  *  alignment. */
 
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "cache/cache_geometry.hh"
@@ -47,17 +49,35 @@ TEST(CacheGeometryTest, AlignmentPredicate)
     // The paper's first hardware requirement: page alignment implies
     // alignment of every offset within the page.
     for (std::uint32_t off = 0; off < 4096; off += 32) {
-        EXPECT_EQ(g.setIndex(4096 + off),
-                  g.setIndex(4096 + 16 * 4096 + off));
+        const PhysAddr pa(7 * 4096 + off);
+        EXPECT_EQ(g.setIndex(VirtAddr(4096 + off), pa),
+                  g.setIndex(VirtAddr(4096 + 16 * 4096 + off), pa));
     }
 }
 
 TEST(CacheGeometryTest, SetIndexWrapsAtSpan)
 {
     CacheGeometry g = vipt64k();
-    EXPECT_EQ(g.setIndex(0), 0u);
-    EXPECT_EQ(g.setIndex(32), 1u);
-    EXPECT_EQ(g.setIndex(64 * 1024), 0u);
+    const PhysAddr pa(0x3000);
+    EXPECT_EQ(g.setIndex(VirtAddr(0), pa), 0u);
+    EXPECT_EQ(g.setIndex(VirtAddr(32), pa), 1u);
+    EXPECT_EQ(g.setIndex(VirtAddr(64 * 1024), pa), 0u);
+}
+
+TEST(CacheGeometryTest, VirtualIndexIgnoresPhysicalAddress)
+{
+    CacheGeometry g = vipt64k();
+    const VirtAddr va(0x5a40);
+    EXPECT_EQ(g.setIndex(va, PhysAddr(0)), 0x5a40u >> 5);
+    EXPECT_EQ(g.setIndex(va, PhysAddr(0x9e7c0)), 0x5a40u >> 5);
+}
+
+TEST(CacheGeometryTest, PhysicalIndexIgnoresVirtualAddress)
+{
+    CacheGeometry g(64 * 1024, 32, 4096, 1, Indexing::Physical);
+    const PhysAddr pa(0x2340);
+    EXPECT_EQ(g.setIndex(VirtAddr(0), pa), 0x2340u >> 5);
+    EXPECT_EQ(g.setIndex(VirtAddr(0x9e7c0), pa), 0x2340u >> 5);
 }
 
 TEST(CacheGeometryTest, PhysicalIndexingHasOneColour)
@@ -88,15 +108,10 @@ TEST(CacheGeometryTest, SetSpanEqualPageMeansOneColour)
 TEST(CacheGeometryTest, LineBaseMasksOffset)
 {
     CacheGeometry g = vipt64k();
-    EXPECT_EQ(g.lineBase(0x1234), 0x1220u);
-    EXPECT_EQ(g.lineBase(0x1220), 0x1220u);
-}
-
-TEST(CacheGeometryTest, ColourOfPhys)
-{
-    CacheGeometry g = vipt64k();
-    EXPECT_EQ(g.colourOfPhys(PhysAddr(4096)), 1u);
-    EXPECT_EQ(g.colourOfPhys(PhysAddr(17 * 4096)), 1u);
+    static_assert(std::is_same_v<decltype(g.lineBase(PhysAddr())),
+                                 PhysAddr>);
+    EXPECT_EQ(g.lineBase(PhysAddr(0x1234)), PhysAddr(0x1220));
+    EXPECT_EQ(g.lineBase(PhysAddr(0x1220)), PhysAddr(0x1220));
 }
 
 TEST(CacheGeometryDeathTest, RejectsBadGeometry)

@@ -146,11 +146,13 @@ TEST_P(CachePropertyTest, GeometryInvariants)
     if (geo.indexing() == Indexing::Physical) {
         EXPECT_EQ(geo.numColours(), 1u);
     }
-    // Alignment is an equivalence relation respecting page offsets.
+    // Alignment is an equivalence relation respecting page offsets:
+    // two aligned aliases of one physical word share its set.
     const VirtAddr a(3 * pageBytes), b(19 * pageBytes);
+    const PhysAddr pa(7 * pageBytes + 96);
     if (geo.aligned(a, b)) {
-        EXPECT_EQ(geo.setIndex(a.value + 100 - 100 % 4),
-                  geo.setIndex(b.value + 100 - 100 % 4));
+        EXPECT_EQ(geo.setIndex(a.plus(96), pa),
+                  geo.setIndex(b.plus(96), pa));
     }
 }
 

@@ -5,10 +5,10 @@
  *   vic_lint [--root DIR] [--pass NAME]... [--json FILE]
  *            [--sarif FILE] [--list-rules]
  *
- * Runs the three invariant passes (determinism, addr-kind, layering)
- * over the tree at --root (default: the current directory), prints one
+ * Runs the two invariant passes (determinism, layering) over the tree
+ * at --root (default: the current directory), prints one
  * "file:line:col: rule: message" line per diagnostic, and optionally
- * writes the deterministic "vic-lint-report-v2" JSON artifact and/or
+ * writes the deterministic "vic-lint-report-v3" JSON artifact and/or
  * a SARIF 2.1.0 document for CI annotators.
  *
  * Exit status: 0 clean, 1 diagnostics found, 2 usage/IO error.
@@ -51,12 +51,6 @@ listRules()
         for (const vic::analysis::RuleInfo &r : pass->rules())
             std::printf("  %-20s %s\n", r.id, r.summary);
     }
-    std::printf("(always on)\n");
-    std::printf("  %-20s %s\n",
-                vic::analysis::kRuleSuppressUndocumented,
-                "a vic-lint: allow() without a reason");
-    std::printf("  %-20s %s\n", vic::analysis::kRuleSuppressUnused,
-                "a vic-lint: allow() that silences nothing");
     return 0;
 }
 
@@ -160,13 +154,10 @@ main(int argc, char **argv)
         out << vic::analysis::sarifReport(report).dump(2) << '\n';
     }
 
-    std::size_t used = 0;
-    for (const auto &s : report.suppressions)
-        used += s.used ? 1 : 0;
     std::fprintf(stderr,
                  "vic_lint: %zu file(s), %zu pass(es), %zu "
-                 "diagnostic(s), %zu suppression(s) in use\n",
+                 "diagnostic(s)\n",
                  report.filesScanned, report.passesRun.size(),
-                 report.diagnostics.size(), used);
+                 report.diagnostics.size());
     return report.clean() ? 0 : 1;
 }
