@@ -42,13 +42,17 @@
 #      at its calibrated size, so every shape check gates (smoke
 #      makes the calibrated ones advisory), and archives the artifact
 #      (BENCH_full.json);
-#   7. perf smoke: vic_bench rebuilt at Release (-O2), its smoke and
+#   7. perf smoke: vic_bench rebuilt at Release (-O3), its smoke and
 #      full-scale artifacts asserted equivalent to the default
 #      build's (the pipeline's functional behaviour, inline hit paths
 #      and line runs included, must not depend on the optimisation
-#      level), then perfbench/selftest.py builds and runs the
-#      repository benchmark once and checks its output (host
-#      throughput is measured there, not by vic_bench);
+#      level); the lockstep tests (tlb_lockstep_test,
+#      cache_index_test, range_lockstep_test) rebuilt and run at
+#      Release too, since their fast paths' countr_zero walks and word
+#      loops are what the optimiser vectorises differently; then
+#      perfbench/selftest.py builds and runs the repository benchmark
+#      once and checks its output (host throughput is measured there,
+#      not by vic_bench);
 #   8. thread sanitizer: the threaded fan-outs (experiment engine
 #      tests + the --jobs 4 smoke sweep, fleet replicas included +
 #      the model checker's exploreMany + the CoherenceBus
@@ -125,9 +129,14 @@ step "full-scale sweep (vic_bench, every shape check gating)"
 ./build/tools/vic_bench --jobs "$JOBS" --json BENCH_full.json
 echo "artifact archived: BENCH_full.json"
 
-step "perf smoke (Release -O2 artifact equivalence, perfbench selftest)"
+step "perf smoke (Release -O3 artifact equivalence, lockstep tests, perfbench selftest)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release -j "$JOBS" --target vic_bench
+cmake --build build-release -j "$JOBS" \
+    --target vic_bench tlb_lockstep_test cache_index_test \
+             range_lockstep_test
+./build-release/tests/tlb_lockstep_test
+./build-release/tests/cache_index_test
+./build-release/tests/range_lockstep_test
 # The artifact must stay equivalent to the default build's sweep.
 ./build-release/tools/vic_bench --smoke --jobs 2 \
     --json BENCH_smoke_release.json

@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <bit>
+
 #include "cache/coherence.hh"
 #include "common/logging.hh"
 
@@ -31,6 +33,7 @@ Cache::Cache(std::string cache_name, const CacheGeometry &geom,
       lineTag(lineCols.column<1>()), lineUse(lineCols.column<2>()),
       data(std::uint64_t(geo.numLines()) * geo.wordsPerLine(), 0),
       copies(memory.sizeBytes() >> geo.lineShift(), 0),
+      resident((copies.size() + 63) / 64, 0),
       statReads(stat_set.counter(cacheName + ".reads")),
       statWrites(stat_set.counter(cacheName + ".writes")),
       statHits(stat_set.counter(cacheName + ".hits")),
@@ -109,7 +112,7 @@ Cache::selfSnoopSynonyms(std::uint32_t keep_id, PhysAddr pa_line)
             if (lineDirty(id))
                 writeBack(id);
             lineState[id] = MesiState::Invalid;
-            --copies[tag];
+            dropCopy(tag);
             ++*statSynonymSnoops;
             *statSynonymSnoopCycles += selfSnoopPenalty;
             clk.advance(selfSnoopPenalty);
@@ -134,11 +137,11 @@ Cache::fill(std::uint32_t line_id, PhysAddr pa, bool for_write)
         selfSnoopSynonyms(line_id, base);
     mem.readWords(base, lineData(line_id), geo.wordsPerLine());
     if (lineValid(line_id))
-        --copies[lineTag[line_id]];
+        dropCopy(lineTag[line_id]);
     lineState[line_id] =
         shared ? MesiState::Shared : MesiState::Exclusive;
     lineTag[line_id] = lineNumber(pa);
-    ++copies[lineTag[line_id]];
+    addCopy(lineTag[line_id]);
     ++statFills;
     clk.advance(costs.missPenalty);
 }
@@ -229,7 +232,7 @@ Cache::removeLine(VirtAddr va, PhysAddr pa, bool write_back)
     if (write_back && lineDirty(id))
         writeBack(id);
     lineState[id] = MesiState::Invalid;
-    --copies[lineTag[id]];
+    dropCopy(lineTag[id]);
     return true;
 }
 
@@ -253,19 +256,34 @@ Cache::removePage(VirtAddr page_va, PhysAddr page_pa, bool write_back)
     // other line is absent at every colour: charge those in one step.
     // Nothing reads the clock in between, so counters and clock end
     // exactly where a per-line loop leaves them.
+    //
+    // The page's lines are consecutive mask bits: whole words when a
+    // page holds 64 lines or more (the page, and so its first line,
+    // is aligned to its size), else a run inside one word.
+    vic_assert((page_pa.value & (geo.pageBytes() - 1)) == 0,
+               "%s: page op on an unaligned page", cacheName.c_str());
     const std::uint64_t first = lineNumber(page_pa);
+    const std::uint32_t lines = geo.linesPerPage();
+    const std::uint64_t page_bits =
+        lines < 64 ? (std::uint64_t(1) << lines) - 1 : ~std::uint64_t(0);
+    std::uint32_t probed = 0;
     std::uint32_t present = 0;
-    std::uint32_t absent = 0;
-    for (std::uint32_t i = 0; i < geo.linesPerPage(); ++i) {
-        if (copies[first + i] == 0) {
-            ++absent;
-            continue;
+    for (std::uint64_t n = first; n < first + lines; n += 64) {
+        // removeLine clears only its own line's bit, so the copy
+        // taken here stays the set of lines left to visit.
+        std::uint64_t bits = (resident[n >> 6] >> (n & 63)) & page_bits;
+        for (; bits != 0; bits &= bits - 1) {
+            const std::uint64_t i =
+                n - first + static_cast<std::uint64_t>(
+                                std::countr_zero(bits));
+            const std::uint64_t off = i << geo.lineShift();
+            ++probed;
+            if (removeLine(page_va.plus(off), page_pa.plus(off),
+                           write_back))
+                ++present;
         }
-        const std::uint64_t off = std::uint64_t(i) << geo.lineShift();
-        if (removeLine(page_va.plus(off), page_pa.plus(off), write_back))
-            ++present;
     }
-    chargeLineOps(write_back, false, absent);
+    chargeLineOps(write_back, false, lines - probed);
     return present;
 }
 
@@ -292,7 +310,7 @@ Cache::snoopInvalidateLine(PhysAddr pa_line)
             const std::uint32_t id = lineId(set, w);
             if (lineValid(id) && lineTag[id] == tag) {
                 lineState[id] = MesiState::Invalid;
-                --copies[tag];
+                dropCopy(tag);
             }
         }
     });
@@ -359,7 +377,7 @@ Cache::snoopBusInvalidate(PhysAddr pa_line)
                 reply.intervened = true;
             }
             lineState[id] = MesiState::Invalid;
-            --copies[tag];
+            dropCopy(tag);
         }
     });
     return reply;

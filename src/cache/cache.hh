@@ -24,6 +24,15 @@
  * become bus transactions that snoop the peer caches, stores to Shared
  * lines upgrade ownership, and the bus calls back into the snoop
  * methods to downgrade or invalidate this cache's copy.
+ *
+ * Host cost follows what an operation touches. A residency index
+ * counts the cache's valid copies of every physical line, with a
+ * bitmask of the nonzero counts beside it: a physical snoop of an
+ * absent line returns at once, and a page flush or purge visits only
+ * the resident lines (set mask bits, taken a word at a time) and
+ * charges every absent line in one step. tests/cache_index_test.cc
+ * checks both against a full probe and the page ops against per-line
+ * loops.
  */
 
 #ifndef VIC_CACHE_CACHE_HH
@@ -284,6 +293,14 @@ class Cache
     std::uint32_t copiesOf(PhysAddr pa) const
     { return copies[lineNumber(pa)]; }
 
+    /** The residency mask's bit for the physical line containing
+     *  @p pa: set iff copiesOf(pa) != 0 (never charges; for tests). */
+    bool residentBit(PhysAddr pa) const
+    {
+        const std::uint64_t n = lineNumber(pa);
+        return (resident[n >> 6] >> (n & 63)) & 1;
+    }
+
   private:
     std::string cacheName;
     CacheGeometry geo;
@@ -325,6 +342,12 @@ class Cache
      * once per candidate set, so a count never exceeds spanColours().
      */
     std::vector<std::uint8_t> copies;
+
+    /** The residency mask: bit n (word n / 64, bit n % 64) is set iff
+     *  copies[n] != 0. A page's lines are consecutive bits, so a page
+     *  flush/purge takes them a word at a time and visits only the set
+     *  bits. copies and resident change only in addCopy/dropCopy. */
+    std::vector<std::uint64_t> resident;
 
     bool selfSnoop = false;
     Cycles selfSnoopPenalty = 0;
@@ -443,6 +466,22 @@ class Cache
      *  colour (reverse-lookup synonym snoop); @p keep_id is the line
      *  being filled. */
     void selfSnoopSynonyms(std::uint32_t keep_id, PhysAddr pa_line);
+
+    /** Count one more valid copy of physical line @p n. */
+    void
+    addCopy(std::uint64_t n)
+    {
+        ++copies[n];
+        resident[n >> 6] |= std::uint64_t(1) << (n & 63);
+    }
+
+    /** Count one valid copy of physical line @p n fewer. */
+    void
+    dropCopy(std::uint64_t n)
+    {
+        if (--copies[n] == 0)
+            resident[n >> 6] &= ~(std::uint64_t(1) << (n & 63));
+    }
 
     /** Shared flush/purge implementation. */
     bool removeLine(VirtAddr va, PhysAddr pa, bool write_back);

@@ -25,6 +25,7 @@ CacheGeometry::CacheGeometry(std::uint64_t cache_bytes,
         vic_fatal("associativity %u incompatible with geometry", ways);
 
     shift = static_cast<std::uint32_t>(std::countr_zero(line));
+    pageShiftBits = static_cast<std::uint32_t>(std::countr_zero(page));
     lines = static_cast<std::uint32_t>(bytes / line);
     sets = lines / numWays;
     if (!std::has_single_bit(sets))

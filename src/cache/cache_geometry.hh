@@ -87,13 +87,11 @@ class CacheGeometry
 
     /** Cache page (colour) of the virtual page containing @p va. For a
      *  physically indexed cache this is always 0: all virtual pages
-     *  align. */
+     *  align (numColours() is 1, so the mask is 0). */
     CachePageId
     colourOf(VirtAddr va) const
     {
-        if (index == Indexing::Physical || colours == 1)
-            return 0;
-        return static_cast<CachePageId>((va.value / page) &
+        return static_cast<CachePageId>((va.value >> pageShiftBits) &
                                         (colours - 1));
     }
 
@@ -113,6 +111,7 @@ class CacheGeometry
     Indexing index;
 
     std::uint32_t shift;
+    std::uint32_t pageShiftBits; ///< log2(pageBytes()), for colourOf()
     std::uint32_t lines;
     std::uint32_t sets;
     std::uint32_t colours;

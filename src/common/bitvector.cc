@@ -1,101 +1,21 @@
 #include "common/bitvector.hh"
 
-#include <bit>
-
 #include "common/logging.hh"
 
 namespace vic
 {
 
-BitVector::BitVector(std::uint32_t nbits)
-    : numBits(nbits), words((nbits + bitsPerWord - 1) / bitsPerWord, 0)
+void
+BitVector::indexOutOfRange(std::uint32_t idx) const
 {
+    vic_panic("bit index %u out of range (size %u)", idx, numBits);
 }
 
 void
-BitVector::checkIndex(std::uint32_t idx) const
+BitVector::sizeMismatch(const BitVector &other) const
 {
-    vic_assert(idx < numBits, "bit index %u out of range (size %u)",
-               idx, numBits);
-}
-
-bool
-BitVector::test(std::uint32_t idx) const
-{
-    checkIndex(idx);
-    return (words[idx / bitsPerWord] >> (idx % bitsPerWord)) & 1;
-}
-
-void
-BitVector::set(std::uint32_t idx)
-{
-    checkIndex(idx);
-    words[idx / bitsPerWord] |= std::uint64_t(1) << (idx % bitsPerWord);
-}
-
-void
-BitVector::reset(std::uint32_t idx)
-{
-    checkIndex(idx);
-    words[idx / bitsPerWord] &= ~(std::uint64_t(1) << (idx % bitsPerWord));
-}
-
-void
-BitVector::assign(std::uint32_t idx, bool value)
-{
-    if (value)
-        set(idx);
-    else
-        reset(idx);
-}
-
-void
-BitVector::clearAll()
-{
-    for (auto &w : words)
-        w = 0;
-}
-
-void
-BitVector::orWith(const BitVector &other)
-{
-    vic_assert(numBits == other.numBits,
-               "bit vector size mismatch (%u vs %u)", numBits,
-               other.numBits);
-    for (size_t i = 0; i < words.size(); ++i)
-        words[i] |= other.words[i];
-}
-
-bool
-BitVector::any() const
-{
-    for (auto w : words) {
-        if (w)
-            return true;
-    }
-    return false;
-}
-
-std::uint32_t
-BitVector::count() const
-{
-    std::uint32_t n = 0;
-    for (auto w : words)
-        n += static_cast<std::uint32_t>(std::popcount(w));
-    return n;
-}
-
-std::uint32_t
-BitVector::findFirst() const
-{
-    for (size_t i = 0; i < words.size(); ++i) {
-        if (words[i]) {
-            return static_cast<std::uint32_t>(
-                i * bitsPerWord +
-                static_cast<std::uint32_t>(std::countr_zero(words[i])));
-        }
-    }
-    return numBits;
+    vic_panic("bit vector size mismatch (%u vs %u)", numBits,
+              other.numBits);
 }
 
 std::uint32_t

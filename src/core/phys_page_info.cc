@@ -39,9 +39,13 @@ CacheStateVector::dirtyColour() const
 void
 CacheStateVector::checkInvariants() const
 {
-    for (std::uint32_t c = 0; c < mapped.size(); ++c) {
-        vic_assert(!(mapped.test(c) && stale.test(c)),
-                   "colour %u both mapped and stale", c);
+    // One word operation per 64 colours; the per-colour loop runs only
+    // to name the colour in the panic.
+    if (mapped.intersects(stale)) [[unlikely]] {
+        for (std::uint32_t c = 0; c < mapped.size(); ++c) {
+            vic_assert(!(mapped.test(c) && stale.test(c)),
+                       "colour %u both mapped and stale", c);
+        }
     }
     if (cacheDirty) {
         vic_assert(mapped.count() == 1,

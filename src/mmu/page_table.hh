@@ -96,6 +96,22 @@ class PageTable
      */
     std::uint64_t walkCount() const { return walks; }
 
+    /** Fixed multiplicative mix (splitmix64 finaliser) of a canonical
+     *  (page-aligned) key — host-independent by construction. The
+     *  TLB's page -> slot index hashes with it too. */
+    static std::uint64_t
+    mix(SpaceVa key)
+    {
+        std::uint64_t x =
+            (std::uint64_t(key.space) << 48) ^ key.va.value;
+        x ^= x >> 30;
+        x *= 0xbf58476d1ce4e5b9ULL;
+        x ^= x >> 27;
+        x *= 0x94d049bb133111ebULL;
+        x ^= x >> 31;
+        return x;
+    }
+
   private:
     struct Node
     {
@@ -112,21 +128,6 @@ class PageTable
 
     SpaceVa canonical(SpaceVa key) const
     { return SpaceVa(key.space, pageBase(key.va)); }
-
-    /** Fixed multiplicative mix (splitmix64 finaliser) of the
-     *  canonical key — host-independent by construction. */
-    static std::uint64_t
-    mix(SpaceVa key)
-    {
-        std::uint64_t x =
-            (std::uint64_t(key.space) << 48) ^ key.va.value;
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebULL;
-        x ^= x >> 31;
-        return x;
-    }
 
     std::size_t bucketOf(SpaceVa key) const
     { return mix(key) & (buckets.size() - 1); }

@@ -1,5 +1,8 @@
 #include "tlb/tlb.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace vic
@@ -8,18 +11,21 @@ namespace vic
 Tlb::Tlb(std::uint32_t num_entries, Cycles miss_penalty, PageTable &table,
          CycleClock &clock, Counter &hits, Counter &misses)
     : capacity(num_entries), missPenalty(miss_penalty), pageTable(table),
-      clk(clock), entries(num_entries), statHits(hits), statMisses(misses)
+      clk(clock), entries(num_entries), freeSlots((num_entries + 63) / 64),
+      slotIndex(std::bit_ceil(std::uint64_t(num_entries) * 4), kNone),
+      indexMask(static_cast<std::uint32_t>(slotIndex.size() - 1)),
+      statHits(hits), statMisses(misses)
 {
     vic_assert(num_entries > 0, "TLB needs at least one entry");
-    slotIndex.reserve(num_entries * 2);
+    invalidateAll();
 }
 
 PageTableEntry *
 Tlb::translateFull(SpaceVa page)
 {
-    auto it = slotIndex.find(page);
-    if (it != slotIndex.end()) {
-        Entry &e = entries[it->second];
+    const std::uint32_t cell = findCell(page);
+    if (cell != kNone) {
+        Entry &e = entries[slotIndex[cell]];
         e.lastUse = ++useTick;
         ++statHits;
         promote(&e);
@@ -33,38 +39,73 @@ Tlb::translateFull(SpaceVa page)
     ++statMisses;
     clk.advance(missPenalty);
 
-    Entry *victim = nullptr;
-    std::uint64_t oldest = ~std::uint64_t(0);
-    for (auto &e : entries) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < oldest) {
-            oldest = e.lastUse;
-            victim = &e;
-        }
-    }
-    if (victim->valid)
-        slotIndex.erase(victim->page);
-    victim->valid = true;
-    victim->page = page;
-    victim->lastUse = ++useTick;
-    victim->pte = pte;
-    slotIndex.emplace(
-        page, static_cast<std::uint32_t>(victim - entries.data()));
+    const std::uint32_t slot = victimSlot();
+    Entry &victim = entries[slot];
+    if (isFree(slot))
+        freeSlots[slot / 64] &= ~(std::uint64_t(1) << (slot % 64));
+    else
+        indexErase(findCell(victim.page));
+    victim.page = page;
+    victim.lastUse = ++useTick;
+    victim.pte = pte;
+    indexInsert(slot);
     // A victim named by the second pointer becomes the first; the old
     // first moves down, so neither pointer is left on a stale page.
-    promote(victim);
+    promote(&victim);
     return pte;
 }
 
-void
-Tlb::invalidateSlot(Entry &e)
+std::uint32_t
+Tlb::victimSlot() const
 {
-    e.valid = false;
+    for (std::size_t w = 0; w < freeSlots.size(); ++w) {
+        if (freeSlots[w] != 0)
+            return static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(
+                             std::countr_zero(freeSlots[w])));
+    }
+    std::uint32_t victim = 0;
+    for (std::uint32_t s = 1; s < capacity; ++s) {
+        if (entries[s].lastUse < entries[victim].lastUse)
+            victim = s;
+    }
+    return victim;
+}
+
+void
+Tlb::indexInsert(std::uint32_t slot)
+{
+    std::uint32_t cell = homeCell(entries[slot].page);
+    while (slotIndex[cell] != kNone)
+        cell = (cell + 1) & indexMask;
+    slotIndex[cell] = slot;
+}
+
+void
+Tlb::indexErase(std::uint32_t cell)
+{
+    // Walk the rest of the probe run. The slot in cell next moves back
+    // into the hole unless its home lies cyclically in (hole, next]:
+    // then the hole is before its home, where lookups never start.
+    std::uint32_t hole = cell;
+    for (std::uint32_t next = (cell + 1) & indexMask;
+         slotIndex[next] != kNone; next = (next + 1) & indexMask) {
+        const std::uint32_t home = homeCell(entries[slotIndex[next]].page);
+        if (((next - home) & indexMask) >= ((next - hole) & indexMask)) {
+            slotIndex[hole] = slotIndex[next];
+            hole = next;
+        }
+    }
+    slotIndex[hole] = kNone;
+}
+
+void
+Tlb::invalidateSlot(std::uint32_t slot)
+{
+    Entry &e = entries[slot];
+    indexErase(findCell(e.page));
+    freeSlots[slot / 64] |= std::uint64_t(1) << (slot % 64);
     e.pte = nullptr;
-    slotIndex.erase(e.page);
     if (mru == &e)
         mru = nullptr;
     if (mru2 == &e)
@@ -74,29 +115,30 @@ Tlb::invalidateSlot(Entry &e)
 void
 Tlb::invalidatePage(SpaceVa key)
 {
-    const SpaceVa page(key.space, pageTable.pageBase(key.va));
-    auto it = slotIndex.find(page);
-    if (it != slotIndex.end())
-        invalidateSlot(entries[it->second]);
+    const std::uint32_t cell =
+        findCell(SpaceVa(key.space, pageTable.pageBase(key.va)));
+    if (cell != kNone)
+        invalidateSlot(slotIndex[cell]);
 }
 
 void
 Tlb::invalidateSpace(SpaceId space)
 {
-    for (auto &e : entries) {
-        if (e.valid && e.page.space == space)
-            invalidateSlot(e);
+    for (std::uint32_t s = 0; s < capacity; ++s) {
+        if (!isFree(s) && entries[s].page.space == space)
+            invalidateSlot(s);
     }
 }
 
 void
 Tlb::invalidateAll()
 {
-    for (auto &e : entries) {
-        e.valid = false;
+    for (auto &e : entries)
         e.pte = nullptr;
-    }
-    slotIndex.clear();
+    std::fill(slotIndex.begin(), slotIndex.end(), kNone);
+    std::fill(freeSlots.begin(), freeSlots.end(), 0);
+    for (std::uint32_t s = 0; s < capacity; ++s)
+        freeSlots[s / 64] |= std::uint64_t(1) << (s % 64);
     mru = nullptr;
     mru2 = nullptr;
 }
@@ -104,10 +146,10 @@ Tlb::invalidateAll()
 std::uint32_t
 Tlb::validCount() const
 {
-    std::uint32_t n = 0;
-    for (const auto &e : entries)
-        n += e.valid ? 1 : 0;
-    return n;
+    std::uint32_t invalid = 0;
+    for (const std::uint64_t w : freeSlots)
+        invalid += static_cast<std::uint32_t>(std::popcount(w));
+    return capacity - invalid;
 }
 
 } // namespace vic

@@ -25,12 +25,21 @@
  * immediately, preserving the historic read-through behaviour.
  *
  * The hot path checks the two most recently used entries (an MRU
- * pair) before a page -> slot hash index: consecutive accesses to one
+ * pair) before a page -> slot index: consecutive accesses to one
  * page, and loops that alternate between two pages (a page copy),
  * resolve with one or two compares — no hashing, no scan. The pair is
  * a lookup shortcut only: every hit still bumps the hit counter and
  * the entry's LRU tick, so the full-associativity LRU semantics
  * (victim = first invalid slot, else least recent) are unchanged.
+ *
+ * The index is a flat open-addressed table of slot numbers, at least
+ * four cells per entry, probed linearly from the page table's fixed
+ * key mix (PageTable::mix) and kept free of tombstones by
+ * backward-shift deletion. A bitmap of free slots gives a refill the
+ * lowest invalid slot with one countr_zero per 64 slots. Neither
+ * allocates after construction, and both depend only on the sequence
+ * of calls, never on the host.
+ *
  * tests/tlb_lockstep_test.cc runs the TLB beside a linear-scan LRU
  * model. A CPU line run charges its repeated hits on the MRU entry in
  * one repeatHit() call.
@@ -40,7 +49,6 @@
 #define VIC_TLB_TLB_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -128,18 +136,20 @@ class Tlb
      *  accounting (for tests). */
     bool holds(SpaceVa key) const
     {
-        return slotIndex.count(
-                   SpaceVa(key.space, pageTable.pageBase(key.va))) != 0;
+        return findCell(SpaceVa(key.space, pageTable.pageBase(key.va))) !=
+               kNone;
     }
 
   private:
     struct Entry
     {
-        bool valid = false;
         SpaceVa page;
         std::uint64_t lastUse = 0;
         PageTableEntry *pte = nullptr; ///< cached handle (see file doc)
     };
+
+    /** An empty index cell; also "no cell" from findCell(). */
+    static constexpr std::uint32_t kNone = ~std::uint32_t(0);
 
     std::uint32_t capacity;
     Cycles missPenalty;
@@ -149,6 +159,10 @@ class Tlb
     std::vector<Entry> entries;
     std::uint64_t useTick = 0;
 
+    /** Bit s (word s / 64, bit s % 64) is set iff entries[s] is
+     *  invalid; bits past the capacity stay clear. */
+    std::vector<std::uint64_t> freeSlots;
+
     /** The most and second most recently used entries; entries
      *  never reallocates, so the pointers are stable. A non-null
      *  pointer always names a valid entry: every invalidation clears
@@ -157,15 +171,48 @@ class Tlb
     Entry *mru = nullptr;
     Entry *mru2 = nullptr;
 
-    /** page -> slot in entries, maintained alongside entry validity.
-     *  Lookup-only (never iterated), so determinism is unaffected. */
-    std::unordered_map<SpaceVa, std::uint32_t> slotIndex;
+    /** page -> slot: a power-of-two table of slot numbers (kNone =
+     *  empty) holding exactly the valid slots, each at or after its
+     *  page's home cell with no empty cell in between. */
+    std::vector<std::uint32_t> slotIndex;
+    std::uint32_t indexMask;
 
     Counter &statHits;
     Counter &statMisses;
 
     /** Hit-via-index and miss/refill paths (out of line). */
     PageTableEntry *translateFull(SpaceVa page);
+
+    bool isFree(std::uint32_t slot) const
+    { return (freeSlots[slot / 64] >> (slot % 64)) & 1; }
+
+    std::uint32_t homeCell(SpaceVa page) const
+    { return static_cast<std::uint32_t>(PageTable::mix(page)) & indexMask; }
+
+    /** The index cell holding @p page's slot, or kNone. */
+    std::uint32_t
+    findCell(SpaceVa page) const
+    {
+        for (std::uint32_t cell = homeCell(page);;
+             cell = (cell + 1) & indexMask) {
+            const std::uint32_t slot = slotIndex[cell];
+            if (slot == kNone)
+                return kNone;
+            if (entries[slot].page == page)
+                return cell;
+        }
+    }
+
+    /** Enter valid slot @p slot under its page. */
+    void indexInsert(std::uint32_t slot);
+
+    /** Empty index cell @p cell, shifting later cells of its probe run
+     *  back so every lookup still reaches its page. */
+    void indexErase(std::uint32_t cell);
+
+    /** The refill victim: the first invalid slot, else the least
+     *  recently used. */
+    std::uint32_t victimSlot() const;
 
     /** Make @p e the most recently used entry. */
     void
@@ -177,7 +224,7 @@ class Tlb
         }
     }
 
-    void invalidateSlot(Entry &e);
+    void invalidateSlot(std::uint32_t slot);
 };
 
 } // namespace vic

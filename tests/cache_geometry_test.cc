@@ -41,6 +41,29 @@ TEST(CacheGeometryTest, ColourIsPageNumberModuloColours)
     EXPECT_EQ(g.colourOf(VirtAddr(4096 + 4095)), 1u);
 }
 
+TEST(CacheGeometryTest, ColourOfMatchesPageNumberDivision)
+{
+    // colourOf shifts by log2(page); the definition divides.
+    for (const CacheGeometry &g :
+         {vipt64k(),
+          CacheGeometry(256 * 1024, 32, 4096, 1, Indexing::Virtual),
+          CacheGeometry(64 * 1024, 16, 8192, 2, Indexing::Virtual),
+          CacheGeometry(4 * 1024, 32, 4096, 1, Indexing::Virtual),
+          CacheGeometry(64 * 1024, 32, 4096, 1, Indexing::Physical)}) {
+        const std::uint64_t page = g.pageBytes();
+        const std::uint64_t colours = g.numColours();
+        for (std::uint64_t base : {0ull, 0x7ffff0000000ull}) {
+            for (std::uint64_t va = base;
+                 va < base + 4 * g.setSpanBytes() + 2 * page; va += 508) {
+                ASSERT_EQ(g.colourOf(VirtAddr(va)),
+                          (va / page) & (colours - 1))
+                    << "va " << va << " page " << page << " colours "
+                    << colours;
+            }
+        }
+    }
+}
+
 TEST(CacheGeometryTest, AlignmentPredicate)
 {
     CacheGeometry g = vipt64k();

@@ -9,9 +9,12 @@
  * flushes and purges, and all four snoops, with and without synonym
  * self-snooping. After every op the index must equal the number of
  * probe() hits over the line's candidate sets, for every line of
- * memory. A twin cache runs each page op as a loop of line ops, which
+ * memory, and the residency mask's bit must be set iff the count is
+ * nonzero. A twin cache runs each page op as a loop of line ops, which
  * is what the page ops are defined to be: return values, counters and
- * the clock must match the indexed cache's after every op.
+ * the clock must match the indexed cache's after every op. Line sizes
+ * of 16 and 128 bytes put a page's lines in four mask words and in
+ * half of one.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +35,6 @@ namespace
 {
 
 constexpr std::uint32_t kPage = 4096;
-constexpr std::uint32_t kLine = 32;
 constexpr int kSteps = 1500;
 constexpr std::uint64_t kSeed = 0x1dec5;
 
@@ -44,6 +46,7 @@ struct Config
     WritePolicy policy;
     bool uniformOpCost; ///< the 720 I-cache's constant-time line ops
     bool selfSnoop;
+    std::uint32_t lineBytes = 32;
 };
 
 /** One cache with its own memory, clock and counters. */
@@ -52,8 +55,8 @@ struct Rig
     Rig(const Config &cfg, std::uint64_t frames)
         : mem(frames, kPage),
           cache("c",
-                CacheGeometry(cfg.cacheBytes, kLine, kPage, cfg.ways,
-                              cfg.indexing),
+                CacheGeometry(cfg.cacheBytes, cfg.lineBytes, kPage,
+                              cfg.ways, cfg.indexing),
                 CacheCosts{.uniformOpCost = cfg.uniformOpCost},
                 cfg.policy, mem, clk, stats)
     {
@@ -97,6 +100,7 @@ TEST_P(CacheIndexTest, IndexMatchesScanAndPageOpsMatchLineLoops)
     const CacheGeometry &geo = cache.geometry();
     const std::uint32_t span = geo.spanColours();
     const std::uint32_t lines = geo.linesPerPage();
+    const std::uint32_t line_bytes = cfg.lineBytes;
 
     Random rng(kSeed);
     for (int step = 0; step < kSteps; ++step) {
@@ -108,7 +112,8 @@ TEST_P(CacheIndexTest, IndexMatchesScanAndPageOpsMatchLineLoops)
                              : rng.below(span);
         const std::uint64_t line =
             rng.chance(3, 4) ? rng.below(8) : rng.below(lines);
-        const std::uint64_t off = line * kLine + 4 * rng.below(kLine / 4);
+        const std::uint64_t off =
+            line * line_bytes + 4 * rng.below(line_bytes / 4);
         const VirtAddr page_va(colour * kPage);
         const PhysAddr page_pa(frame * kPage);
         const VirtAddr va = page_va.plus(off);
@@ -146,7 +151,7 @@ TEST_P(CacheIndexTest, IndexMatchesScanAndPageOpsMatchLineLoops)
                 ? cache.flushPage(page_va, page_pa)
                 : cache.purgePage(page_va, page_pa);
             std::uint32_t want = 0;
-            for (std::uint32_t o = 0; o < kPage; o += kLine) {
+            for (std::uint32_t o = 0; o < kPage; o += line_bytes) {
                 want += flush
                     ? twin.cache.flushLine(page_va.plus(o),
                                            page_pa.plus(o))
@@ -181,11 +186,15 @@ TEST_P(CacheIndexTest, IndexMatchesScanAndPageOpsMatchLineLoops)
         ASSERT_EQ(rig.clk.now(), twin.clk.now());
         ASSERT_EQ(rig.stats.snapshot(), twin.stats.snapshot());
         for (std::uint64_t n = 0; n < frames * lines; ++n) {
-            const PhysAddr line_pa(n * kLine);
+            const PhysAddr line_pa(n * line_bytes);
             const std::uint32_t copies = cache.copiesOf(line_pa);
             ASSERT_EQ(copies, scanCopies(cache, line_pa))
                 << "pa " << line_pa.value;
             ASSERT_EQ(copies, twin.cache.copiesOf(line_pa))
+                << "pa " << line_pa.value;
+            ASSERT_EQ(cache.residentBit(line_pa), copies != 0)
+                << "pa " << line_pa.value;
+            ASSERT_EQ(twin.cache.residentBit(line_pa), copies != 0)
                 << "pa " << line_pa.value;
         }
     }
@@ -214,13 +223,16 @@ configName(const ::testing::TestParamInfo<Config> &info)
         s += "_uniform";
     if (c.selfSnoop)
         s += "_selfsnoop";
+    if (c.lineBytes != 32)
+        s += "_line" + std::to_string(c.lineBytes);
     return s;
 }
 
 /** The suites' geometries: the Figure-1 D- and I-cache (the I-cache
  *  with uniform op cost), the geometry ablation's sizes, and the
  *  architecture ablation's associativities, physical index and
- *  write-through cache; each with and without synonym self-snoop. */
+ *  write-through cache; plus 16- and 128-byte lines (256 and 32 lines
+ *  per page); each with and without synonym self-snoop. */
 std::vector<Config>
 suiteConfigs()
 {
@@ -240,6 +252,9 @@ suiteConfigs()
                  Config{64 * 1024, 16, V, WB, false, snoop},
                  Config{64 * 1024, 1, P, WB, false, snoop},
                  Config{64 * 1024, 1, V, WT, false, snoop},
+                 Config{64 * 1024, 1, V, WB, false, snoop, 16},
+                 Config{64 * 1024, 1, V, WB, false, snoop, 128},
+                 Config{64 * 1024, 4, V, WB, false, snoop, 128},
              })
             out.push_back(c);
     }
@@ -258,7 +273,7 @@ TEST(CacheIndexDeathTest, RejectsMoreCandidateSetsThanACountHolds)
     CycleClock clk;
     StatSet stats;
     EXPECT_DEATH(Cache("c",
-                       CacheGeometry(1024 * 1024, kLine, kPage, 1,
+                       CacheGeometry(1024 * 1024, 32, kPage, 1,
                                      Indexing::Virtual),
                        CacheCosts{}, WritePolicy::WriteBack, mem, clk,
                        stats),

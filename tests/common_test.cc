@@ -48,15 +48,6 @@ TEST(BitVectorTest, SetResetTest)
     EXPECT_EQ(v.count(), 3u);
 }
 
-TEST(BitVectorTest, AssignWorksBothWays)
-{
-    BitVector v(8);
-    v.assign(3, true);
-    EXPECT_TRUE(v.test(3));
-    v.assign(3, false);
-    EXPECT_FALSE(v.test(3));
-}
-
 TEST(BitVectorTest, FindFirstCrossesWordBoundary)
 {
     BitVector v(130);
@@ -64,6 +55,60 @@ TEST(BitVectorTest, FindFirstCrossesWordBoundary)
     EXPECT_EQ(v.findFirst(), 128u);
     v.set(65);
     EXPECT_EQ(v.findFirst(), 65u);
+    v.set(64);
+    EXPECT_EQ(v.findFirst(), 64u);
+    v.set(63);
+    EXPECT_EQ(v.findFirst(), 63u);
+}
+
+TEST(BitVectorTest, AnyAndCountSeeEveryWord)
+{
+    // 130 bits: two full words and a 2-bit tail.
+    for (std::uint32_t bit : {0u, 63u, 64u, 127u, 128u, 129u}) {
+        BitVector v(130);
+        v.set(bit);
+        EXPECT_TRUE(v.any()) << bit;
+        EXPECT_EQ(v.count(), 1u) << bit;
+    }
+    BitVector v(130);
+    for (std::uint32_t bit : {0u, 63u, 64u, 127u, 128u, 129u})
+        v.set(bit);
+    EXPECT_EQ(v.count(), 6u);
+    v.reset(63);
+    v.reset(128);
+    EXPECT_EQ(v.count(), 4u);
+}
+
+TEST(BitVectorTest, IntersectsComparesEveryWord)
+{
+    BitVector a(130), b(130);
+    EXPECT_FALSE(a.intersects(b));
+    // Disjoint bits on both sides of each word boundary.
+    a.set(63);
+    b.set(64);
+    a.set(128);
+    b.set(127);
+    b.set(129);
+    EXPECT_FALSE(a.intersects(b));
+    EXPECT_FALSE(b.intersects(a));
+    for (std::uint32_t bit : {0u, 63u, 64u, 127u, 128u, 129u}) {
+        BitVector x(130), y(130);
+        x.set(bit);
+        y.set(bit);
+        y.set(bit == 0 ? 1 : bit - 1);
+        EXPECT_TRUE(x.intersects(y)) << bit;
+        EXPECT_TRUE(y.intersects(x)) << bit;
+    }
+}
+
+TEST(BitVectorDeathTest, RejectsOutOfRangeIndexAndSizeMismatch)
+{
+    BitVector v(130);
+    EXPECT_DEATH(v.set(130), "bit index 130 out of range \\(size 130\\)");
+    EXPECT_DEATH((void)v.test(200), "bit index 200 out of range");
+    BitVector w(64);
+    EXPECT_DEATH((void)v.intersects(w), "size mismatch \\(130 vs 64\\)");
+    EXPECT_DEATH(v.orWith(w), "size mismatch");
 }
 
 TEST(BitVectorTest, FindFirstClearSkipsSetBits)

@@ -515,6 +515,18 @@ TEST(Table3Test, MappedAndStaleAreExclusive)
     EXPECT_DEATH(v.decode(0), "mapped and stale");
 }
 
+TEST(Table3Test, InvariantCheckNamesTheColourBothMappedAndStale)
+{
+    // 70 colours: the overlap sits in the second word.
+    CacheStateVector v(70);
+    v.mapped.set(3);
+    v.stale.set(64);
+    v.checkInvariants(); // disjoint: passes
+    v.stale.set(66);
+    v.mapped.set(66);
+    EXPECT_DEATH(v.checkInvariants(), "colour 66 both mapped and stale");
+}
+
 TEST(Table3Test, ClearResetsEverything)
 {
     CacheStateVector v(4);

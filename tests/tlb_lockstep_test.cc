@@ -3,8 +3,9 @@
  * The TLB against a naive model, in lockstep.
  *
  * Tlb answers most translations from its MRU pair, the rest from a
- * page -> slot hash index, and charges a CPU line run's repeated hits
- * in one repeatHit() call. Its specification is much simpler: a fully
+ * flat open-addressed page -> slot index, takes a refill's free slot
+ * from a bitmap, and charges a CPU line run's repeated hits in one
+ * repeatHit() call. Its specification is much simpler: a fully
  * associative TLB with LRU replacement that finds a page by scanning
  * every slot. Seeded op streams drive both over one page table —
  * translations (often alternating between two pages, as a page copy
@@ -12,11 +13,15 @@
  * and removes, each remove shooting the page down before erasing it.
  * After every op the returned entry, the hit and miss counts, the
  * clock, the number of valid entries and the set of cached pages
- * (which page a refill evicted) must agree.
+ * (which page a refill evicted) must agree. The page pool is larger
+ * than the largest capacity, so every TLB fills and evicts; capacities
+ * 63 to 65 and 128 put the last slot on either side of a bitmap word
+ * boundary.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -33,7 +38,7 @@ namespace
 
 constexpr std::uint32_t kPage = 4096;
 constexpr Cycles kPenalty = 20;
-constexpr int kSteps = 4000;
+constexpr int kSteps = 6000;
 constexpr std::uint64_t kSeed = 0x71b;
 
 /** The specification: a fully associative LRU TLB that scans. */
@@ -145,21 +150,23 @@ TEST_P(TlbLockstepTest, MatchesLinearScanLruModel)
             stats.counter("tlb.misses"));
     ModelTlb model(capacity, table);
 
-    // Three spaces of eight pages: more pages than the small TLBs
-    // hold, so refills evict.
+    // Three spaces of 128 pages, three in four of them mapped: more
+    // mapped pages than the largest TLB holds, so refills evict.
     constexpr std::uint32_t kSpaces = 3;
-    constexpr std::uint32_t kPages = 8;
+    constexpr std::uint32_t kPages = 128;
     std::vector<SpaceVa> pages;
     for (SpaceId s = 1; s <= kSpaces; ++s)
         for (std::uint32_t p = 0; p < kPages; ++p)
             pages.push_back(SpaceVa(s, VirtAddr(0x10000 + p * kPage)));
-    for (std::size_t i = 0; i < pages.size(); i += 2)
-        table.enter(pages[i], i, Protection::readWrite());
+    for (std::size_t i = 0; i < pages.size(); ++i)
+        if (i % 4 != 3)
+            table.enter(pages[i], i, Protection::readWrite());
 
     Random rng(streamSeed(kSeed, capacity));
     std::size_t prev = 0;
     std::size_t last = 1;
     bool last_hit = false; // the last op translated pages[last]
+    std::uint32_t peak_valid = 0;
     for (int step = 0; step < kSteps; ++step) {
         // Mostly the last two pages touched, as a page copy alternates.
         const std::size_t pick = rng.chance(1, 2)
@@ -167,7 +174,9 @@ TEST_P(TlbLockstepTest, MatchesLinearScanLruModel)
             : rng.below(pages.size());
         const SpaceVa key(pages[pick].space,
                           pages[pick].va.plus(4 * rng.below(kPage / 4)));
-        const std::uint64_t op = rng.below(20);
+        // Mostly translations; the invalidations are rare enough that
+        // even the largest TLB fills between them.
+        const std::uint64_t op = rng.below(32);
         SCOPED_TRACE("step " + std::to_string(step) + " op " +
                      std::to_string(op) + " page " +
                      std::to_string(pick));
@@ -204,22 +213,22 @@ TEST_P(TlbLockstepTest, MatchesLinearScanLruModel)
             model.invalidatePage(key);
             break;
           case 5:
-            tlb.invalidateSpace(key.space);
-            model.invalidateSpace(key.space);
+            if (rng.chance(1, 16)) {
+                tlb.invalidateSpace(key.space);
+                model.invalidateSpace(key.space);
+            }
             break;
           case 6:
-            if (rng.chance(1, 4)) {
+            if (rng.chance(1, 64)) {
                 tlb.invalidateAll();
                 model.invalidateAll();
             }
             break;
           case 7:
-          case 8:
             // A new translation, or a remap in place.
             table.enter(key, rng.below(64), Protection::readWrite());
             break;
-          case 9:
-          case 10:
+          case 8:
             // Shoot the page down, then erase it: no TLB may hold a
             // handle to an erased entry.
             tlb.invalidatePage(key);
@@ -233,18 +242,21 @@ TEST_P(TlbLockstepTest, MatchesLinearScanLruModel)
         ASSERT_EQ(stats.value("tlb.misses"), model.misses);
         ASSERT_EQ(clk.now(), model.clk.now());
         ASSERT_EQ(tlb.validCount(), model.validCount());
+        peak_valid = std::max(peak_valid, tlb.validCount());
         for (const SpaceVa &p : pages)
             ASSERT_EQ(tlb.holds(p), model.holds(p))
                 << "space " << p.space << " va " << p.va.value;
     }
 
-    // The stream did real work: hits, refills and evictions.
+    // The stream did real work: hits, refills, and a full TLB.
     EXPECT_GT(model.hits, 0u);
     EXPECT_GT(model.misses, 0u);
+    EXPECT_EQ(peak_valid, capacity);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbLockstepTest,
-                         ::testing::Values(1u, 2u, 4u, 96u),
+                         ::testing::Values(1u, 2u, 4u, 63u, 64u, 65u,
+                                           96u, 128u),
                          [](const auto &entries) {
                              return "entries" +
                                     std::to_string(entries.param);
