@@ -49,7 +49,10 @@
 #      level); the lockstep tests (tlb_lockstep_test,
 #      cache_index_test, range_lockstep_test) rebuilt and run at
 #      Release too, since their fast paths' countr_zero walks and word
-#      loops are what the optimiser vectorises differently; then
+#      loops are what the optimiser vectorises differently, and
+#      oracle_test with them, since the oracle's per-word checks now
+#      inline into their callers (its death test must hold at -O3);
+#      then
 #      perfbench/selftest.py builds and runs the repository benchmark
 #      once and checks its output (host throughput is measured there,
 #      not by vic_bench);
@@ -129,14 +132,15 @@ step "full-scale sweep (vic_bench, every shape check gating)"
 ./build/tools/vic_bench --jobs "$JOBS" --json BENCH_full.json
 echo "artifact archived: BENCH_full.json"
 
-step "perf smoke (Release -O3 artifact equivalence, lockstep tests, perfbench selftest)"
+step "perf smoke (Release -O3 artifact equivalence, lockstep and oracle tests, perfbench selftest)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" \
     --target vic_bench tlb_lockstep_test cache_index_test \
-             range_lockstep_test
+             range_lockstep_test oracle_test
 ./build-release/tests/tlb_lockstep_test
 ./build-release/tests/cache_index_test
 ./build-release/tests/range_lockstep_test
+./build-release/tests/oracle_test
 # The artifact must stay equivalent to the default build's sweep.
 ./build-release/tools/vic_bench --smoke --jobs 2 \
     --json BENCH_smoke_release.json

@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "cache/coherence.hh"
@@ -200,6 +201,74 @@ Cache::writeSlow(std::uint32_t set, int way, PhysAddr pa,
     lineUse[id] = ++useTick;
     lineState[id] = MesiState::Modified;
     lineData(id)[wordInLine(pa)] = value;
+}
+
+const std::uint32_t *
+Cache::copyRun(VirtAddr dst_va, PhysAddr dst_pa, VirtAddr src_va,
+               PhysAddr src_pa, std::uint32_t n)
+{
+    checkAligned(dst_va, dst_pa);
+    checkAligned(src_va, src_pa);
+    const std::uint32_t dst_word = wordInLine(dst_pa);
+    const std::uint32_t src_word = wordInLine(src_pa);
+    vic_assert(std::max(dst_word, src_word) + n < geo.wordsPerLine(),
+               "%s: copy run leaves its line", cacheName.c_str());
+    if (policy != WritePolicy::WriteBack)
+        return nullptr;
+    const std::uint32_t dst_set = geo.setIndex(dst_va, dst_pa);
+    const int dst_way = findWay(dst_set, dst_pa);
+    if (dst_way < 0)
+        return nullptr;
+    const std::uint32_t dst_id =
+        lineId(dst_set, static_cast<std::uint32_t>(dst_way));
+    if (!lineDirty(dst_id))
+        return nullptr;
+    std::uint32_t *dst = lineData(dst_id) + dst_word;
+    const std::uint32_t src_set = geo.setIndex(src_va, src_pa);
+    const int src_way = findWay(src_set, src_pa);
+    const std::uint64_t accesses = 2 * std::uint64_t(n);
+
+    if (src_way >= 0) {
+        // Hit run. Word by word, in order, so a source that overlaps
+        // the destination in one line reads what earlier pairs wrote.
+        const std::uint32_t src_id =
+            lineId(src_set, static_cast<std::uint32_t>(src_way));
+        const std::uint32_t *src = lineData(src_id) + src_word;
+        for (std::uint32_t k = 1; k <= n; ++k)
+            dst[k] = src[k];
+        statReads += n;
+        statWrites += n;
+        statHits += accesses;
+        clk.advance(accesses * costs.hit);
+        useTick += accesses;
+        lineUse[src_id] = useTick - 1;
+        lineUse[dst_id] = useTick;
+        return dst;
+    }
+    if (geo.associativity() != 1 || bus != nullptr || selfSnoop ||
+        src_set != dst_set)
+        return nullptr;
+
+    // Conflict run. Memory's copy of the source line is constant (the
+    // run writes back only the destination line), so every load reads
+    // memory; every store refills the destination from the write-back
+    // just before it. Memory ends as the line stood before the last
+    // store, the cached line with all n words copied. Each pair drops
+    // and re-adds both lines, so the residency index ends unchanged.
+    mem.readWords(src_pa.plus(4), dst + 1, n - 1);
+    mem.writeWords(geo.lineBase(dst_pa), lineData(dst_id),
+                   geo.wordsPerLine());
+    dst[n] = mem.readWord(src_pa.plus(4 * std::uint64_t(n)));
+    statReads += n;
+    statWrites += n;
+    statMisses += accesses;
+    statFills += accesses;
+    statWriteBacks += n;
+    clk.advance(n * (2 * costs.hit + 2 * costs.missPenalty +
+                     costs.writeBackPenalty));
+    useTick += accesses;
+    lineUse[dst_id] = useTick;
+    return dst;
 }
 
 void

@@ -221,6 +221,29 @@ class Cache
     }
 
     /**
+     * Copy run: charge @p n more (load, store) pairs, pair k loading
+     * the word k words past (@p src_va -> @p src_pa) and storing it k
+     * words past (@p dst_va -> @p dst_pa), all inside the two lines —
+     * exactly what n read()/write() pairs add, in one of two closed
+     * forms, from the state the pair just before left:
+     *  - hit run: the destination line is Modified and the source line
+     *    present, so every access hits silently (any organisation, any
+     *    bus);
+     *  - conflict run: direct mapped with no bus and no synonym
+     *    self-snoop, both lines in one set, which holds the
+     *    destination Modified. Every access misses: each load writes
+     *    the destination back and fills the source, each store fills
+     *    the destination.
+     * @return the destination words from the pair just before's on:
+     * element k holds the value pair k copied (valid until the next
+     * operation on this cache). nullptr, with nothing charged, if
+     * neither form applies or the cache is write-through.
+     */
+    const std::uint32_t *copyRun(VirtAddr dst_va, PhysAddr dst_pa,
+                                 VirtAddr src_va, PhysAddr src_pa,
+                                 std::uint32_t n);
+
+    /**
      * Hardware "flush virtual address": remove the line containing
      * @p va from the cache, writing it back first if dirty. The line is
      * located by indexing with @p va and comparing the physical tag

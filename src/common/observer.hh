@@ -10,10 +10,12 @@
  * so the consistency oracle can validate it against a golden model.
  *
  * Observers are passive: a callback must not call into the machine,
- * the CPUs, the caches or the TLB. The CPU's range calls rely on this.
- * They charge the words after the first of a cache line as one run of
- * hits, which is exact only because nothing can run between those
- * words; the observer still receives every word, in order.
+ * the CPUs, the caches or the TLB. The CPU's range and copy calls rely
+ * on this. A range charges the words after the first of a cache line
+ * as one run of hits, and a copy charges the word pairs after the
+ * first of a line pair as one hit or conflict run; both are exact
+ * only because nothing can run between those words. The observer
+ * still receives every word, in order.
  */
 
 #ifndef VIC_COMMON_OBSERVER_HH

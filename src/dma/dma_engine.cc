@@ -9,7 +9,7 @@ namespace vic
 
 DmaTicket::DmaTicket(DmaTicket &&other) noexcept
     : engine(std::exchange(other.engine, nullptr)),
-      transfer(other.transfer)
+      transfer(other.transfer), uncaughtAtStart(other.uncaughtAtStart)
 {
 }
 
@@ -20,6 +20,7 @@ DmaTicket::operator=(DmaTicket &&other) noexcept
         release();
         engine = std::exchange(other.engine, nullptr);
         transfer = other.transfer;
+        uncaughtAtStart = other.uncaughtAtStart;
     }
     return *this;
 }
@@ -34,8 +35,12 @@ DmaTicket::release()
 {
     if (engine == nullptr)
         return;
+    // While an exception thrown since the transfer started unwinds
+    // through this ticket, asserting would abort the process before
+    // the exception reaches its handler.
     const std::size_t i = engine->indexOf(*this);
-    vic_assert(i == engine->queue.size(),
+    vic_assert(i == engine->queue.size() ||
+                   std::uncaught_exceptions() > uncaughtAtStart,
                "DMA transfer %llu (%s pa=%#llx, %u of %u words moved) "
                "dropped with beats pending: drain it",
                (unsigned long long)transfer,

@@ -22,7 +22,10 @@
  * ticket is move-only and [[nodiscard]], drain() consumes it, and
  * destroying it while the transfer still has beats pending fails an
  * assertion naming the transfer. Without the drain the kernel would
- * unwire a frame the device is still reading or writing.
+ * unwire a frame the device is still reading or writing. A ticket an
+ * exception unwinds through does not assert, so the exception reaches
+ * its handler (the experiment engine's per-run catch) instead of
+ * aborting the process.
  */
 
 #ifndef VIC_DMA_DMA_ENGINE_HH
@@ -30,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -63,7 +67,9 @@ class DmaEngine;
  * completed (every beat stepped, or a zero-word command) may also
  * simply go out of scope. Destroying or overwriting a ticket while
  * its transfer still has beats pending is a simulator bug and fails a
- * vic_assert. A default-constructed ticket names no transfer.
+ * vic_assert — unless an exception thrown after the transfer started
+ * is unwinding the stack. A default-constructed ticket names no
+ * transfer.
  */
 class [[nodiscard]] DmaTicket
 {
@@ -81,15 +87,19 @@ class [[nodiscard]] DmaTicket
     friend class DmaEngine;
 
     DmaTicket(DmaEngine *owner, DmaTransferId id)
-        : engine(owner), transfer(id)
+        : engine(owner), transfer(id),
+          uncaughtAtStart(std::uncaught_exceptions())
     {
     }
 
-    /** Assert the transfer has no beats pending, then let go of it. */
+    /** Assert the transfer has no beats pending (unless an exception
+     *  newer than the ticket is in flight), then let go of it. */
     void release();
 
     DmaEngine *engine = nullptr; ///< null once released
     DmaTransferId transfer = 0;
+    /** std::uncaught_exceptions() when the transfer started. */
+    int uncaughtAtStart = 0;
 };
 
 class DmaEngine

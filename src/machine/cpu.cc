@@ -45,8 +45,7 @@ Cpu::accessMapped(AccessType type, VirtAddr va, std::uint32_t store_value,
     // Account stage, translation side: referenced/modified through the
     // TLB's mutable handle — no page-table walk.
     pte->referenced = true;
-    const PhysAddr pa(pte->frame * pageBytesC +
-                      (va.value & pageOffsetMask));
+    const PhysAddr pa = physOf(pte, va);
     MemoryObserver *obs = mach.observer();
 
     switch (type) {
@@ -147,10 +146,8 @@ Cpu::lineRun(AccessType type, Cache &cache, VirtAddr va, std::uint32_t n,
              std::uint32_t stride_bytes, std::uint32_t value,
              std::uint32_t value_step)
 {
-    const PageTableEntry *pte =
-        tlbRef.repeatHit(SpaceVa(currentSpace, va), n);
-    const PhysAddr pa(pte->frame * pageBytesC +
-                      (va.value & pageOffsetMask));
+    const PhysAddr pa =
+        physOf(tlbRef.repeatHit(SpaceVa(currentSpace, va), n), va);
     const std::uint32_t first = static_cast<std::uint32_t>(
         (pa.value & (cache.geometry().lineBytes() - 1)) >> 2);
     const std::uint32_t step = stride_bytes >> 2;
@@ -211,6 +208,58 @@ Cpu::accessRange(AccessType type, VirtAddr base, std::uint32_t count,
         if (n == 0)
             continue;
         lineRun(type, cache, va, n, stride_bytes, value, seed_step);
+        i += n;
+    }
+}
+
+bool
+Cpu::copyRun(VirtAddr dst, VirtAddr src, std::uint32_t n)
+{
+    const auto [dst_pte, src_pte] = tlbRef.copyPair(
+        SpaceVa(currentSpace, dst), SpaceVa(currentSpace, src));
+    if (dst_pte == nullptr ||
+        !protPermits(src_pte->prot, AccessType::Load) ||
+        !protPermits(dst_pte->prot, AccessType::Store))
+        return false;
+    const PhysAddr dst_pa = physOf(dst_pte, dst);
+    const PhysAddr src_pa = physOf(src_pte, src);
+    const std::uint32_t *words =
+        dcacheRef.copyRun(dst, dst_pa, src, src_pa, n);
+    if (words == nullptr)
+        return false;
+    tlbRef.repeatPair(n);
+    src_pte->referenced = true;
+    dst_pte->referenced = true;
+    dst_pte->modified = true;
+    if (MemoryObserver *obs = mach.observer()) {
+        for (std::uint32_t k = 1; k <= n; ++k) {
+            obs->cpuLoad(src_pa.plus(4 * k), words[k]);
+            obs->cpuStore(dst_pa.plus(4 * k), words[k]);
+        }
+    }
+    return true;
+}
+
+void
+Cpu::copyRange(VirtAddr dst, VirtAddr src, std::uint32_t words)
+{
+    const std::uint32_t mask = dcacheRef.geometry().lineBytes() - 1;
+    for (std::uint32_t i = 0; i < words;) {
+        const VirtAddr s = src.plus(4 * std::uint64_t(i));
+        const VirtAddr d = dst.plus(4 * std::uint64_t(i));
+        store(d, load(s));
+        ++i;
+        // The pairs after (d, s) that keep both words in their lines;
+        // if no run takes them, they go word by word.
+        const std::uint32_t s_off = static_cast<std::uint32_t>(s.value);
+        const std::uint32_t d_off = static_cast<std::uint32_t>(d.value);
+        const std::uint32_t n =
+            std::min({words - i, (mask - (s_off & mask)) / 4,
+                      (mask - (d_off & mask)) / 4});
+        if (n != 0 && !copyRun(d, s, n)) {
+            for (std::uint32_t k = 1; k <= n; ++k)
+                store(d.plus(4 * k), load(s.plus(4 * k)));
+        }
         i += n;
     }
 }

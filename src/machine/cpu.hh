@@ -29,6 +29,14 @@
  * between them (observers are passive, DMA runs only from drain(), and
  * another CPU runs only when the kernel drives it). The observer still
  * sees every word. Write-through stores stay per word.
+ *
+ * copyRange() is the page copy's loop, store(dst + 4k, load(src + 4k)),
+ * charged per line pair the same way: the first pair of each source
+ * and destination line pair goes through access() twice, and the rest
+ * of the pair's words are one copy run — TLB hits on the page pair
+ * (Tlb::repeatPair) plus a cache hit run or conflict run
+ * (Cache::copyRun) — or, when neither closed form applies, word by
+ * word. The observer gets every (load, store) pair, in order.
  */
 
 #ifndef VIC_MACHINE_CPU_HH
@@ -99,6 +107,10 @@ class Cpu
     void ifetchRange(VirtAddr base, std::uint32_t count,
                      std::uint32_t stride_bytes);
 
+    /** Copy @p words words: for k = 0, 1, ...,
+     *  store(@p dst + 4k, load(@p src + 4k)). */
+    void copyRange(VirtAddr dst, VirtAddr src, std::uint32_t words);
+
     /** Model @p n cycles of register-only computation. */
     void compute(Cycles n) { mach.clock().advance(n); }
 
@@ -121,6 +133,14 @@ class Cpu
     const std::uint64_t pageOffsetMask; ///< pageBytes - 1
     const std::uint64_t pageBytesC;     ///< pageBytes
 
+    /** The physical address of @p va under its translation @p pte. */
+    PhysAddr
+    physOf(const PageTableEntry *pte, VirtAddr va) const
+    {
+        return PhysAddr(pte->frame * pageBytesC +
+                        (va.value & pageOffsetMask));
+    }
+
     /** Stages index/tag-check/account for a translated, permitted
      *  access. */
     std::uint32_t accessMapped(AccessType type, VirtAddr va,
@@ -140,6 +160,13 @@ class Cpu
     void lineRun(AccessType type, Cache &cache, VirtAddr va,
                  std::uint32_t n, std::uint32_t stride_bytes,
                  std::uint32_t value, std::uint32_t value_step);
+
+    /** Charge the @p n word pairs after the pair copyRange() just
+     *  completed at (@p dst, @p src), all inside both lines, as one
+     *  copy run. @return false, with nothing charged, if the TLB pair
+     *  is not in place, a page no longer permits its access, or the
+     *  cache has no closed form for the run. */
+    bool copyRun(VirtAddr dst, VirtAddr src, std::uint32_t n);
 
     /** Trap-and-retry loop for accesses the fast path rejected.
      *  @p pte is the (failed) translation of the first attempt. */

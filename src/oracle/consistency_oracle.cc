@@ -10,71 +10,26 @@ ConsistencyOracle::ConsistencyOracle(std::uint64_t memory_bytes)
 {
 }
 
-std::uint64_t
-ConsistencyOracle::index(PhysAddr pa) const
+void
+ConsistencyOracle::badAddress(PhysAddr pa) const
 {
-    vic_assert(pa.value % 4 == 0, "unaligned oracle access %llx",
-               (unsigned long long)pa.value);
-    const std::uint64_t idx = pa.value / 4;
-    vic_assert(idx < shadow.size(), "oracle address %llx out of range",
-               (unsigned long long)pa.value);
-    return idx;
+    if (pa.value % 4 != 0)
+        vic_panic("unaligned oracle access %llx",
+                  (unsigned long long)pa.value);
+    vic_panic("oracle address %llx out of range",
+              (unsigned long long)pa.value);
 }
 
 void
-ConsistencyOracle::record(PhysAddr pa, std::uint32_t value)
+ConsistencyOracle::violation(PhysAddr pa, std::uint32_t expected,
+                             std::uint32_t observed, const char *kind)
 {
-    const std::uint64_t idx = index(pa);
-    shadow[idx] = value;
-    defined[idx] = true;
-}
-
-void
-ConsistencyOracle::check(PhysAddr pa, std::uint32_t observed,
-                         const char *kind)
-{
-    const std::uint64_t idx = index(pa);
-    ++checked;
-    if (!defined[idx])
-        return;  // never written: nothing to compare against
-    if (shadow[idx] == observed)
-        return;
     ++totalViolations;
-    const Violation v{pa, shadow[idx], observed, kind};
+    const Violation v{pa, expected, observed, kind};
     if (faults.size() < maxRecorded)
         faults.push_back(v);
     if (violationHook)
         violationHook(v);
-}
-
-void
-ConsistencyOracle::cpuLoad(PhysAddr pa, std::uint32_t observed)
-{
-    check(pa, observed, "cpu-load");
-}
-
-void
-ConsistencyOracle::cpuIFetch(PhysAddr pa, std::uint32_t observed)
-{
-    check(pa, observed, "cpu-ifetch");
-}
-
-void
-ConsistencyOracle::cpuStore(PhysAddr pa, std::uint32_t value)
-{
-    record(pa, value);
-}
-
-void
-ConsistencyOracle::dmaWrite(PhysAddr pa, std::uint32_t value)
-{
-    record(pa, value);
-}
-
-void
-ConsistencyOracle::dmaRead(PhysAddr pa, std::uint32_t observed)
-{
-    check(pa, observed, "dma-read");
 }
 
 void

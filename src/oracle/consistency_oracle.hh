@@ -15,6 +15,13 @@
  * and require zero violations — and run a deliberately broken policy
  * to prove the machine model actually produces (and the oracle
  * detects) the failure modes the paper describes.
+ *
+ * The oracle sees every simulated word, so its per-word work is inline
+ * and the class is final: each callback compiles to an index check, a
+ * shadow compare or store and a counter bump, and a caller that holds
+ * a ConsistencyOracle (not a MemoryObserver) inlines it whole. The
+ * alignment and range checks stay in every build; a failed check and
+ * a violation leave the hot path for cold out-of-line functions.
  */
 
 #ifndef VIC_ORACLE_CONSISTENCY_ORACLE_HH
@@ -31,7 +38,7 @@
 namespace vic
 {
 
-class ConsistencyOracle : public MemoryObserver
+class ConsistencyOracle final : public MemoryObserver
 {
   public:
     /** @param memory_bytes size of simulated physical memory. */
@@ -47,11 +54,16 @@ class ConsistencyOracle : public MemoryObserver
     };
 
     // MemoryObserver interface
-    void cpuLoad(PhysAddr pa, std::uint32_t observed) override;
-    void cpuIFetch(PhysAddr pa, std::uint32_t observed) override;
-    void cpuStore(PhysAddr pa, std::uint32_t value) override;
-    void dmaWrite(PhysAddr pa, std::uint32_t value) override;
-    void dmaRead(PhysAddr pa, std::uint32_t observed) override;
+    void cpuLoad(PhysAddr pa, std::uint32_t observed) override
+    { check(pa, observed, "cpu-load"); }
+    void cpuIFetch(PhysAddr pa, std::uint32_t observed) override
+    { check(pa, observed, "cpu-ifetch"); }
+    void cpuStore(PhysAddr pa, std::uint32_t value) override
+    { record(pa, value); }
+    void dmaWrite(PhysAddr pa, std::uint32_t value) override
+    { record(pa, value); }
+    void dmaRead(PhysAddr pa, std::uint32_t observed) override
+    { check(pa, observed, "dma-read"); }
 
     /** @return true iff no violation has been observed. */
     bool clean() const { return faults.empty(); }
@@ -90,9 +102,42 @@ class ConsistencyOracle : public MemoryObserver
     std::uint64_t totalViolations = 0;
     std::uint64_t checked = 0;
 
-    std::uint64_t index(PhysAddr pa) const;
-    void record(PhysAddr pa, std::uint32_t value);
-    void check(PhysAddr pa, std::uint32_t observed, const char *kind);
+    /** Shadow index of the word at @p pa; panics unless @p pa is word
+     *  aligned and inside the memory. */
+    std::uint64_t
+    index(PhysAddr pa) const
+    {
+        const std::uint64_t idx = pa.value / 4;
+        if (pa.value % 4 != 0 || idx >= shadow.size()) [[unlikely]]
+            badAddress(pa);
+        return idx;
+    }
+
+    void
+    record(PhysAddr pa, std::uint32_t value)
+    {
+        const std::uint64_t idx = index(pa);
+        shadow[idx] = value;
+        defined[idx] = true;
+    }
+
+    void
+    check(PhysAddr pa, std::uint32_t observed, const char *kind)
+    {
+        const std::uint64_t idx = index(pa);
+        ++checked;
+        // A word never written has nothing to compare against.
+        if (defined[idx] && shadow[idx] != observed) [[unlikely]]
+            violation(pa, shadow[idx], observed, kind);
+    }
+
+    /** Count one violation, record it (up to maxRecorded) and call the
+     *  hook. */
+    [[gnu::cold]] void violation(PhysAddr pa, std::uint32_t expected,
+                                 std::uint32_t observed, const char *kind);
+
+    /** Panic on an unaligned or out-of-range address. */
+    [[noreturn, gnu::cold]] void badAddress(PhysAddr pa) const;
 };
 
 } // namespace vic

@@ -92,8 +92,7 @@ PagePreparer::copyPage(FrameId dest, FrameId src,
     hints.needData = false;
     pmap.enter(SpaceVa(OsParams::kernelSpace, dst_kva), dest,
                Protection::readWrite(), AccessType::Store, hints);
-    for (std::uint32_t off = 0; off < page_bytes; off += 4)
-        cpu.store(dst_kva.plus(off), cpu.load(src_kva.plus(off)));
+    cpu.copyRange(dst_kva, src_kva, page_bytes / 4);
     pmap.remove(SpaceVa(OsParams::kernelSpace, src_kva));
     pmap.remove(SpaceVa(OsParams::kernelSpace, dst_kva));
 }

@@ -42,7 +42,9 @@
  *
  * tests/tlb_lockstep_test.cc runs the TLB beside a linear-scan LRU
  * model. A CPU line run charges its repeated hits on the MRU entry in
- * one repeatHit() call.
+ * one repeatHit() call, and a CPU copy run its alternating (source,
+ * destination) pairs on the MRU pair in one repeatPair() call, once
+ * copyPair() has found the pair in place.
  */
 
 #ifndef VIC_TLB_TLB_HH
@@ -118,6 +120,42 @@ class Tlb
         mru->lastUse = useTick;
         statHits += n;
         return mru->pte;
+    }
+
+    /**
+     * The handles of a copy's pages, if the pair of translations just
+     * before was a load of @p src then a store to @p dst on another
+     * page: the MRU entry holds @p dst's page and the second holds
+     * @p src's, so each further (@p src, @p dst) pair hits the second
+     * pointer and swaps the two back. Null handles otherwise (one
+     * page, or the pair not in place, as always on a 1-entry TLB).
+     * No accounting; repeatPair() charges.
+     */
+    std::pair<PageTableEntry *, PageTableEntry *>
+    copyPair(SpaceVa dst, SpaceVa src) const
+    {
+        // Two entries never hold one page, so this also proves the
+        // pages distinct.
+        if (mru == nullptr || mru2 == nullptr ||
+            mru->page != SpaceVa(dst.space, pageTable.pageBase(dst.va)) ||
+            mru2->page != SpaceVa(src.space, pageTable.pageBase(src.va)))
+            return {nullptr, nullptr};
+        return {mru->pte, mru2->pte};
+    }
+
+    /**
+     * Charge @p n more (source, destination) pairs on the pair
+     * copyPair() found: exactly what 2 @p n alternating translate()
+     * calls add — 2 @p n hits, the source stamped one tick before the
+     * destination, and both pointers back where they were.
+     */
+    void
+    repeatPair(std::uint32_t n)
+    {
+        useTick += 2 * std::uint64_t(n);
+        mru2->lastUse = useTick - 1;
+        mru->lastUse = useTick;
+        statHits += 2 * std::uint64_t(n);
     }
 
     /** Drop the cached entry for one page, if any. */

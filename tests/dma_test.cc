@@ -1,5 +1,6 @@
 /** @file Unit tests for the DMA engine and disk device. */
 
+#include <stdexcept>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -380,6 +381,21 @@ TEST_F(DmaTest, LambdaDroppingTicketDies)
     EXPECT_DEATH(deferred(),
                  "DMA transfer 1 \\(dma-rd pa=0x3000, 8 of 16 words "
                  "moved\\) dropped with beats pending");
+}
+
+TEST_F(DmaTest, ExceptionUnwindsThroughUndrainedTicket)
+{
+    std::uint32_t data[16] = {};
+    const auto failing = [this, &data] {
+        const DmaTicket ticket =
+            dma.startWrite(PhysAddr(0x2000), data, 16);
+        dma.stepTransfer(ticket); // one beat of two
+        throw std::runtime_error("run failed mid-transfer");
+    };
+    // The ticket dies while the exception unwinds: it must let the
+    // exception through to the caller's handler, not abort.
+    EXPECT_THROW(failing(), std::runtime_error);
+    EXPECT_EQ(dma.pendingTransfers(), 1u);
 }
 
 } // anonymous namespace

@@ -1,20 +1,27 @@
 /**
  * @file
- * CPU range calls against per-word loops, in lockstep.
+ * CPU range and copy calls against per-word loops, in lockstep.
  *
  * loadRange, storeRange and ifetchRange are defined as loops of load,
  * store and ifetch, but they charge the words after the first of each
- * cache line as one run of TLB and cache hits. Seeded streams drive two
- * fresh twin machines, one through the range calls and one through the
- * loops, on each machine organisation the suites use. Ranges start at
- * any word, cross lines and pages, take strides of 4, 8 and 16 bytes,
- * one line and two, and meet unmapped and read-only pages on the way,
- * which the fault handler maps or upgrades. Between ranges the stream
- * unmaps pages (shooting them down first) and downgrades them, and on
- * the multiprocessors the peer CPU loads and stores, so lines sit
- * Shared or Modified in its cache. After every range the observer's
- * (kind, pa, value) sequence, the stats, the clock, the fault counts,
- * the TLBs' contents and a probe of every touched word must agree.
+ * cache line as one run of TLB and cache hits; copyRange is defined as
+ * a loop of store(dst + 4k, load(src + 4k)), but charges the pairs
+ * after the first of each line pair as one hit run or conflict run.
+ * Seeded streams drive two fresh twin machines, one through the range
+ * and copy calls and one through the loops, on each machine
+ * organisation the suites use. Ranges start at any word, cross lines
+ * and pages, take strides of 4, 8 and 16 bytes, one line and two, and
+ * meet unmapped and read-only pages on the way, which the fault
+ * handler maps or upgrades. Copies start at any word on either side,
+ * run from one word to three pages, and put their two sides at one
+ * colour about half the time (so a direct-mapped cache conflicts), on
+ * aliasing frames, or on one page. Between ops the stream unmaps pages
+ * (shooting them down first) and downgrades them, and on the
+ * multiprocessors the peer CPU loads and stores, so lines sit Shared
+ * or Modified in its cache. After every op the observer's (kind, pa,
+ * value) sequence, the stats, the clock, the fault counts, the TLBs'
+ * contents, a probe of every touched word, physical memory over every
+ * touched line and the data caches' residency index there must agree.
  */
 
 #include <gtest/gtest.h>
@@ -35,20 +42,20 @@ namespace
 {
 
 constexpr std::uint64_t kSeed = 0x2a46e;
-constexpr int kSteps = 500;
+constexpr int kSteps = 800;
 constexpr SpaceId kSpace = 1;
-/** The virtual window the ranges touch: colour 0 under every cache
- *  here, and 20 pages, more than a 64 KB cache's 16 colours, so the
- *  last pages conflict with the first. */
+/** The virtual window the ops touch: colour 0 under every cache here,
+ *  and 52 pages, so pages 16, 32 and 48 apart share a colour of a
+ *  64 KB direct-mapped cache's 16. */
 constexpr std::uint64_t kWindow = 0x100000;
-constexpr std::uint64_t kWindowPages = 20;
+constexpr std::uint64_t kWindowPages = 52;
 
-/** The frame behind window page @p page: twelve frames, so the last
- *  eight pages alias earlier ones at other colours. */
+/** The frame behind window page @p page: 24 frames, so pages 24 apart
+ *  alias at another colour and pages 48 apart at the same one. */
 FrameId
 frameFor(std::uint64_t page)
 {
-    return 8 + page % 12;
+    return 8 + page % 24;
 }
 
 /** One CPU transfer as the observer saw it. */
@@ -122,11 +129,21 @@ struct Twin
     std::vector<std::unique_ptr<Cpu>> cpus;
 };
 
-/** After a range of @p count words of @p type at @p base: both twins
- *  agree on everything a per-word loop could have changed. */
+/** @p count words from @p base, @p stride bytes apart: what an op
+ *  touched. */
+struct Extent
+{
+    VirtAddr base;
+    std::uint32_t count;
+    std::uint32_t stride;
+};
+
+/** After an op that touched @p touched through the @p kind caches:
+ *  both twins agree on everything a per-word loop could have
+ *  changed. */
 void
-expectSame(Twin &a, Twin &b, AccessType type, VirtAddr base,
-           std::uint32_t count, std::uint32_t stride)
+expectSame(Twin &a, Twin &b, CacheKind kind,
+           const std::vector<Extent> &touched)
 {
     ASSERT_EQ(a.recorder.seen, b.recorder.seen);
     a.recorder.seen.clear();
@@ -146,25 +163,78 @@ expectSame(Twin &a, Twin &b, AccessType type, VirtAddr base,
         }
     }
 
-    const CacheKind kind = type == AccessType::IFetch
-        ? CacheKind::Instruction
-        : CacheKind::Data;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const VirtAddr va = base.plus(std::uint64_t(i) * stride);
-        const PageTableEntry *pte =
-            a.machine.pageTable().lookup(SpaceVa(kSpace, va));
-        ASSERT_NE(pte, nullptr);
-        const PhysAddr pa(pte->frame * page_bytes + va.value % page_bytes);
-        for (std::uint32_t c = 0; c < a.cpus.size(); ++c) {
-            const Cache::Probe pa_probe =
-                a.machine.cacheFor(kind, c).probe(va, pa);
-            const Cache::Probe pb_probe =
-                b.machine.cacheFor(kind, c).probe(va, pa);
-            ASSERT_EQ(pa_probe.present, pb_probe.present) << "word " << i;
-            ASSERT_EQ(pa_probe.state, pb_probe.state) << "word " << i;
-            ASSERT_EQ(pa_probe.word, pb_probe.word) << "word " << i;
+    const CacheGeometry &dgeo = a.machine.dcache().geometry();
+    for (const Extent &e : touched) {
+        PhysAddr last_line(1); // no line starts at an odd address
+        for (std::uint32_t i = 0; i < e.count; ++i) {
+            const VirtAddr va = e.base.plus(std::uint64_t(i) * e.stride);
+            const PageTableEntry *pte =
+                a.machine.pageTable().lookup(SpaceVa(kSpace, va));
+            ASSERT_NE(pte, nullptr);
+            const PhysAddr pa(pte->frame * page_bytes +
+                              va.value % page_bytes);
+            for (std::uint32_t c = 0; c < a.cpus.size(); ++c) {
+                const Cache::Probe pa_probe =
+                    a.machine.cacheFor(kind, c).probe(va, pa);
+                const Cache::Probe pb_probe =
+                    b.machine.cacheFor(kind, c).probe(va, pa);
+                ASSERT_EQ(pa_probe.present, pb_probe.present)
+                    << "word " << i;
+                ASSERT_EQ(pa_probe.state, pb_probe.state) << "word " << i;
+                ASSERT_EQ(pa_probe.word, pb_probe.word) << "word " << i;
+            }
+
+            // A write-back shows in memory, not in a probe of the
+            // cached line: compare each touched data line once.
+            const PhysAddr line = dgeo.lineBase(pa);
+            if (line == last_line)
+                continue;
+            last_line = line;
+            for (std::uint32_t off = 0; off < dgeo.lineBytes(); off += 4) {
+                ASSERT_EQ(a.machine.memory().readWord(line.plus(off)),
+                          b.machine.memory().readWord(line.plus(off)))
+                    << "memory at " << line.plus(off).value;
+            }
+            for (std::uint32_t c = 0; c < a.cpus.size(); ++c) {
+                ASSERT_EQ(a.machine.dcache(c).copiesOf(line),
+                          b.machine.dcache(c).copiesOf(line))
+                    << "line " << line.value;
+                ASSERT_EQ(a.machine.dcache(c).residentBit(line),
+                          b.machine.dcache(c).residentBit(line))
+                    << "line " << line.value;
+            }
         }
     }
+}
+
+/** True iff a word pair of the copy of @p words words from @p src to
+ *  @p dst has two distinct physical lines in one set of a
+ *  direct-mapped data cache: the geometry under which the pair's load
+ *  and store evict each other. The copy left every page it touched
+ *  mapped. */
+bool
+sharesDirectMappedSet(Machine &m, VirtAddr dst, VirtAddr src,
+                      std::uint32_t words)
+{
+    const CacheGeometry &geo = m.dcache().geometry();
+    if (geo.associativity() != 1)
+        return false;
+    const auto physOf = [&m](VirtAddr va) {
+        const PageTableEntry *pte =
+            m.pageTable().lookup(SpaceVa(kSpace, va));
+        return PhysAddr(pte->frame * m.pageBytes() +
+                        va.value % m.pageBytes());
+    };
+    for (std::uint32_t k = 0; k < words; ++k) {
+        const VirtAddr s = src.plus(4 * std::uint64_t(k));
+        const VirtAddr d = dst.plus(4 * std::uint64_t(k));
+        const PhysAddr s_pa = physOf(s);
+        const PhysAddr d_pa = physOf(d);
+        if (geo.setIndex(s, s_pa) == geo.setIndex(d, d_pa) &&
+            geo.lineBase(s_pa) != geo.lineBase(d_pa))
+            return true;
+    }
+    return false;
 }
 
 struct Case
@@ -198,8 +268,10 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
 
     Random rng(streamSeed(kSeed, GetParam().stream));
     std::uint64_t runs_possible = 0;
+    std::uint64_t copies_conflicting = 0;
+    std::uint64_t copies_apart = 0;
     for (int step = 0; step < kSteps; ++step) {
-        const std::uint64_t op = rng.below(10);
+        const std::uint64_t op = rng.below(14);
         const SpaceVa page(kSpace,
                            VirtAddr(kWindow +
                                     rng.below(kWindowPages) * page_bytes));
@@ -239,6 +311,64 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
             continue;
         }
 
+        // Now and then no observer: runs then skip the callbacks, and
+        // the probes still see every stored word.
+        const bool observed = !rng.chance(1, 4);
+        both([&](Twin &t) {
+            t.machine.setObserver(observed ? &t.recorder : nullptr);
+        });
+        Cpu &rc = *ranged.cpus[0];
+        Cpu &lc = *looped.cpus[0];
+
+        if (op >= 3 && op < 7) {
+            // Half the copies put both sides at one colour: pages 16
+            // or 32 apart, 48 apart (the same frame, so one line), or
+            // one page. Half put them apart, 24 pages apart on the
+            // same frame at another colour now and then.
+            const std::uint64_t page_words = page_bytes / 4;
+            std::uint64_t dist = 16 * rng.below(4);
+            if (rng.chance(1, 2)) {
+                dist = 1 + rng.below(kWindowPages - 5);
+                dist += dist % 16 == 0;
+            }
+            const std::uint64_t low = rng.below(kWindowPages - dist);
+            const std::uint64_t low_word = rng.below(page_words);
+            // Mostly nearly the same word of the page on both sides, as
+            // a page copy has: then lines pair up, and on one frame the
+            // sides overlap within a line.
+            const std::uint64_t high_word = rng.chance(3, 4)
+                ? (low_word + page_words - 2 + rng.below(5)) % page_words
+                : rng.below(page_words);
+            const VirtAddr low_va(kWindow + low * page_bytes +
+                                  4 * low_word);
+            const VirtAddr high_va(kWindow + (low + dist) * page_bytes +
+                                   4 * high_word);
+            const std::uint64_t room = (window_end - high_va.value) / 4;
+            const std::uint64_t most =
+                rng.chance(1, 3) ? 12 : 3 * page_words;
+            const std::uint32_t words = static_cast<std::uint32_t>(
+                rng.between(1, std::min(room, most)));
+            const bool upward = rng.chance(1, 2);
+            const VirtAddr src = upward ? low_va : high_va;
+            const VirtAddr dst = upward ? high_va : low_va;
+            SCOPED_TRACE("copy src " + std::to_string(src.value) +
+                         " dst " + std::to_string(dst.value) + " words " +
+                         std::to_string(words));
+
+            rc.copyRange(dst, src, words);
+            for (std::uint32_t k = 0; k < words; ++k)
+                lc.store(dst.plus(4 * std::uint64_t(k)),
+                         lc.load(src.plus(4 * std::uint64_t(k))));
+            if (sharesDirectMappedSet(ranged.machine, dst, src, words))
+                ++copies_conflicting;
+            else
+                ++copies_apart;
+            ASSERT_NO_FATAL_FAILURE(
+                expectSame(ranged, looped, CacheKind::Data,
+                           {{src, words, 4}, {dst, words, 4}}));
+            continue;
+        }
+
         const std::uint64_t kind = rng.below(5);
         const AccessType type = kind < 2 ? AccessType::Load
             : kind < 4                   ? AccessType::Store
@@ -264,15 +394,6 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
         if (stride < line && count > 1)
             ++runs_possible;
 
-        // Now and then no observer: runs then skip the callbacks, and
-        // the probes still see every stored word.
-        const bool observed = !rng.chance(1, 4);
-        both([&](Twin &t) {
-            t.machine.setObserver(observed ? &t.recorder : nullptr);
-        });
-
-        Cpu &rc = *ranged.cpus[0];
-        Cpu &lc = *looped.cpus[0];
         switch (type) {
           case AccessType::Load:
             rc.loadRange(base, count, stride);
@@ -291,12 +412,21 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
                 (void)lc.ifetch(base.plus(std::uint64_t(i) * stride));
             break;
         }
-        ASSERT_NO_FATAL_FAILURE(
-            expectSame(ranged, looped, type, base, count, stride));
+        ASSERT_NO_FATAL_FAILURE(expectSame(
+            ranged, looped,
+            type == AccessType::IFetch ? CacheKind::Instruction
+                                       : CacheKind::Data,
+            {{base, count, stride}}));
     }
 
-    // The stream did real work: ranges with line runs, faults, fills.
+    // The stream did real work: ranges with line runs, copies whose
+    // line pairs conflict in a direct-mapped set and copies whose
+    // lines stay resident together, faults, fills.
     EXPECT_GT(runs_possible, 50u);
+    EXPECT_GT(copies_apart, 30u);
+    if (params.dcacheWays == 1) {
+        EXPECT_GT(copies_conflicting, 10u);
+    }
     EXPECT_GT(ranged.cpus[0]->faultCount(), 0u);
     EXPECT_GT(ranged.machine.stats().value(
                   ranged.machine.dcache().name() + ".fills"),
@@ -341,6 +471,26 @@ machines()
     MachineParams tlb4 = MachineParams::hp720();
     tlb4.tlbEntries = 4;
     out.push_back({"tlb4", tlb4});
+
+    // Shorter and longer lines: more and fewer runs per page.
+    MachineParams line16 = MachineParams::hp720();
+    line16.dcacheLineBytes = line16.icacheLineBytes = 16;
+    out.push_back({"line16", line16});
+
+    MachineParams line128 = MachineParams::hp720();
+    line128.dcacheLineBytes = line128.icacheLineBytes = 128;
+    out.push_back({"line128", line128});
+
+    // One TLB entry: a copy's page pair never forms.
+    MachineParams tlb1 = MachineParams::hp720();
+    tlb1.tlbEntries = 1;
+    out.push_back({"tlb1", tlb1});
+
+    // A uniprocessor with synonym self-snoop: fills snoop the cache's
+    // other colours, so no conflict run applies.
+    MachineParams synonym = MachineParams::hp720();
+    synonym.synonymCoherence = true;
+    out.push_back({"synonym_uni", synonym});
 
     for (std::size_t i = 0; i < out.size(); ++i) {
         out[i].params.numFrames = 32;
