@@ -245,16 +245,30 @@ Cache::copyRun(VirtAddr dst_va, PhysAddr dst_pa, VirtAddr src_va,
         lineUse[dst_id] = useTick;
         return dst;
     }
-    if (geo.associativity() != 1 || bus != nullptr || selfSnoop ||
-        src_set != dst_set)
+    if (geo.associativity() != 1 || src_set != dst_set)
         return nullptr;
 
-    // Conflict run. Memory's copy of the source line is constant (the
-    // run writes back only the destination line), so every load reads
-    // memory; every store refills the destination from the write-back
-    // just before it. Memory ends as the line stood before the last
-    // store, the cached line with all n words copied. Each pair drops
-    // and re-adds both lines, so the residency index ends unchanged.
+    // Conflict run. The pair just before leaves every later pair's
+    // coherence actions idle: its store's bus-read-exclusive left no
+    // peer copy of the destination, its load left no peer owning the
+    // source, and with self-snoop its fills displaced every other copy
+    // of both lines here. So the snoops change nothing, and a bus only
+    // counts its transactions.
+    if (selfSnoop)
+        vic_assert(copiesOf(src_pa) == 0 && copiesOf(dst_pa) == 1,
+                   "%s: conflict run breaks one copy per line: %u "
+                   "copies of the source, %u of the destination",
+                   cacheName.c_str(), copiesOf(src_pa), copiesOf(dst_pa));
+    if (bus != nullptr)
+        bus->quietPairs(this, geo.lineBase(dst_pa), geo.lineBase(src_pa),
+                        n);
+
+    // Memory's copy of the source line is constant (the run writes
+    // back only the destination line), so every load reads memory;
+    // every store refills the destination from the write-back just
+    // before it. Memory ends as the line stood before the last store,
+    // the cached line with all n words copied. Each pair drops and
+    // re-adds both lines, so the residency index ends unchanged.
     mem.readWords(src_pa.plus(4), dst + 1, n - 1);
     mem.writeWords(geo.lineBase(dst_pa), lineData(dst_id),
                    geo.wordsPerLine());
@@ -450,6 +464,23 @@ Cache::snoopBusInvalidate(PhysAddr pa_line)
         }
     });
     return reply;
+}
+
+MesiState
+Cache::heldState(PhysAddr pa) const
+{
+    const std::uint64_t tag = lineNumber(pa);
+    MesiState held = MesiState::Invalid;
+    if (copies[tag] == 0)
+        return held;
+    forEachCandidateSet(pa, [&](std::uint32_t set) {
+        for (std::uint32_t w = 0; w < geo.associativity(); ++w) {
+            const std::uint32_t id = lineId(set, w);
+            if (lineValid(id) && lineTag[id] == tag)
+                held = std::max(held, lineState[id]);
+        }
+    });
+    return held;
 }
 
 Cache::Probe

@@ -229,11 +229,14 @@ class Cache
      *  - hit run: the destination line is Modified and the source line
      *    present, so every access hits silently (any organisation, any
      *    bus);
-     *  - conflict run: direct mapped with no bus and no synonym
-     *    self-snoop, both lines in one set, which holds the
-     *    destination Modified. Every access misses: each load writes
-     *    the destination back and fills the source, each store fills
-     *    the destination.
+     *  - conflict run: direct mapped, both lines in one set, which
+     *    holds the destination Modified. Every access misses: each
+     *    load writes the destination back and fills the source, each
+     *    store fills the destination. On a bus every pair adds one
+     *    bus-read and one bus-read-exclusive that find the peers quiet
+     *    (CoherenceBus::quietPairs() asserts it); with synonym
+     *    self-snoop neither line may have another copy in this cache
+     *    (asserted too). The pair just before leaves both true.
      * @return the destination words from the pair just before's on:
      * element k holds the value pair k copied (valid until the next
      * operation on this cache). nullptr, with nothing charged, if
@@ -315,6 +318,11 @@ class Cache
      *  line containing @p pa (the residency index; never charges). */
     std::uint32_t copiesOf(PhysAddr pa) const
     { return copies[lineNumber(pa)]; }
+
+    /** The strongest MESI state of any copy, under any colour, of the
+     *  physical line containing @p pa; Invalid if none (never
+     *  charges). */
+    MesiState heldState(PhysAddr pa) const;
 
     /** The residency mask's bit for the physical line containing
      *  @p pa: set iff copiesOf(pa) != 0 (never charges; for tests). */

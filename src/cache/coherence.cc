@@ -1,5 +1,7 @@
 #include "cache/coherence.hh"
 
+#include "common/logging.hh"
+
 namespace vic
 {
 
@@ -65,6 +67,25 @@ CoherenceBus::busUpgrade(const Cache *requester, PhysAddr pa_line)
 {
     ++statUpgrades;
     snoopPeers(requester, pa_line, true);
+}
+
+void
+CoherenceBus::quietPairs(const Cache *requester, PhysAddr dst_line,
+                         PhysAddr src_line, std::uint32_t n)
+{
+    for (const Cache *port : ports) {
+        if (port == requester)
+            continue;
+        const MesiState dst = port->heldState(dst_line);
+        const MesiState src = port->heldState(src_line);
+        vic_assert(dst == MesiState::Invalid && src <= MesiState::Shared,
+                   "%s: conflict run breaks the single-owner invariant: "
+                   "peer %s holds the destination %s and the source %s",
+                   requester->name().c_str(), port->name().c_str(),
+                   mesiStateName(dst), mesiStateName(src));
+    }
+    statReads += n;
+    statReadExclusives += n;
 }
 
 } // namespace vic

@@ -24,7 +24,10 @@
  * flush/purge pairs.
  *
  * The protocol invariant is the usual one: a Modified or Exclusive
- * copy implies every other port holds the line Invalid. Cycle cost:
+ * copy implies every other port holds the line Invalid. A conflict
+ * copy run (Cache::copyRun) rests on it: its pairs' transactions find
+ * the peers quiet, so quietPairs() counts them in one step and asserts
+ * the invariant for the run's two lines. Cycle cost:
  * a transaction charges the machine's snoopPenalty once when a peer
  * intervenes with data (Modified write-back); peers' write-backs
  * additionally charge their own writeBackPenalty, exactly as a
@@ -82,6 +85,20 @@ class CoherenceBus
      *  (Shared copies are clean, so no data moves in a conforming
      *  protocol; a Modified peer copy would still be written back). */
     void busUpgrade(const Cache *requester, PhysAddr pa_line);
+
+    /**
+     * @p n more pairs of a conflict copy run in @p requester
+     * (Cache::copyRun), each a busRead of @p src_line (the load's fill)
+     * and a busReadExclusive of @p dst_line (the store's fill), that
+     * find the peers quiet: no peer holds the destination and none
+     * holds the source Exclusive or Modified. So no snoop writes back,
+     * invalidates or changes a state (a Shared source copy stays
+     * Shared), and only bus.reads and bus.read_exclusives move, by n
+     * each. The run's first pair leaves the peers quiet; asserted over
+     * every peer, in every build.
+     */
+    void quietPairs(const Cache *requester, PhysAddr dst_line,
+                    PhysAddr src_line, std::uint32_t n);
 
   private:
     /** Snoop every port except @p requester; invalidating or

@@ -35,8 +35,11 @@
  * and destination line pair goes through access() twice, and the rest
  * of the pair's words are one copy run — TLB hits on the page pair
  * (Tlb::repeatPair) plus a cache hit run or conflict run
- * (Cache::copyRun) — or, when neither closed form applies, word by
- * word. The observer gets every (load, store) pair, in order.
+ * (Cache::copyRun; on a bus or with synonym self-snoop too, where a
+ * conflict run also counts its idle bus transactions) — or, when
+ * neither closed form applies (write-through, a set-associative
+ * conflict, the TLB pair not in place), word by word. The observer
+ * gets every (load, store) pair, in order.
  */
 
 #ifndef VIC_MACHINE_CPU_HH

@@ -29,7 +29,10 @@ MachineParams::check() const
         vic_fatal("clock rate must be positive");
     if (numCpus == 0)
         vic_fatal("machine needs at least one CPU");
-    if (numCpus > 1 && cpuCoherence == CpuCoherence::Mesi &&
+    // A write-through store issues no bus transaction, so neither a
+    // peer data cache nor a coherent instruction cache would see it.
+    if (((numCpus > 1 && cpuCoherence == CpuCoherence::Mesi) ||
+         ifetchCoherence) &&
         dcachePolicy != WritePolicy::WriteBack)
         vic_fatal("MESI coherence requires write-back data caches");
     if (ifetchCoherence && numCpus > 1 &&

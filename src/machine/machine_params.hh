@@ -89,7 +89,9 @@ struct MachineParams
     bool synonymCoherence = false;
     /** Put the instruction caches on the coherence bus as read-only
      *  ports, so stores invalidate stale instruction copies in
-     *  hardware instead of via software flush/purge pairs. */
+     *  hardware instead of via software flush/purge pairs. Needs a
+     *  write-back data cache, whose store misses and upgrades are the
+     *  bus transactions that do the invalidating. */
     bool ifetchCoherence = false;
 
     /** True iff CPU/CPU conflicting accesses through *different*

@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the cache simulator: functional behaviour, the
  * aliasing failure modes the paper describes (stale reads, shadowing,
- * lost write-backs), flush/purge semantics, and the cost model.
+ * lost write-backs), flush/purge semantics, the cost model, and the
+ * invariants a conflict copy run asserts.
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "cache/coherence.hh"
 #include "common/cycle_clock.hh"
 #include "common/stats.hh"
 #include "mem/physical_memory.hh"
@@ -269,6 +271,50 @@ TEST(CacheSetAssociativeTest, LruEvictsOldestWay)
     EXPECT_TRUE(c.probe(va, pa1).present);
     EXPECT_FALSE(c.probe(va, pa2).present);
     EXPECT_TRUE(c.probe(va, pa3).present);
+}
+
+// A conflict copy run (direct mapped, destination Modified, source
+// absent from the same set) asserts what its first pair leaves true.
+// Through the public API the state below arises only by building it
+// before the bus or the self-snoop that would prevent it exists.
+
+TEST(CacheCopyRunDeathTest, BusPeerHoldingTheDestinationDies)
+{
+    PhysicalMemory mem(64, 4096);
+    CycleClock clk;
+    StatSet stats;
+    const CacheGeometry geo(64 * 1024, 32, 4096, 1, Indexing::Virtual);
+    Cache self("dcache0", geo, CacheCosts{}, WritePolicy::WriteBack, mem,
+               clk, stats);
+    Cache peer("dcache1", geo, CacheCosts{}, WritePolicy::WriteBack, mem,
+               clk, stats);
+    const VirtAddr va(4096);               // one set for both lines
+    const PhysAddr dst(2 * 4096), src(3 * 4096);
+    (void)peer.read(va, dst);
+    self.write(va, dst, 1);
+    CoherenceBus bus(10, clk, stats);
+    bus.attach(&self);
+    bus.attach(&peer);
+    EXPECT_DEATH(self.copyRun(va, dst, va, src, 3),
+                 "single-owner invariant: peer dcache1 holds the "
+                 "destination E");
+}
+
+TEST(CacheCopyRunDeathTest, SelfSnoopSecondCopyOfTheSourceDies)
+{
+    PhysicalMemory mem(64, 4096);
+    CycleClock clk;
+    StatSet stats;
+    Cache c("dcache",
+            CacheGeometry(64 * 1024, 32, 4096, 1, Indexing::Virtual),
+            CacheCosts{}, WritePolicy::WriteBack, mem, clk, stats);
+    const VirtAddr va(4096), alias(2 * 4096); // colours 1 and 2
+    const PhysAddr dst(2 * 4096), src(3 * 4096);
+    c.write(va, dst, 1);
+    (void)c.read(alias, src);
+    c.enableSelfSnoop(10);
+    EXPECT_DEATH(c.copyRun(va, dst, va, src, 3),
+                 "one copy per line: 1 copies of the source");
 }
 
 } // anonymous namespace

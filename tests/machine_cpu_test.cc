@@ -181,5 +181,18 @@ TEST(MachineParamsDeathTest, ChecksReject)
     EXPECT_DEATH(Machine{p}, "frame");
 }
 
+TEST(MachineParamsDeathTest, IfetchCoherenceNeedsWriteBackDataCache)
+{
+    // A write-through store issues no bus transaction, so a coherent
+    // I-cache would keep the old word. Also on a uniprocessor.
+    MachineParams p = MachineParams::hp720();
+    p.ifetchCoherence = true;
+    p.dcachePolicy = WritePolicy::WriteThrough;
+    EXPECT_DEATH(Machine{p}, "requires write-back data caches");
+    p.dcachePolicy = WritePolicy::WriteBack;
+    Machine ok(p);
+    EXPECT_NE(ok.coherenceBus(), nullptr);
+}
+
 } // anonymous namespace
 } // namespace vic

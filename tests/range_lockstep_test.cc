@@ -18,10 +18,17 @@
  * aliasing frames, or on one page. Between ops the stream unmaps pages
  * (shooting them down first) and downgrades them, and on the
  * multiprocessors the peer CPU loads and stores, so lines sit Shared
- * or Modified in its cache. After every op the observer's (kind, pa,
- * value) sequence, the stats, the clock, the fault counts, the TLBs'
- * contents, a probe of every touched word, physical memory over every
- * touched line and the data caches' residency index there must agree.
+ * or Modified in its cache; most of its accesses land on the next
+ * copy's source, so conflict runs on a bus meet a peer's Shared copy.
+ * After every op the observer's (kind, pa, value) sequence, the
+ * stats, the clock, the fault counts, the TLBs' contents, a probe of
+ * every touched word (on the ifetch-coherent machine a copy's also in
+ * the I-caches, which its bus transactions snoop), physical memory
+ * over every touched line and the data caches' residency index there
+ * must agree. Every touched line must also keep the invariants the
+ * conflict run rests on: on a bus, a port holding it Exclusive or
+ * Modified is its only holder; with synonym self-snoop, no cache
+ * holds it twice.
  */
 
 #include <gtest/gtest.h>
@@ -138,11 +145,22 @@ struct Extent
     std::uint32_t stride;
 };
 
-/** After an op that touched @p touched through the @p kind caches:
+/** The physical address behind @p va, which the op just before left
+ *  mapped. */
+PhysAddr
+physOf(Machine &m, VirtAddr va)
+{
+    const PageTableEntry *pte = m.pageTable().lookup(SpaceVa(kSpace, va));
+    vic_assert(pte != nullptr, "touched va %llx is unmapped",
+               (unsigned long long)va.value);
+    return PhysAddr(pte->frame * m.pageBytes() + va.value % m.pageBytes());
+}
+
+/** After an op that touched @p touched through the @p kinds caches:
  *  both twins agree on everything a per-word loop could have
  *  changed. */
 void
-expectSame(Twin &a, Twin &b, CacheKind kind,
+expectSame(Twin &a, Twin &b, const std::vector<CacheKind> &kinds,
            const std::vector<Extent> &touched)
 {
     ASSERT_EQ(a.recorder.seen, b.recorder.seen);
@@ -168,20 +186,20 @@ expectSame(Twin &a, Twin &b, CacheKind kind,
         PhysAddr last_line(1); // no line starts at an odd address
         for (std::uint32_t i = 0; i < e.count; ++i) {
             const VirtAddr va = e.base.plus(std::uint64_t(i) * e.stride);
-            const PageTableEntry *pte =
-                a.machine.pageTable().lookup(SpaceVa(kSpace, va));
-            ASSERT_NE(pte, nullptr);
-            const PhysAddr pa(pte->frame * page_bytes +
-                              va.value % page_bytes);
+            const PhysAddr pa = physOf(a.machine, va);
             for (std::uint32_t c = 0; c < a.cpus.size(); ++c) {
-                const Cache::Probe pa_probe =
-                    a.machine.cacheFor(kind, c).probe(va, pa);
-                const Cache::Probe pb_probe =
-                    b.machine.cacheFor(kind, c).probe(va, pa);
-                ASSERT_EQ(pa_probe.present, pb_probe.present)
-                    << "word " << i;
-                ASSERT_EQ(pa_probe.state, pb_probe.state) << "word " << i;
-                ASSERT_EQ(pa_probe.word, pb_probe.word) << "word " << i;
+                for (CacheKind kind : kinds) {
+                    const Cache::Probe pa_probe =
+                        a.machine.cacheFor(kind, c).probe(va, pa);
+                    const Cache::Probe pb_probe =
+                        b.machine.cacheFor(kind, c).probe(va, pa);
+                    ASSERT_EQ(pa_probe.present, pb_probe.present)
+                        << "word " << i;
+                    ASSERT_EQ(pa_probe.state, pb_probe.state)
+                        << "word " << i;
+                    ASSERT_EQ(pa_probe.word, pb_probe.word)
+                        << "word " << i;
+                }
             }
 
             // A write-back shows in memory, not in a probe of the
@@ -207,34 +225,140 @@ expectSame(Twin &a, Twin &b, CacheKind kind,
     }
 }
 
-/** True iff a word pair of the copy of @p words words from @p src to
- *  @p dst has two distinct physical lines in one set of a
- *  direct-mapped data cache: the geometry under which the pair's load
- *  and store evict each other. The copy left every page it touched
- *  mapped. */
-bool
-sharesDirectMappedSet(Machine &m, VirtAddr dst, VirtAddr src,
-                      std::uint32_t words)
+/** The caches on @p m's coherence bus: every data cache, and the
+ *  instruction caches too under ifetch coherence. None without a bus. */
+std::vector<const Cache *>
+busPorts(Machine &m)
 {
+    std::vector<const Cache *> ports;
+    if (m.coherenceBus() == nullptr)
+        return ports;
+    for (std::uint32_t c = 0; c < m.numCpus(); ++c) {
+        ports.push_back(&m.dcache(c));
+        if (m.params().ifetchCoherence)
+            ports.push_back(&m.icache(c));
+    }
+    return ports;
+}
+
+/** The invariants a conflict run's closed form rests on, over every
+ *  line of @p touched: on a bus, a port that holds a line Exclusive or
+ *  Modified is its only holder (MESI single ownership); with synonym
+ *  self-snoop, no cache holds a line twice. */
+void
+expectCoherent(Machine &m, const std::vector<Extent> &touched)
+{
+    const std::vector<const Cache *> ports = busPorts(m);
+    const CacheGeometry &dgeo = m.dcache().geometry();
+    for (const Extent &e : touched) {
+        PhysAddr last_line(1); // no line starts at an odd address
+        for (std::uint32_t i = 0; i < e.count; ++i) {
+            const PhysAddr line = dgeo.lineBase(
+                physOf(m, e.base.plus(std::uint64_t(i) * e.stride)));
+            if (line == last_line)
+                continue;
+            last_line = line;
+            for (const Cache *owner : ports) {
+                if (owner->heldState(line) < MesiState::Exclusive)
+                    continue;
+                for (const Cache *other : ports)
+                    ASSERT_TRUE(other == owner || other->copiesOf(line) == 0)
+                        << owner->name() << " owns line " << line.value
+                        << " that " << other->name() << " holds";
+            }
+            if (!m.params().synonymCoherence)
+                continue;
+            for (std::uint32_t c = 0; c < m.numCpus(); ++c) {
+                ASSERT_LE(m.dcache(c).copiesOf(line), 1u)
+                    << "line " << line.value;
+                ASSERT_LE(m.icache(c).copiesOf(line), 1u)
+                    << "line " << line.value;
+            }
+        }
+    }
+}
+
+/** A copy op: @p words words from @p src to @p dst. */
+struct CopyOp
+{
+    VirtAddr src;
+    VirtAddr dst;
+    std::uint32_t words;
+};
+
+/** Draw a copy inside the window of @p page_bytes pages. */
+CopyOp
+drawCopy(Random &rng, std::uint32_t page_bytes)
+{
+    const std::uint64_t window_end = kWindow + kWindowPages * page_bytes;
+    // Half the copies put both sides at one colour: pages 16 or 32
+    // apart, 48 apart (the same frame, so one line), or one page. Half
+    // put them apart, 24 pages apart on the same frame at another
+    // colour now and then.
+    const std::uint64_t page_words = page_bytes / 4;
+    std::uint64_t dist = 16 * rng.below(4);
+    if (rng.chance(1, 2)) {
+        dist = 1 + rng.below(kWindowPages - 5);
+        dist += dist % 16 == 0;
+    }
+    const std::uint64_t low = rng.below(kWindowPages - dist);
+    const std::uint64_t low_word = rng.below(page_words);
+    // Mostly nearly the same word of the page on both sides, as a page
+    // copy has: then lines pair up, and on one frame the sides overlap
+    // within a line.
+    const std::uint64_t high_word = rng.chance(3, 4)
+        ? (low_word + page_words - 2 + rng.below(5)) % page_words
+        : rng.below(page_words);
+    const VirtAddr low_va(kWindow + low * page_bytes + 4 * low_word);
+    const VirtAddr high_va(kWindow + (low + dist) * page_bytes +
+                           4 * high_word);
+    const std::uint64_t room = (window_end - high_va.value) / 4;
+    const std::uint64_t most = rng.chance(1, 3) ? 12 : 3 * page_words;
+    const std::uint32_t words =
+        static_cast<std::uint32_t>(rng.between(1, std::min(room, most)));
+    if (rng.chance(1, 2))
+        return {low_va, high_va, words};
+    return {high_va, low_va, words};
+}
+
+/** How a copy met a direct-mapped data cache, over its word pairs
+ *  whose two distinct lines share a set (the pair's load and store
+ *  evict each other). The copy left every page it touched mapped. */
+struct CopyShape
+{
+    bool conflicting = false; ///< some pair's lines share a set
+    /** and for some such pair a peer port still holds the source line,
+     *  which the pair's bus-read left Shared */
+    bool peerSource = false;
+};
+
+CopyShape
+copyShape(Machine &m, const CopyOp &copy)
+{
+    CopyShape shape;
     const CacheGeometry &geo = m.dcache().geometry();
     if (geo.associativity() != 1)
-        return false;
-    const auto physOf = [&m](VirtAddr va) {
-        const PageTableEntry *pte =
-            m.pageTable().lookup(SpaceVa(kSpace, va));
-        return PhysAddr(pte->frame * m.pageBytes() +
-                        va.value % m.pageBytes());
-    };
-    for (std::uint32_t k = 0; k < words; ++k) {
-        const VirtAddr s = src.plus(4 * std::uint64_t(k));
-        const VirtAddr d = dst.plus(4 * std::uint64_t(k));
-        const PhysAddr s_pa = physOf(s);
-        const PhysAddr d_pa = physOf(d);
-        if (geo.setIndex(s, s_pa) == geo.setIndex(d, d_pa) &&
-            geo.lineBase(s_pa) != geo.lineBase(d_pa))
-            return true;
+        return shape;
+    std::vector<const Cache *> peers = busPorts(m);
+    std::erase(peers, &m.dcache());
+    for (std::uint32_t k = 0; k < copy.words; ++k) {
+        const VirtAddr s = copy.src.plus(4 * std::uint64_t(k));
+        const VirtAddr d = copy.dst.plus(4 * std::uint64_t(k));
+        const PhysAddr s_pa = physOf(m, s);
+        const PhysAddr d_pa = physOf(m, d);
+        if (geo.setIndex(s, s_pa) != geo.setIndex(d, d_pa) ||
+            geo.lineBase(s_pa) == geo.lineBase(d_pa))
+            continue;
+        shape.conflicting = true;
+        for (const Cache *peer : peers) {
+            if (peer->copiesOf(s_pa) == 0)
+                continue;
+            EXPECT_EQ(peer->heldState(s_pa), MesiState::Shared)
+                << peer->name() << " at " << s_pa.value;
+            shape.peerSource = true;
+        }
     }
-    return false;
+    return shape;
 }
 
 struct Case
@@ -266,10 +390,19 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
         fn(looped);
     };
 
+    auto checkCoherent = [&](const std::vector<Extent> &touched) {
+        both([&](Twin &t) {
+            ASSERT_NO_FATAL_FAILURE(expectCoherent(t.machine, touched));
+        });
+    };
+
     Random rng(streamSeed(kSeed, GetParam().stream));
     std::uint64_t runs_possible = 0;
     std::uint64_t copies_conflicting = 0;
+    std::uint64_t copies_peer_source = 0;
     std::uint64_t copies_apart = 0;
+    // Drawn one copy ahead, so the peer can touch its source first.
+    CopyOp next_copy = drawCopy(rng, page_bytes);
     for (int step = 0; step < kSteps; ++step) {
         const std::uint64_t op = rng.below(14);
         const SpaceVa page(kSpace,
@@ -292,9 +425,19 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
             });
             continue;
         }
-        if (op == 2 && params.numCpus > 1) {
+        // The peer CPU takes ops 2 and 7, so some copy sources are
+        // peer lines.
+        if ((op == 2 || op == 7) && params.numCpus > 1) {
             const bool store = rng.chance(1, 2);
-            const VirtAddr va(kWindow + 4 * rng.below(window_words - 64));
+            std::uint64_t start = kWindow + 4 * rng.below(window_words - 64);
+            // Mostly inside the next copy's source, so its conflict
+            // runs find the line in the peer, which the copy's first
+            // load leaves Shared.
+            if (rng.chance(3, 4))
+                start = std::min(next_copy.src.value +
+                                     4 * rng.below(next_copy.words),
+                                 window_end - 4 * 64);
+            const VirtAddr va(start);
             const std::uint32_t n =
                 static_cast<std::uint32_t>(rng.between(1, 64));
             const std::uint32_t value =
@@ -308,6 +451,7 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
                         (void)peer.load(va.plus(4 * i));
                 }
             });
+            ASSERT_NO_FATAL_FAILURE(checkCoherent({{va, n, 4}}));
             continue;
         }
 
@@ -321,51 +465,29 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
         Cpu &lc = *looped.cpus[0];
 
         if (op >= 3 && op < 7) {
-            // Half the copies put both sides at one colour: pages 16
-            // or 32 apart, 48 apart (the same frame, so one line), or
-            // one page. Half put them apart, 24 pages apart on the
-            // same frame at another colour now and then.
-            const std::uint64_t page_words = page_bytes / 4;
-            std::uint64_t dist = 16 * rng.below(4);
-            if (rng.chance(1, 2)) {
-                dist = 1 + rng.below(kWindowPages - 5);
-                dist += dist % 16 == 0;
-            }
-            const std::uint64_t low = rng.below(kWindowPages - dist);
-            const std::uint64_t low_word = rng.below(page_words);
-            // Mostly nearly the same word of the page on both sides, as
-            // a page copy has: then lines pair up, and on one frame the
-            // sides overlap within a line.
-            const std::uint64_t high_word = rng.chance(3, 4)
-                ? (low_word + page_words - 2 + rng.below(5)) % page_words
-                : rng.below(page_words);
-            const VirtAddr low_va(kWindow + low * page_bytes +
-                                  4 * low_word);
-            const VirtAddr high_va(kWindow + (low + dist) * page_bytes +
-                                   4 * high_word);
-            const std::uint64_t room = (window_end - high_va.value) / 4;
-            const std::uint64_t most =
-                rng.chance(1, 3) ? 12 : 3 * page_words;
-            const std::uint32_t words = static_cast<std::uint32_t>(
-                rng.between(1, std::min(room, most)));
-            const bool upward = rng.chance(1, 2);
-            const VirtAddr src = upward ? low_va : high_va;
-            const VirtAddr dst = upward ? high_va : low_va;
-            SCOPED_TRACE("copy src " + std::to_string(src.value) +
-                         " dst " + std::to_string(dst.value) + " words " +
-                         std::to_string(words));
+            const CopyOp copy = next_copy;
+            next_copy = drawCopy(rng, page_bytes);
+            SCOPED_TRACE("copy src " + std::to_string(copy.src.value) +
+                         " dst " + std::to_string(copy.dst.value) +
+                         " words " + std::to_string(copy.words));
 
-            rc.copyRange(dst, src, words);
-            for (std::uint32_t k = 0; k < words; ++k)
-                lc.store(dst.plus(4 * std::uint64_t(k)),
-                         lc.load(src.plus(4 * std::uint64_t(k))));
-            if (sharesDirectMappedSet(ranged.machine, dst, src, words))
-                ++copies_conflicting;
-            else
-                ++copies_apart;
+            rc.copyRange(copy.dst, copy.src, copy.words);
+            for (std::uint32_t k = 0; k < copy.words; ++k)
+                lc.store(copy.dst.plus(4 * std::uint64_t(k)),
+                         lc.load(copy.src.plus(4 * std::uint64_t(k))));
+            const CopyShape shape = copyShape(ranged.machine, copy);
+            copies_conflicting += shape.conflicting;
+            copies_peer_source += shape.peerSource;
+            copies_apart += !shape.conflicting;
+            // A copy's bus transactions snoop the coherent I-caches.
+            std::vector<CacheKind> kinds{CacheKind::Data};
+            if (params.ifetchCoherence)
+                kinds.push_back(CacheKind::Instruction);
+            const std::vector<Extent> touched{{copy.src, copy.words, 4},
+                                              {copy.dst, copy.words, 4}};
             ASSERT_NO_FATAL_FAILURE(
-                expectSame(ranged, looped, CacheKind::Data,
-                           {{src, words, 4}, {dst, words, 4}}));
+                expectSame(ranged, looped, kinds, touched));
+            ASSERT_NO_FATAL_FAILURE(checkCoherent(touched));
             continue;
         }
 
@@ -412,20 +534,26 @@ TEST_P(RangeLockstepTest, RangesMatchPerWordLoops)
                 (void)lc.ifetch(base.plus(std::uint64_t(i) * stride));
             break;
         }
+        const std::vector<Extent> touched{{base, count, stride}};
         ASSERT_NO_FATAL_FAILURE(expectSame(
             ranged, looped,
-            type == AccessType::IFetch ? CacheKind::Instruction
-                                       : CacheKind::Data,
-            {{base, count, stride}}));
+            {type == AccessType::IFetch ? CacheKind::Instruction
+                                        : CacheKind::Data},
+            touched));
+        ASSERT_NO_FATAL_FAILURE(checkCoherent(touched));
     }
 
     // The stream did real work: ranges with line runs, copies whose
-    // line pairs conflict in a direct-mapped set and copies whose
+    // line pairs conflict in a direct-mapped set (on a multiprocessor,
+    // also with a peer holding the source Shared) and copies whose
     // lines stay resident together, faults, fills.
     EXPECT_GT(runs_possible, 50u);
     EXPECT_GT(copies_apart, 30u);
     if (params.dcacheWays == 1) {
         EXPECT_GT(copies_conflicting, 10u);
+        if (params.numCpus > 1) {
+            EXPECT_GT(copies_peer_source, 10u);
+        }
     }
     EXPECT_GT(ranged.cpus[0]->faultCount(), 0u);
     EXPECT_GT(ranged.machine.stats().value(
@@ -487,7 +615,7 @@ machines()
     out.push_back({"tlb1", tlb1});
 
     // A uniprocessor with synonym self-snoop: fills snoop the cache's
-    // other colours, so no conflict run applies.
+    // other colours, and a conflict run asserts one copy per line.
     MachineParams synonym = MachineParams::hp720();
     synonym.synonymCoherence = true;
     out.push_back({"synonym_uni", synonym});
