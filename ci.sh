@@ -47,14 +47,17 @@
 #      build's (the pipeline's functional behaviour, inline hit paths
 #      and line runs included, must not depend on the optimisation
 #      level); the lockstep tests (tlb_lockstep_test,
-#      cache_index_test, range_lockstep_test, and cache_model_test's
-#      naive cache) rebuilt and run at Release too, since their fast
-#      paths' countr_zero walks and word loops are what the optimiser
-#      vectorises differently, and oracle_test and cache_test with
-#      them, since vic_assert stays compiled in at -O3: the oracle's
-#      per-word checks inline into their callers, and a conflict copy
-#      run asserts its MESI and one-copy preconditions, so their death
-#      tests must hold at -O3; then
+#      cache_index_test, range_lockstep_test, cache_model_test's
+#      naive cache and page_table_model_test's std::map) rebuilt and
+#      run at Release too, since their fast paths' countr_zero walks,
+#      word loops and held handles are what the optimiser treats
+#      differently, and oracle_test, cache_test, lazy_pmap_test and
+#      classic_pmap_test with them, since vic_assert stays compiled in
+#      at -O3: the oracle's per-word checks inline into their callers,
+#      a conflict copy run asserts its MESI and one-copy
+#      preconditions, and the pmaps' frame tables and fixed
+#      CacheControl plans panic on overflow, so their death tests must
+#      hold at -O3, as must the pmaps' handle streams; then
 #      perfbench/selftest.py builds and runs the repository benchmark
 #      once and checks its output (host throughput is measured there,
 #      not by vic_bench);
@@ -138,13 +141,17 @@ step "perf smoke (Release -O3 artifact equivalence, lockstep, model and death te
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" \
     --target vic_bench tlb_lockstep_test cache_index_test \
-             range_lockstep_test cache_model_test oracle_test cache_test
+             range_lockstep_test cache_model_test page_table_model_test \
+             oracle_test cache_test lazy_pmap_test classic_pmap_test
 ./build-release/tests/tlb_lockstep_test
 ./build-release/tests/cache_index_test
 ./build-release/tests/range_lockstep_test
 ./build-release/tests/cache_model_test
+./build-release/tests/page_table_model_test
 ./build-release/tests/oracle_test
 ./build-release/tests/cache_test
+./build-release/tests/lazy_pmap_test
+./build-release/tests/classic_pmap_test
 # The artifact must stay equivalent to the default build's sweep.
 ./build-release/tools/vic_bench --smoke --jobs 2 \
     --json BENCH_smoke_release.json

@@ -136,8 +136,22 @@ class BitVector
     /** Index of the first clear bit; size() if none. */
     std::uint32_t findFirstClear() const;
 
-    /** @return true iff exactly one bit is set. */
-    bool exactlyOne() const { return count() == 1; }
+    /** @return true iff exactly one bit is set. A word test, not
+     *  count() == 1: without a popcount instruction in the target ISA
+     *  count() is a library call per word. */
+    bool
+    exactlyOne() const
+    {
+        bool seen = false;
+        for (std::uint64_t w : words) {
+            if (w == 0)
+                continue;
+            if (seen || (w & (w - 1)) != 0)
+                return false;
+            seen = true;
+        }
+        return seen;
+    }
 
     bool operator==(const BitVector &other) const = default;
 

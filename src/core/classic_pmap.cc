@@ -1,19 +1,43 @@
 #include "core/classic_pmap.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace vic
 {
 
 ClassicPmap::ClassicPmap(Machine &m, const PolicyConfig &policy_config)
-    : Pmap(m, policy_config)
+    : Pmap(m, policy_config), frames(m.params().numFrames)
 {
 }
 
 ClassicPmap::FrameMeta &
 ClassicPmap::getMeta(FrameId frame)
 {
-    return frames[frame];
+    return frames.getOrMake(frame);
+}
+
+std::span<const VaMapping>
+ClassicPmap::mappingList(FrameId frame) const
+{
+    const FrameMeta *meta = frames.find(frame);
+    if (!meta)
+        return {};
+    return meta->mappings;
+}
+
+void
+ClassicPmap::unlistMapping(FrameMeta &meta, SpaceVa va)
+{
+    for (auto &mapping : meta.mappings) {
+        if (mapping.va == va) {
+            mapping = meta.mappings.back();
+            meta.mappings.pop_back();
+            return;
+        }
+    }
+    vic_panic("mapping list out of sync with page table");
 }
 
 bool
@@ -58,10 +82,7 @@ ClassicPmap::colourPossiblyDirty(const FrameMeta &meta,
     // purge through another sibling would discard. Any live aligned
     // mapping with its modified bit set makes the colour dirty.
     for (const auto &m : meta.mappings) {
-        if (dColourOf(m.va.va) != colour)
-            continue;
-        const PageTableEntry *pte = mach.pageTable().lookup(m.va);
-        if (pte && pte->modified)
+        if (dColourOf(m.va.va) == colour && m.pte->modified)
             return true;
     }
     return false;
@@ -94,7 +115,7 @@ ClassicPmap::enterExecMode(FrameId frame, FrameMeta &meta,
             seen |= f == c;
         if (seen)
             continue;
-        const bool modified = mach.pageTable().clearModified(m.va);
+        const bool modified = std::exchange(m.pte->modified, false);
         if (colourPossiblyDirty(meta, c, modified)) {
             flushDataPage(frame, c, Reason::IFetch);
             flushed.push_back(c);
@@ -111,11 +132,10 @@ ClassicPmap::enterExecMode(FrameId frame, FrameMeta &meta,
 
     // Revoke write everywhere; a later store faults into write mode.
     for (const auto &m : meta.mappings) {
-        const PageTableEntry *pte = mach.pageTable().lookup(m.va);
-        if (pte && pte->prot.write) {
-            Protection p = pte->prot;
+        if (m.pte->prot.write) {
+            Protection p = m.pte->prot;
             p.write = false;
-            setHardwareProt(m.va, p);
+            setHardwareProt(m, p);
         }
     }
     meta.execMode = true;
@@ -125,34 +145,24 @@ void
 ClassicPmap::enterWriteMode(FrameMeta &meta)
 {
     for (const auto &m : meta.mappings) {
-        const PageTableEntry *pte = mach.pageTable().lookup(m.va);
-        if (pte && pte->prot.execute) {
-            Protection p = pte->prot;
+        if (m.pte->prot.execute) {
+            Protection p = m.pte->prot;
             p.execute = false;
-            setHardwareProt(m.va, p);
+            setHardwareProt(m, p);
         }
     }
     meta.execMode = false;
 }
 
 void
-ClassicPmap::breakMapping(FrameId frame, FrameMeta &meta,
-                          const VaMapping &m, Reason reason)
+ClassicPmap::breakMapping(FrameId frame, FrameMeta &meta, VaMapping m,
+                          Reason reason)
 {
     const bool modified = dropTranslation(m.va);
+    unlistMapping(meta, m.va);
     const bool dirty =
         colourPossiblyDirty(meta, dColourOf(m.va.va), modified);
     cleanThroughMapping(frame, m, dirty, reason);
-    bool removed = false;
-    for (auto &mapping : meta.mappings) {
-        if (mapping.va == m.va) {
-            mapping = meta.mappings.back();
-            meta.mappings.pop_back();
-            removed = true;
-            break;
-        }
-    }
-    vic_assert(removed, "breakMapping: mapping not found");
 }
 
 void
@@ -171,8 +181,8 @@ ClassicPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
     if (cfg.brokenNoConsistency) {
         // Testing-only unsound mode: pretend the cache is physically
         // indexed and do nothing about aliases or residue.
-        setTranslation(va, frame, vm_prot);
-        meta.mappings.push_back(VaMapping{va, vm_prot});
+        PageTableEntry *pte = setTranslation(va, frame, vm_prot);
+        meta.mappings.push_back(VaMapping{va, vm_prot, pte});
         return;
     }
 
@@ -212,14 +222,8 @@ ClassicPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
         if (!conflicts(m.va.va, va.va))
             continue;
         conflicting_alias = true;
-        if (isWrite(access)) {
+        if (isWrite(access) || m.pte->prot.write || m.pte->modified)
             to_break.push_back(m);
-        } else {
-            const PageTableEntry *pte = mach.pageTable().lookup(m.va);
-            vic_assert(pte != nullptr, "mapping without translation");
-            if (pte->prot.write || pte->modified)
-                to_break.push_back(m);
-        }
     }
     for (const auto &m : to_break)
         breakMapping(frame, meta, m, Reason::Alias);
@@ -254,13 +258,10 @@ ClassicPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
             eff.execute = false;
     }
 
-    setTranslation(va, frame, eff);
-    if (carry_dirty) {
-        PageTableEntry *pte = mach.pageTable().lookupMutable(va);
-        vic_assert(pte != nullptr, "translation just installed");
+    PageTableEntry *pte = setTranslation(va, frame, eff);
+    if (carry_dirty)
         pte->modified = true;
-    }
-    meta.mappings.push_back(VaMapping{va, vm_prot});
+    meta.mappings.push_back(VaMapping{va, vm_prot, pte});
 }
 
 void
@@ -273,8 +274,8 @@ ClassicPmap::remove(SpaceVa va)
         return;
     const FrameId frame = pte->frame;
     FrameMeta &meta = getMeta(frame);
-    VaMapping *m = nullptr;
-    for (auto &mapping : meta.mappings) {
+    const VaMapping *m = nullptr;
+    for (const auto &mapping : meta.mappings) {
         if (mapping.va == va)
             m = &mapping;
     }
@@ -282,13 +283,7 @@ ClassicPmap::remove(SpaceVa va)
     const VaMapping removed_mapping = *m;
 
     const bool modified = dropTranslation(va);
-    for (auto &mapping : meta.mappings) {
-        if (mapping.va == va) {
-            mapping = meta.mappings.back();
-            meta.mappings.pop_back();
-            break;
-        }
-    }
+    unlistMapping(meta, va);
 
     if (cfg.brokenNoConsistency) {
         // Testing-only unsound mode: leave whatever is in the cache.
@@ -324,7 +319,7 @@ ClassicPmap::protect(SpaceVa va, Protection vm_prot)
     for (auto &m : meta.mappings) {
         if (m.va == va) {
             m.vmProt = vm_prot;
-            setHardwareProt(va, pte->prot.intersect(vm_prot));
+            setHardwareProt(m, pte->prot.intersect(vm_prot));
             return;
         }
     }
@@ -341,18 +336,20 @@ ClassicPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
 
     const FrameId frame = pte->frame;
     FrameMeta &meta = getMeta(frame);
-    VaMapping *m = nullptr;
-    for (auto &mapping : meta.mappings) {
+    // A copy: breaking the other mappings below reorders the list.
+    std::optional<VaMapping> m;
+    for (const auto &mapping : meta.mappings) {
         if (mapping.va == va)
-            m = &mapping;
+            m = mapping;
     }
-    vic_assert(m != nullptr, "mapping list out of sync with page table");
+    vic_assert(m.has_value(),
+               "mapping list out of sync with page table");
 
     if (!protPermits(m->vmProt, access))
         return false;  // genuine VM-level denial
 
     if (cfg.brokenNoConsistency) {
-        setHardwareProt(va, m->vmProt);
+        setHardwareProt(*m, m->vmProt);
         return access != AccessType::Load;
     }
 
@@ -368,7 +365,7 @@ ClassicPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
             enterExecMode(frame, meta, iColourOf(va.va));
         Protection eff = m->vmProt;
         eff.write = false;
-        setHardwareProt(va, eff);
+        setHardwareProt(*m, eff);
         return true;
     }
 
@@ -398,7 +395,7 @@ ClassicPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
 
     Protection eff = m->vmProt;
     eff.execute = false;
-    setHardwareProt(va, eff);
+    setHardwareProt(*m, eff);
     return true;
 }
 
@@ -408,21 +405,21 @@ ClassicPmap::dmaRead(FrameId frame, bool need_data)
     (void)need_data;  // classic strategies always flush live data
     if (cfg.brokenNoConsistency)
         return;
-    auto it = frames.find(frame);
-    if (it == frames.end())
+    FrameMeta *meta = frames.find(frame);
+    if (!meta)
         return;
-    FrameMeta &meta = it->second;
 
-    for (const auto &m : meta.mappings) {
+    for (const auto &m : meta->mappings) {
         // The hardware modified bit says whether this mapping could
         // have dirtied the cache; clean mappings need nothing, since
         // memory is already current.
-        if (mach.pageTable().clearModified(m.va))
+        if (std::exchange(m.pte->modified, false))
             flushDataPage(frame, dColourOf(m.va.va), Reason::DmaRead);
     }
-    if (meta.residue && meta.residue->dirty) {
-        flushDataPage(frame, dColourOf(meta.residue->va.va), Reason::DmaRead);
-        meta.residue->dirty = false;
+    if (meta->residue && meta->residue->dirty) {
+        flushDataPage(frame, dColourOf(meta->residue->va.va),
+                      Reason::DmaRead);
+        meta->residue->dirty = false;
     }
 }
 
@@ -431,34 +428,33 @@ ClassicPmap::dmaWrite(FrameId frame)
 {
     if (cfg.brokenNoConsistency)
         return;
-    auto it = frames.find(frame);
-    if (it == frames.end())
+    FrameMeta *meta = frames.find(frame);
+    if (!meta)
         return;
-    FrameMeta &meta = it->second;
 
-    for (const auto &m : meta.mappings) {
-        mach.pageTable().clearModified(m.va);
+    for (const auto &m : meta->mappings) {
+        m.pte->modified = false;
         purgeDataPage(frame, dColourOf(m.va.va), Reason::DmaWrite);
         if (m.vmProt.execute)
             purgeInstPage(frame, iColourOf(m.va.va), Reason::DmaWrite);
     }
-    if (meta.residue) {
-        purgeDataPage(frame, dColourOf(meta.residue->va.va),
+    if (meta->residue) {
+        purgeDataPage(frame, dColourOf(meta->residue->va.va),
                       Reason::DmaWrite);
-        if (meta.residue->exec)
-            purgeInstPage(frame, iColourOf(meta.residue->va.va),
+        if (meta->residue->exec)
+            purgeInstPage(frame, iColourOf(meta->residue->va.va),
                           Reason::DmaWrite);
-        meta.residue.reset();
+        meta->residue.reset();
     }
 }
 
 void
 ClassicPmap::frameFreed(FrameId frame)
 {
-    auto it = frames.find(frame);
-    if (it == frames.end())
+    const FrameMeta *meta = frames.find(frame);
+    if (!meta)
         return;
-    vic_assert(it->second.mappings.empty(),
+    vic_assert(meta->mappings.empty(),
                "frame %llu freed with live mappings",
                (unsigned long long)frame);
     // Residue (Tut) survives the free list and is reconciled at the
@@ -469,10 +465,7 @@ std::vector<SpaceVa>
 ClassicPmap::mappingsOf(FrameId frame) const
 {
     std::vector<SpaceVa> out;
-    auto it = frames.find(frame);
-    if (it == frames.end())
-        return out;
-    for (const auto &m : it->second.mappings)
+    for (const auto &m : mappingList(frame))
         out.push_back(m.va);
     return out;
 }
@@ -480,14 +473,13 @@ ClassicPmap::mappingsOf(FrameId frame) const
 std::optional<CachePageId>
 ClassicPmap::preferredColour(FrameId frame) const
 {
-    auto it = frames.find(frame);
-    if (it == frames.end())
+    const FrameMeta *meta = frames.find(frame);
+    if (!meta)
         return std::nullopt;
-    const FrameMeta &meta = it->second;
-    if (meta.residue)
-        return dColourOf(meta.residue->va.va);
-    if (!meta.mappings.empty())
-        return dColourOf(meta.mappings.front().va.va);
+    if (meta->residue)
+        return dColourOf(meta->residue->va.va);
+    if (!meta->mappings.empty())
+        return dColourOf(meta->mappings.front().va.va);
     return std::nullopt;
 }
 

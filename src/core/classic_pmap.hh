@@ -23,7 +23,7 @@
 #define VIC_CORE_CLASSIC_PMAP_HH
 
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/phys_page_info.hh"
@@ -50,6 +50,10 @@ class ClassicPmap : public Pmap
     std::vector<SpaceVa> mappingsOf(FrameId frame) const override;
     const char *kindName() const override { return "classic"; }
 
+    /** The live mappings of @p frame, each with its page-table entry
+     *  handle. Panics if @p frame is past the machine's memory. */
+    std::span<const VaMapping> mappingList(FrameId frame) const;
+
   private:
     /** What the frame may have left in the cache after its mappings
      *  were (lazily) removed — Tut-style per-virtual-address state. */
@@ -73,18 +77,20 @@ class ClassicPmap : public Pmap
         bool execMode = false;
     };
 
-    std::unordered_map<FrameId, FrameMeta> frames;
+    FrameTable<FrameMeta> frames;
 
     FrameMeta &getMeta(FrameId frame);
-    FrameId frameOf(SpaceVa va) const;
+
+    /** Remove the mapping of @p va from @p meta's list. */
+    static void unlistMapping(FrameMeta &meta, SpaceVa va);
 
     /** Remove @p frame's residue from the cache (flush if dirty). */
     void cleanResidue(FrameId frame, FrameMeta &meta, Reason reason,
                       bool base_modified = false);
 
-    /** Break one existing mapping: clean its cache pages and drop the
-     *  translation. */
-    void breakMapping(FrameId frame, FrameMeta &meta, const VaMapping &m,
+    /** Break one existing mapping: drop the translation, unlist it
+     *  and clean its cache pages. @p m is a copy, not a list entry. */
+    void breakMapping(FrameId frame, FrameMeta &meta, VaMapping m,
                       Reason reason);
 
     /** Clean the cache pages reachable through mapping @p m. */

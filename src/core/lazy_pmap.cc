@@ -9,6 +9,7 @@ LazyPmap::LazyPmap(Machine &m, const PolicyConfig &policy_config)
     : Pmap(m, policy_config),
       dColours(m.dcache().geometry().numColours()),
       iColours(m.icache().geometry().numColours()),
+      pages(m.params().numFrames),
       statSyncs(m.stats().counter("pmap.modified_bit_syncs"))
 {
 }
@@ -16,18 +17,13 @@ LazyPmap::LazyPmap(Machine &m, const PolicyConfig &policy_config)
 PhysPageInfo &
 LazyPmap::getInfo(FrameId frame)
 {
-    auto it = pages.find(frame);
-    if (it != pages.end())
-        return it->second;
-    return pages.emplace(frame, PhysPageInfo(dColours, iColours))
-        .first->second;
+    return pages.getOrMake(frame, dColours, iColours);
 }
 
 const PhysPageInfo *
 LazyPmap::info(FrameId frame) const
 {
-    auto it = pages.find(frame);
-    return it == pages.end() ? nullptr : &it->second;
+    return pages.find(frame);
 }
 
 CachePageState
@@ -48,7 +44,8 @@ void
 LazyPmap::syncDirtyFromModifiedBits(PhysPageInfo &info)
 {
     for (auto &m : info.mappings) {
-        if (mach.pageTable().clearModified(m.va)) {
+        if (m.pte->modified) {
+            m.pte->modified = false;
             ++statSyncs;
             if (!info.dstate.cacheDirty) {
                 // A write was permitted without a fault, which the
@@ -104,10 +101,19 @@ void
 LazyPmap::applyProtections(PhysPageInfo &info)
 {
     for (const auto &m : info.mappings)
-        setHardwareProt(m.va, m.vmProt.intersect(cacheProtFor(info, m)));
+        setHardwareProt(m, m.vmProt.intersect(cacheProtFor(info, m)));
 }
 
-std::vector<LazyPmap::PlannedOp>
+void
+LazyPmap::Plan::push(const PlannedOp &op)
+{
+    vic_assert(count < ops.size(),
+               "CacheControl planned more than %zu cache operations",
+               ops.size());
+    ops[count++] = op;
+}
+
+LazyPmap::Plan
 LazyPmap::planCacheControl(CacheStateVector &dstate,
                            CacheStateVector &istate, MemOp op,
                            std::optional<CachePageId> d_target,
@@ -116,7 +122,7 @@ LazyPmap::planCacheControl(CacheStateVector &dstate,
                            bool need_data, bool use_need_data,
                            bool use_will_overwrite)
 {
-    std::vector<PlannedOp> planned;
+    Plan planned;
     const bool cpu_op = op == MemOp::CpuRead || op == MemOp::CpuWrite;
 
     // --- Stanza 2: displace the dirty data cache page unless the
@@ -133,7 +139,7 @@ LazyPmap::planCacheControl(CacheStateVector &dstate,
             // downgrade.
             const bool flush =
                 op != MemOp::DmaWrite && (need_data || !use_need_data);
-            planned.push_back(
+            planned.push(
                 {CacheKind::Data,
                  flush ? RequiredOp::Flush : RequiredOp::Purge, w});
             dstate.cacheDirty = false;
@@ -153,15 +159,15 @@ LazyPmap::planCacheControl(CacheStateVector &dstate,
     if (cpu_op) {
         if (access == AccessType::IFetch) {
             if (istate.stale.test(*i_target)) {
-                planned.push_back({CacheKind::Instruction,
-                                   RequiredOp::Purge, *i_target});
+                planned.push({CacheKind::Instruction, RequiredOp::Purge,
+                              *i_target});
                 istate.stale.reset(*i_target);
             }
         } else if (dstate.stale.test(*d_target)) {
             // Config F: a page about to be entirely overwritten leaves
             // the stale state without the purge.
             if (!(will_overwrite && use_will_overwrite))
-                planned.push_back(
+                planned.push(
                     {CacheKind::Data, RequiredOp::Purge, *d_target});
             dstate.stale.reset(*d_target);
         }
@@ -221,7 +227,7 @@ LazyPmap::cacheControl(FrameId frame, PhysPageInfo &info, MemOp op,
     // planned operations depend only on the pre-operation state, so
     // executing them after the full plan is equivalent to the
     // interleaved form.
-    const std::vector<PlannedOp> planned = planCacheControl(
+    const Plan planned = planCacheControl(
         info.dstate, info.istate, op, cd, ci, access, will_overwrite,
         need_data, cfg.useNeedData, cfg.useWillOverwrite);
 
@@ -252,8 +258,8 @@ LazyPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
                (unsigned long long)va.va.value);
 
     PhysPageInfo &pi = getInfo(frame);
-    setTranslation(va, frame, Protection::none());
-    pi.addMapping(va, vm_prot);
+    pi.addMapping(va, vm_prot,
+                  setTranslation(va, frame, Protection::none()));
 
     const MemOp op = isWrite(access) ? MemOp::CpuWrite : MemOp::CpuRead;
     const Reason reason =
@@ -297,7 +303,7 @@ LazyPmap::protect(SpaceVa va, Protection vm_prot)
     VaMapping *m = pi.findMapping(va);
     vic_assert(m != nullptr, "mapping list out of sync with page table");
     m->vmProt = vm_prot;
-    setHardwareProt(va, vm_prot.intersect(cacheProtFor(pi, *m)));
+    setHardwareProt(*m, vm_prot.intersect(cacheProtFor(pi, *m)));
 }
 
 bool
@@ -320,7 +326,7 @@ LazyPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
         access == AccessType::IFetch ? Reason::IFetch : Reason::Fault;
     cacheControl(pte->frame, pi, op, va, access, false, true, reason);
 
-    vic_assert(protPermits(mach.pageTable().lookup(va)->prot, access),
+    vic_assert(protPermits(m->pte->prot, access),
                "consistency fault did not enable the access");
     return true;
 }
@@ -328,10 +334,10 @@ LazyPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
 void
 LazyPmap::dmaRead(FrameId frame, bool need_data)
 {
-    auto it = pages.find(frame);
-    if (it == pages.end())
+    PhysPageInfo *pi = pages.find(frame);
+    if (!pi)
         return;  // never cached: memory is trivially current
-    cacheControl(frame, it->second, MemOp::DmaRead, std::nullopt,
+    cacheControl(frame, *pi, MemOp::DmaRead, std::nullopt,
                  AccessType::Load, false, need_data, Reason::DmaRead);
 }
 
@@ -341,20 +347,20 @@ LazyPmap::dmaWrite(FrameId frame)
     // Even a never-mapped frame gets state here: after the device
     // write, nothing is cached, which the default (empty) state
     // already encodes — so absence is fine too.
-    auto it = pages.find(frame);
-    if (it == pages.end())
+    PhysPageInfo *pi = pages.find(frame);
+    if (!pi)
         return;
-    cacheControl(frame, it->second, MemOp::DmaWrite, std::nullopt,
+    cacheControl(frame, *pi, MemOp::DmaWrite, std::nullopt,
                  AccessType::Load, false, false, Reason::DmaWrite);
 }
 
 void
 LazyPmap::frameFreed(FrameId frame)
 {
-    auto it = pages.find(frame);
-    if (it == pages.end())
+    const PhysPageInfo *pi = pages.find(frame);
+    if (!pi)
         return;
-    vic_assert(it->second.mappings.empty(),
+    vic_assert(pi->mappings.empty(),
                "frame %llu freed with live mappings",
                (unsigned long long)frame);
     // Keep the cache state: if the frame is reused at an aligning
@@ -365,10 +371,10 @@ std::vector<SpaceVa>
 LazyPmap::mappingsOf(FrameId frame) const
 {
     std::vector<SpaceVa> out;
-    auto it = pages.find(frame);
-    if (it == pages.end())
+    const PhysPageInfo *pi = pages.find(frame);
+    if (!pi)
         return out;
-    for (const auto &m : it->second.mappings)
+    for (const auto &m : pi->mappings)
         out.push_back(m.va);
     return out;
 }
@@ -376,10 +382,10 @@ LazyPmap::mappingsOf(FrameId frame) const
 std::optional<CachePageId>
 LazyPmap::preferredColour(FrameId frame) const
 {
-    auto it = pages.find(frame);
-    if (it == pages.end())
+    const PhysPageInfo *pi = pages.find(frame);
+    if (!pi)
         return std::nullopt;
-    const CacheStateVector &d = it->second.dstate;
+    const CacheStateVector &d = pi->dstate;
     if (d.cacheDirty)
         return d.dirtyColour();
     if (d.mapped.any())

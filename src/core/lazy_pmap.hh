@@ -30,8 +30,8 @@
 #ifndef VIC_CORE_LAZY_PMAP_HH
 #define VIC_CORE_LAZY_PMAP_HH
 
+#include <array>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/phys_page_info.hh"
@@ -55,6 +55,21 @@ class LazyPmap : public Pmap
         bool operator==(const PlannedOp &) const = default;
     };
 
+    /** The operations of one CacheControl run, in order. Stanza 2
+     *  adds at most one and stanza 3 at most one, so two fit without
+     *  allocating; a third panics. */
+    class Plan
+    {
+      public:
+        void push(const PlannedOp &op);
+        const PlannedOp *begin() const { return ops.data(); }
+        const PlannedOp *end() const { return ops.data() + count; }
+
+      private:
+        std::array<PlannedOp, 2> ops{};
+        std::size_t count = 0;
+    };
+
     /**
      * The CacheControl decision procedure (Figure 1, stanzas 2-5) as a
      * pure function of the Table 3 state: advances @p dstate /
@@ -65,7 +80,7 @@ class LazyPmap : public Pmap
      * protocol verifier (vic::verify), so the abstract model cannot
      * drift from the implementation.
      */
-    static std::vector<PlannedOp> planCacheControl(
+    static Plan planCacheControl(
         CacheStateVector &dstate, CacheStateVector &istate, MemOp op,
         std::optional<CachePageId> d_target,
         std::optional<CachePageId> i_target, AccessType access,
@@ -99,7 +114,7 @@ class LazyPmap : public Pmap
     // --- introspection for tests and model checking ---
 
     /** Bookkeeping for @p frame; nullptr if the frame was never
-     *  mapped. */
+     *  mapped. Panics if @p frame is past the machine's memory. */
     const PhysPageInfo *info(FrameId frame) const;
 
     /** Decoded Table 3 data-cache state of (frame, colour); Empty for
@@ -112,7 +127,7 @@ class LazyPmap : public Pmap
   private:
     std::uint32_t dColours;
     std::uint32_t iColours;
-    std::unordered_map<FrameId, PhysPageInfo> pages;
+    FrameTable<PhysPageInfo> pages;
 
     Counter &statSyncs;
 

@@ -48,7 +48,7 @@ CacheStateVector::checkInvariants() const
         }
     }
     if (cacheDirty) {
-        vic_assert(mapped.count() == 1,
+        vic_assert(mapped.exactlyOne(),
                    "cacheDirty with %u mapped colours (must be 1)",
                    mapped.count());
     }
@@ -89,12 +89,13 @@ PhysPageInfo::findMapping(SpaceVa va) const
 }
 
 void
-PhysPageInfo::addMapping(SpaceVa va, Protection vm_prot)
+PhysPageInfo::addMapping(SpaceVa va, Protection vm_prot,
+                         PageTableEntry *pte)
 {
     vic_assert(findMapping(va) == nullptr,
                "duplicate mapping space=%u va=%llx", va.space,
                (unsigned long long)va.va.value);
-    mappings.push_back(VaMapping{va, vm_prot});
+    mappings.push_back(VaMapping{va, vm_prot, pte});
 }
 
 bool

@@ -32,6 +32,7 @@
 #include "common/bitvector.hh"
 #include "common/types.hh"
 #include "core/cache_page_state.hh"
+#include "mmu/page_table.hh"
 
 namespace vic
 {
@@ -75,6 +76,13 @@ struct VaMapping
     SpaceVa va;           ///< page-aligned (space, virtual address)
     Protection vmProt;    ///< what the VM layer allows, before the
                           ///< cache state further restricts it
+    /** The translation's page-table entry, as PageTable::enter
+     *  returned it: the pmap reads and clears the modified bit and
+     *  sets the protection through it, without a page-table walk.
+     *  Valid while the mapping is listed — entries never move, a
+     *  re-enter assigns in place, and the pmap erases the entry
+     *  (Pmap::dropTranslation) only together with the mapping. */
+    PageTableEntry *pte = nullptr;
 };
 
 /** Everything the machine-dependent layer knows about one physical
@@ -96,8 +104,9 @@ class PhysPageInfo
     VaMapping *findMapping(SpaceVa va);
     const VaMapping *findMapping(SpaceVa va) const;
 
-    /** Add a mapping (must not already exist). */
-    void addMapping(SpaceVa va, Protection vm_prot);
+    /** Add a mapping (must not already exist) whose translation is
+     *  @p pte. */
+    void addMapping(SpaceVa va, Protection vm_prot, PageTableEntry *pte);
 
     /** Remove a mapping. @return true iff it existed. */
     bool removeMapping(SpaceVa va);

@@ -31,6 +31,13 @@ Pmap::reasonName(Reason reason)
 }
 
 void
+Pmap::frameOutOfRange(FrameId frame, std::size_t num_frames)
+{
+    vic_panic("frame %llu out of range (%zu frames)",
+              (unsigned long long)frame, num_frames);
+}
+
+void
 Pmap::countReason(PageOp op, Reason reason)
 {
     Counter *&c = reasonCounters[static_cast<std::size_t>(op)]
@@ -90,11 +97,12 @@ Pmap::purgeInstPage(FrameId frame, CachePageId colour, Reason reason)
                                    mach.frameAddr(frame));
 }
 
-void
+PageTableEntry *
 Pmap::setTranslation(SpaceVa va, FrameId frame, Protection prot)
 {
-    mach.pageTable().enter(va, frame, prot);
+    PageTableEntry *pte = mach.pageTable().enter(va, frame, prot);
     mach.tlbShootdownPage(va);
+    return pte;
 }
 
 bool
@@ -106,10 +114,10 @@ Pmap::dropTranslation(SpaceVa va)
 }
 
 void
-Pmap::setHardwareProt(SpaceVa va, Protection prot)
+Pmap::setHardwareProt(const VaMapping &m, Protection prot)
 {
-    mach.pageTable().setProtection(va, prot);
-    mach.tlbShootdownPage(va);
+    m.pte->prot = prot;
+    mach.tlbShootdownPage(m.va);
 }
 
 std::unique_ptr<Pmap>

@@ -29,6 +29,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "core/phys_page_info.hh"
 #include "core/policy_config.hh"
 #include "machine/machine.hh"
 #include "mmu/fault.hh"
@@ -148,6 +149,54 @@ class Pmap
     Machine &mach;
     PolicyConfig cfg;
 
+    /** Per-frame pmap state: a flat table with one slot per physical
+     *  frame, each made on first use. A frame past the machine's
+     *  memory panics. */
+    template <typename T>
+    class FrameTable
+    {
+      public:
+        explicit FrameTable(std::uint64_t num_frames) : slots(num_frames)
+        {}
+
+        /** The state of @p frame, made from @p args on first use. */
+        template <typename... Args>
+        T &
+        getOrMake(FrameId frame, Args &&...args)
+        {
+            std::optional<T> &s = slots[checked(frame)];
+            if (!s)
+                s.emplace(std::forward<Args>(args)...);
+            return *s;
+        }
+
+        /** The state of @p frame; nullptr if never made. */
+        T *
+        find(FrameId frame)
+        {
+            std::optional<T> &s = slots[checked(frame)];
+            return s ? &*s : nullptr;
+        }
+
+        const T *
+        find(FrameId frame) const
+        {
+            const std::optional<T> &s = slots[checked(frame)];
+            return s ? &*s : nullptr;
+        }
+
+      private:
+        std::vector<std::optional<T>> slots;
+
+        std::size_t
+        checked(FrameId frame) const
+        {
+            if (frame >= slots.size()) [[unlikely]]
+                frameOutOfRange(frame, slots.size());
+            return static_cast<std::size_t>(frame);
+        }
+    };
+
     /** Why a cache page is flushed or purged. Each (operation,
      *  reason) pair counts into "pmap.<op>.<reason>", e.g.
      *  "pmap.d_flush.dma_read". */
@@ -170,14 +219,19 @@ class Pmap
 
     // --- page table + TLB updates ---
 
-    /** Install or update the hardware translation. */
-    void setTranslation(SpaceVa va, FrameId frame, Protection prot);
+    /** Install or update the hardware translation. @return its
+     *  page-table entry, for the mapping's VaMapping::pte. */
+    PageTableEntry *setTranslation(SpaceVa va, FrameId frame,
+                                   Protection prot);
 
-    /** Drop the hardware translation. @return old modified bit. */
+    /** Drop the hardware translation — the only erase of a page-table
+     *  entry, so the caller removes the mapping that holds its handle
+     *  with it. @return old modified bit. */
     bool dropTranslation(SpaceVa va);
 
-    /** Update protection of an existing translation. */
-    void setHardwareProt(SpaceVa va, Protection prot);
+    /** Update the protection of mapping @p m's translation through
+     *  its handle, then shoot the page down. */
+    void setHardwareProt(const VaMapping &m, Protection prot);
 
   private:
     /** The page operations counted per reason. */
@@ -189,6 +243,9 @@ class Pmap
     };
 
     static const char *reasonName(Reason reason);
+
+    [[noreturn, gnu::cold]] static void
+    frameOutOfRange(FrameId frame, std::size_t num_frames);
 
     /** Bump the counter of (@p op, @p reason), registered on first
      *  use so a run's stats list only the pairs it exercised. */

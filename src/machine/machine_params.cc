@@ -1,5 +1,7 @@
 #include "machine/machine_params.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace vic
@@ -23,12 +25,16 @@ MachineParams::check() const
 {
     if (numFrames == 0)
         vic_fatal("machine needs at least one physical frame");
+    if (!std::has_single_bit(pageBytes))
+        vic_fatal("page size %u is not a power of two", pageBytes);
     if (pageBytes < dcacheLineBytes || pageBytes < icacheLineBytes)
         vic_fatal("page smaller than a cache line");
     if (clockHz <= 0)
         vic_fatal("clock rate must be positive");
     if (numCpus == 0)
         vic_fatal("machine needs at least one CPU");
+    if (tlbEntries == 0)
+        vic_fatal("TLB needs at least one entry");
     // A write-through store issues no bus transaction, so neither a
     // peer data cache nor a coherent instruction cache would see it.
     if (((numCpus > 1 && cpuCoherence == CpuCoherence::Mesi) ||

@@ -15,9 +15,9 @@ PageTable::PageTable(std::uint32_t page_bytes)
 }
 
 PageTable::Node *
-PageTable::findNode(SpaceVa canon) const
+PageTable::findNode(SpaceVa canon, std::uint64_t mixed) const
 {
-    for (Node *n = buckets[bucketOf(canon)]; n != nullptr; n = n->next) {
+    for (Node *n = buckets[bucketOf(mixed)]; n != nullptr; n = n->next) {
         if (n->key == canon)
             return n;
     }
@@ -34,7 +34,7 @@ PageTable::grow()
     for (Node *n : old) {
         while (n != nullptr) {
             Node *next = n->next;
-            Node *&head = buckets[bucketOf(n->key)];
+            Node *&head = buckets[bucketOf(mix(n->key))];
             n->next = head;
             head = n;
             n = next;
@@ -42,30 +42,32 @@ PageTable::grow()
     }
 }
 
-void
+PageTableEntry *
 PageTable::enter(SpaceVa key, FrameId frame, Protection prot)
 {
     const SpaceVa canon = canonical(key);
-    if (Node *n = findNode(canon)) {
+    const std::uint64_t mixed = mix(canon);
+    if (Node *n = findNode(canon, mixed)) {
         n->pte = PageTableEntry{frame, prot, false, false};
-        return;
+        return &n->pte;
     }
     if (live + 1 > buckets.size())
         grow();
     Node *n = nodes.alloc();
     n->key = canon;
     n->pte = PageTableEntry{frame, prot, false, false};
-    Node *&head = buckets[bucketOf(canon)];
+    Node *&head = buckets[bucketOf(mixed)];
     n->next = head;
     head = n;
     ++live;
+    return &n->pte;
 }
 
 bool
 PageTable::remove(SpaceVa key)
 {
     const SpaceVa canon = canonical(key);
-    Node **link = &buckets[bucketOf(canon)];
+    Node **link = &buckets[bucketOf(mix(canon))];
     while (*link != nullptr) {
         Node *n = *link;
         if (n->key == canon) {
@@ -101,8 +103,15 @@ PageTable::lookup(SpaceVa key) const
 PageTableEntry *
 PageTable::lookupMutable(SpaceVa key)
 {
+    const SpaceVa canon = canonical(key);
+    return walk(canon, mix(canon));
+}
+
+PageTableEntry *
+PageTable::walk(SpaceVa page, std::uint64_t mixed)
+{
     ++walks;
-    Node *n = findNode(canonical(key));
+    Node *n = findNode(page, mixed);
     return n == nullptr ? nullptr : &n->pte;
 }
 

@@ -20,12 +20,13 @@
  * arena slots instead of hitting the host allocator, and a translate
  * walk chases chains through chunked contiguous memory. Node pointers
  * are stable for the table's lifetime — rehashing relinks chains but
- * never moves a node — which preserves the contract the TLB relies on:
- * cached PageTableEntry handles stay valid until an explicit remove,
- * and enter() on an already-mapped page assigns in place. The bucket
- * index is derived from a fixed multiplicative mix of the key (never
- * std::hash, never pointer values), so chain order — and therefore
- * behaviour — is identical on every host.
+ * never moves a node — which preserves the contract the TLB and the
+ * pmaps' mapping lists rely on: PageTableEntry handles (cached by a
+ * TLB entry, returned by enter() to the pmap) stay valid until an
+ * explicit remove, and enter() on an already-mapped page assigns in
+ * place. The bucket index is derived from a fixed multiplicative mix
+ * of the key (never std::hash, never pointer values), so chain order
+ * — and therefore behaviour — is identical on every host.
  */
 
 #ifndef VIC_MMU_PAGE_TABLE_HH
@@ -62,8 +63,9 @@ class PageTable
 
     /** Install (or replace) the translation for the page containing
      *  @p key.va. Replacement assigns in place — the entry's address
-     *  does not change. */
-    void enter(SpaceVa key, FrameId frame, Protection prot);
+     *  does not change. @return the entry's handle, valid until this
+     *  page is removed. */
+    PageTableEntry *enter(SpaceVa key, FrameId frame, Protection prot);
 
     /** Remove the translation; no-op if absent.
      *  @return the removed entry's modified bit. */
@@ -78,6 +80,11 @@ class PageTable
 
     /** Mutable lookup for reference/modified bit updates. */
     PageTableEntry *lookupMutable(SpaceVa key);
+
+    /** lookupMutable() of page-aligned @p page for a caller that has
+     *  already computed @p mixed = mix(@p page): one walk, no second
+     *  mix (a TLB refill probes its own index with the same value). */
+    PageTableEntry *walk(SpaceVa page, std::uint64_t mixed);
 
     /** Clear the modified bit; @return its previous value. */
     bool clearModified(SpaceVa key);
@@ -129,10 +136,12 @@ class PageTable
     SpaceVa canonical(SpaceVa key) const
     { return SpaceVa(key.space, pageBase(key.va)); }
 
-    std::size_t bucketOf(SpaceVa key) const
-    { return mix(key) & (buckets.size() - 1); }
+    std::size_t bucketOf(std::uint64_t mixed) const
+    { return mixed & (buckets.size() - 1); }
 
-    Node *findNode(SpaceVa canon) const;
+    Node *findNode(SpaceVa canon, std::uint64_t mixed) const;
+    Node *findNode(SpaceVa canon) const
+    { return findNode(canon, mix(canon)); }
     void grow();
 };
 

@@ -6,7 +6,9 @@ namespace vic
 {
 
 ConsistencyOracle::ConsistencyOracle(std::uint64_t memory_bytes)
-    : shadow(memory_bytes / 4, 0), defined(memory_bytes / 4, false)
+    : words(memory_bytes / 4),
+      shadow(std::make_unique_for_overwrite<std::uint32_t[]>(words)),
+      defined(words, false)
 {
 }
 
@@ -35,7 +37,6 @@ ConsistencyOracle::violation(PhysAddr pa, std::uint32_t expected,
 void
 ConsistencyOracle::reset()
 {
-    std::fill(shadow.begin(), shadow.end(), 0);
     std::fill(defined.begin(), defined.end(), false);
     faults.clear();
     totalViolations = 0;

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,7 +97,11 @@ class ConsistencyOracle final : public MemoryObserver
 
     std::function<void(const Violation &)> violationHook;
 
-    std::vector<std::uint32_t> shadow;
+    /** The newest value of each word, left uninitialized: a word is
+     *  read only after defined says it was written, so set-up clears
+     *  one bit per word, not the whole shadow. */
+    std::uint64_t words;
+    std::unique_ptr<std::uint32_t[]> shadow;
     std::vector<bool> defined;
     std::vector<Violation> faults;
     std::uint64_t totalViolations = 0;
@@ -108,7 +113,7 @@ class ConsistencyOracle final : public MemoryObserver
     index(PhysAddr pa) const
     {
         const std::uint64_t idx = pa.value / 4;
-        if (pa.value % 4 != 0 || idx >= shadow.size()) [[unlikely]]
+        if (pa.value % 4 != 0 || idx >= words) [[unlikely]]
             badAddress(pa);
         return idx;
     }

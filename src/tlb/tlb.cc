@@ -23,7 +23,9 @@ Tlb::Tlb(std::uint32_t num_entries, Cycles miss_penalty, PageTable &table,
 PageTableEntry *
 Tlb::translateFull(SpaceVa page)
 {
-    const std::uint32_t cell = findCell(page);
+    const std::uint64_t mixed = PageTable::mix(page);
+    const std::uint32_t home = homeCell(mixed);
+    const std::uint32_t cell = findCell(page, home);
     if (cell != kNone) {
         Entry &e = entries[slotIndex[cell]];
         e.lastUse = ++useTick;
@@ -32,7 +34,7 @@ Tlb::translateFull(SpaceVa page)
         return e.pte;
     }
 
-    PageTableEntry *pte = pageTable.lookupMutable(page);
+    PageTableEntry *pte = pageTable.walk(page, mixed);
     if (!pte)
         return nullptr;
 
@@ -44,10 +46,11 @@ Tlb::translateFull(SpaceVa page)
     if (isFree(slot))
         freeSlots[slot / 64] &= ~(std::uint64_t(1) << (slot % 64));
     else
-        indexErase(findCell(victim.page));
+        indexErase(cellOf(slot));
     victim.page = page;
     victim.lastUse = ++useTick;
     victim.pte = pte;
+    victim.home = home;
     indexInsert(slot);
     // A victim named by the second pointer becomes the first; the old
     // first moves down, so neither pointer is left on a stale page.
@@ -72,10 +75,22 @@ Tlb::victimSlot() const
     return victim;
 }
 
+std::uint32_t
+Tlb::cellOf(std::uint32_t slot) const
+{
+    for (std::uint32_t cell = entries[slot].home;;
+         cell = (cell + 1) & indexMask) {
+        if (slotIndex[cell] == slot)
+            return cell;
+        vic_assert(slotIndex[cell] != kNone,
+                   "TLB slot %u missing from its index", slot);
+    }
+}
+
 void
 Tlb::indexInsert(std::uint32_t slot)
 {
-    std::uint32_t cell = homeCell(entries[slot].page);
+    std::uint32_t cell = entries[slot].home;
     while (slotIndex[cell] != kNone)
         cell = (cell + 1) & indexMask;
     slotIndex[cell] = slot;
@@ -90,7 +105,7 @@ Tlb::indexErase(std::uint32_t cell)
     std::uint32_t hole = cell;
     for (std::uint32_t next = (cell + 1) & indexMask;
          slotIndex[next] != kNone; next = (next + 1) & indexMask) {
-        const std::uint32_t home = homeCell(entries[slotIndex[next]].page);
+        const std::uint32_t home = entries[slotIndex[next]].home;
         if (((next - home) & indexMask) >= ((next - hole) & indexMask)) {
             slotIndex[hole] = slotIndex[next];
             hole = next;
@@ -100,10 +115,10 @@ Tlb::indexErase(std::uint32_t cell)
 }
 
 void
-Tlb::invalidateSlot(std::uint32_t slot)
+Tlb::invalidateSlot(std::uint32_t slot, std::uint32_t cell)
 {
     Entry &e = entries[slot];
-    indexErase(findCell(e.page));
+    indexErase(cell);
     freeSlots[slot / 64] |= std::uint64_t(1) << (slot % 64);
     e.pte = nullptr;
     if (mru == &e)
@@ -115,10 +130,11 @@ Tlb::invalidateSlot(std::uint32_t slot)
 void
 Tlb::invalidatePage(SpaceVa key)
 {
+    const SpaceVa page(key.space, pageTable.pageBase(key.va));
     const std::uint32_t cell =
-        findCell(SpaceVa(key.space, pageTable.pageBase(key.va)));
+        findCell(page, homeCell(PageTable::mix(page)));
     if (cell != kNone)
-        invalidateSlot(slotIndex[cell]);
+        invalidateSlot(slotIndex[cell], cell);
 }
 
 void
@@ -126,7 +142,7 @@ Tlb::invalidateSpace(SpaceId space)
 {
     for (std::uint32_t s = 0; s < capacity; ++s) {
         if (!isFree(s) && entries[s].page.space == space)
-            invalidateSlot(s);
+            invalidateSlot(s, cellOf(s));
     }
 }
 

@@ -35,10 +35,14 @@
  * The index is a flat open-addressed table of slot numbers, at least
  * four cells per entry, probed linearly from the page table's fixed
  * key mix (PageTable::mix) and kept free of tombstones by
- * backward-shift deletion. A bitmap of free slots gives a refill the
- * lowest invalid slot with one countr_zero per 64 slots. Neither
- * allocates after construction, and both depend only on the sequence
- * of calls, never on the host.
+ * backward-shift deletion. A refill mixes its key once, for the index
+ * probe, the page-table walk and the insert; each entry keeps its
+ * home cell, so a deletion's backward shift and an eviction find
+ * cells without mixing again, and a shootdown erases the cell its one
+ * probe found. A bitmap of free slots gives a refill the lowest
+ * invalid slot with one countr_zero per 64 slots. Neither allocates
+ * after construction, and both depend only on the sequence of calls,
+ * never on the host.
  *
  * tests/tlb_lockstep_test.cc runs the TLB beside a linear-scan LRU
  * model. A CPU line run charges its repeated hits on the MRU entry in
@@ -174,8 +178,8 @@ class Tlb
      *  accounting (for tests). */
     bool holds(SpaceVa key) const
     {
-        return findCell(SpaceVa(key.space, pageTable.pageBase(key.va))) !=
-               kNone;
+        const SpaceVa page(key.space, pageTable.pageBase(key.va));
+        return findCell(page, homeCell(PageTable::mix(page))) != kNone;
     }
 
   private:
@@ -184,6 +188,7 @@ class Tlb
         SpaceVa page;
         std::uint64_t lastUse = 0;
         PageTableEntry *pte = nullptr; ///< cached handle (see file doc)
+        std::uint32_t home = 0;        ///< index cell its page mixes to
     };
 
     /** An empty index cell; also "no cell" from findCell(). */
@@ -224,15 +229,17 @@ class Tlb
     bool isFree(std::uint32_t slot) const
     { return (freeSlots[slot / 64] >> (slot % 64)) & 1; }
 
-    std::uint32_t homeCell(SpaceVa page) const
-    { return static_cast<std::uint32_t>(PageTable::mix(page)) & indexMask; }
+    /** The index cell a page whose PageTable::mix is @p mixed hashes
+     *  to. */
+    std::uint32_t homeCell(std::uint64_t mixed) const
+    { return static_cast<std::uint32_t>(mixed) & indexMask; }
 
-    /** The index cell holding @p page's slot, or kNone. */
+    /** The index cell holding @p page's slot, or kNone; @p home is
+     *  its home cell. */
     std::uint32_t
-    findCell(SpaceVa page) const
+    findCell(SpaceVa page, std::uint32_t home) const
     {
-        for (std::uint32_t cell = homeCell(page);;
-             cell = (cell + 1) & indexMask) {
+        for (std::uint32_t cell = home;; cell = (cell + 1) & indexMask) {
             const std::uint32_t slot = slotIndex[cell];
             if (slot == kNone)
                 return kNone;
@@ -240,6 +247,10 @@ class Tlb
                 return cell;
         }
     }
+
+    /** The index cell holding valid slot @p slot, probed from the
+     *  entry's kept home cell by slot number. */
+    std::uint32_t cellOf(std::uint32_t slot) const;
 
     /** Enter valid slot @p slot under its page. */
     void indexInsert(std::uint32_t slot);
@@ -262,7 +273,8 @@ class Tlb
         }
     }
 
-    void invalidateSlot(std::uint32_t slot);
+    /** Invalidate valid slot @p slot, whose index cell is @p cell. */
+    void invalidateSlot(std::uint32_t slot, std::uint32_t cell);
 };
 
 } // namespace vic

@@ -549,7 +549,7 @@ AbstractSimulator::lazyCacheControl(ModelState &s, MemOp op,
         ci = icol(*slot);
     }
 
-    const std::vector<LazyPmap::PlannedOp> planned =
+    const LazyPmap::Plan planned =
         LazyPmap::planCacheControl(d, i, op, cd, ci, access,
                                    will_overwrite, need_data,
                                    cfg.useNeedData,

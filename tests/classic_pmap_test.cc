@@ -10,6 +10,7 @@
 #include "core/classic_pmap.hh"
 #include "machine/cpu.hh"
 #include "machine/machine.hh"
+#include "pmap_handle_stream.hh"
 
 namespace vic
 {
@@ -109,6 +110,37 @@ TEST_F(ClassicPmapTest, WriteToUnalignedAliasBreaksOther)
     // other read mapping, then sees consistent data throughout.
     cpu.store(vaOfColour(2), 22);
     EXPECT_EQ(cpu.load(vaOfColour(1)), 22u);
+}
+
+TEST_F(ClassicPmapTest, ConsistencyFaultWalksThePageTableOnce)
+{
+    // A read-only mapping and an unaligned alias, which comes in
+    // read-only too: a store through the alias faults and breaks the
+    // other mapping.
+    pmap.enter(SpaceVa(1, vaOfColour(1)), 7, Protection::readOnly(),
+               AccessType::Load, {});
+    map(vaOfColour(2), 7);
+    const std::uint64_t walks = machine.pageTable().walkCount();
+    const std::uint64_t refills = stat("tlb.misses");
+    const std::uint64_t faults = cpu.faultCount();
+
+    cpu.store(vaOfColour(2), 5);
+    EXPECT_EQ(cpu.faultCount(), faults + 1);
+    EXPECT_EQ(stat("pmap.d_purge.alias"), 1u);
+    // The CPU's refills (before the fault and after the shootdown)
+    // plus the pmap's one lookup of the faulting page; the broken
+    // mapping's modified bit and the new protection go through the
+    // mappings' handles.
+    EXPECT_EQ(machine.pageTable().walkCount() - walks,
+              stat("tlb.misses") - refills + 1);
+}
+
+TEST_F(ClassicPmapTest, FrameOutOfRangePanics)
+{
+    const FrameId past = machine.params().numFrames;
+    EXPECT_DEATH(map(vaOfColour(1), past), "frame 512 out of range");
+    EXPECT_DEATH(pmap.mappingList(past), "out of range");
+    EXPECT_DEATH(pmap.dmaRead(past, true), "out of range");
 }
 
 TEST_F(ClassicPmapTest, AlignedAliasesCoexist)
@@ -320,6 +352,29 @@ TEST_F(BrokenPmapTest, AliasWriteProducesStaleRead)
     EXPECT_EQ(stat("pmap.d_page_flushes"), 0u);
     EXPECT_EQ(stat("pmap.d_page_purges"), 0u);
 }
+
+// ---------------------------------------------------------------------
+// Handles: every listed mapping's pte is the page table's entry.
+// ---------------------------------------------------------------------
+
+class ClassicPmapHandleTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(ClassicPmapHandleTest, MappingHandlesStayTheTablesEntries)
+{
+    const PolicyConfig configs[] = {PolicyConfig::utah(),
+                                    PolicyConfig::tut(),
+                                    PolicyConfig::apollo(),
+                                    PolicyConfig::sun()};
+    Machine machine(MachineParams::hp720());
+    ClassicPmap pmap(machine, configs[GetParam()]);
+    runHandleStream(machine, pmap, streamSeed(0xc1a5, GetParam()),
+                    [&](FrameId f) { return pmap.mappingList(f); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ClassicPmapHandleTest,
+                         ::testing::Range(0, 4));
 
 } // anonymous namespace
 } // namespace vic

@@ -150,6 +150,15 @@ TEST(BitVectorTest, ExactlyOne)
     EXPECT_TRUE(v.exactlyOne());
     v.set(8);
     EXPECT_FALSE(v.exactlyOne());
+
+    // Across words: one bit in the last word, then one in each of two.
+    BitVector w(130);
+    w.set(129);
+    EXPECT_TRUE(w.exactlyOne());
+    w.set(3);
+    EXPECT_FALSE(w.exactlyOne());
+    w.reset(129);
+    EXPECT_TRUE(w.exactlyOne());
 }
 
 TEST(BitVectorTest, EqualityComparesContent)

@@ -11,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.hh"
 #include "core/lazy_pmap.hh"
 #include "core/spec_executor.hh"
 #include "machine/cpu.hh"
 #include "machine/machine.hh"
+#include "pmap_handle_stream.hh"
 
 namespace vic
 {
@@ -308,6 +311,55 @@ TEST_F(LazyPmapTest, NeedDataFalseDowngradesFlushToPurge)
     EXPECT_EQ(machine.stats().value("pmap.d_page_purges"), 1u);
 }
 
+TEST_F(LazyPmapTest, PlanHoldsAFlushAndAPurge)
+{
+    // The largest plan: stanza 2 displaces the dirty page and stanza 3
+    // purges the stale target, in that order.
+    const std::uint32_t colours = machine.dcache().geometry().numColours();
+    CacheStateVector d(colours);
+    CacheStateVector i(machine.icache().geometry().numColours());
+    d.mapped.set(1);
+    d.cacheDirty = true;
+    d.stale.set(2);
+    const LazyPmap::Plan plan = LazyPmap::planCacheControl(
+        d, i, MemOp::CpuRead, 2, 2, AccessType::Load, false, true, true,
+        true);
+    using Op = LazyPmap::PlannedOp;
+    EXPECT_EQ(std::vector<Op>(plan.begin(), plan.end()),
+              (std::vector<Op>{{CacheKind::Data, RequiredOp::Flush, 1},
+                               {CacheKind::Data, RequiredOp::Purge, 2}}));
+    EXPECT_EQ(d.decode(2), S::Present);
+}
+
+TEST_F(LazyPmapTest, ConsistencyFaultWalksThePageTableOnce)
+{
+    // Two unaligned mappings: the store makes colour 2 stale, so the
+    // load faults, and its CacheControl flushes colour 1, purges
+    // colour 2 and reprograms both mappings.
+    map(vaOfColour(1), 7);
+    map(vaOfColour(2), 7);
+    cpu.store(vaOfColour(1), 5);
+    const std::uint64_t walks = machine.pageTable().walkCount();
+    const std::uint64_t refills = machine.stats().value("tlb.misses");
+    const int faults = consistencyFaults;
+
+    EXPECT_EQ(cpu.load(vaOfColour(2)), 5u);
+    EXPECT_EQ(consistencyFaults, faults + 1);
+    // The CPU's refills (before the fault and after the shootdown)
+    // plus the pmap's one lookup of the faulting page; every other
+    // page-table access goes through the mappings' handles.
+    EXPECT_EQ(machine.pageTable().walkCount() - walks,
+              machine.stats().value("tlb.misses") - refills + 1);
+}
+
+TEST_F(LazyPmapTest, FrameOutOfRangePanics)
+{
+    const FrameId past = machine.params().numFrames;
+    EXPECT_DEATH(pmap.info(past), "frame 512 out of range");
+    EXPECT_DEATH(map(vaOfColour(1), past), "out of range");
+    EXPECT_DEATH(pmap.dmaWrite(past), "out of range");
+}
+
 class LazyPmapConfigBTest : public LazyPmapTest
 {
   protected:
@@ -436,6 +488,31 @@ TEST_P(LazyPmapRefinementTest, RandomOpsMatchSpecExactly)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LazyPmapRefinementTest,
                          ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------
+// Handles: every listed mapping's pte is the page table's entry.
+// ---------------------------------------------------------------------
+
+class LazyPmapHandleTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(LazyPmapHandleTest, MappingHandlesStayTheTablesEntries)
+{
+    Machine machine(MachineParams::hp720());
+    LazyPmap pmap(machine, GetParam() % 2 ? PolicyConfig::configB()
+                                          : PolicyConfig::configF());
+    runHandleStream(machine, pmap, streamSeed(0x1a2f, GetParam()),
+                    [&](FrameId f) -> std::span<const VaMapping> {
+                        const PhysPageInfo *pi = pmap.info(f);
+                        if (!pi)
+                            return {};
+                        return pi->mappings;
+                    });
+}
+
+INSTANTIATE_TEST_SUITE_P(Streams, LazyPmapHandleTest,
+                         ::testing::Range(0, 4));
 
 TEST(LazyPmapModifiedBitRefinement, StateAgreesAtSyncPoints)
 {

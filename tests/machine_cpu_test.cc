@@ -181,6 +181,24 @@ TEST(MachineParamsDeathTest, ChecksReject)
     EXPECT_DEATH(Machine{p}, "frame");
 }
 
+TEST(MachineParamsDeathTest, ZeroTlbEntriesRejected)
+{
+    // Rejected as input, not left to the TLB constructor's assertion.
+    MachineParams p = MachineParams::hp720();
+    p.tlbEntries = 0;
+    EXPECT_EXIT(Machine{p}, ::testing::ExitedWithCode(1),
+                "TLB needs at least one entry");
+}
+
+TEST(MachineParamsDeathTest, PageSizeNotPowerOfTwoRejected)
+{
+    // Rejected as input, not left to the page table's assertion.
+    MachineParams p = MachineParams::hp720();
+    p.pageBytes = 3000;
+    EXPECT_EXIT(Machine{p}, ::testing::ExitedWithCode(1),
+                "page size 3000 is not a power of two");
+}
+
 TEST(MachineParamsDeathTest, IfetchCoherenceNeedsWriteBackDataCache)
 {
     // A write-through store issues no bus transaction, so a coherent

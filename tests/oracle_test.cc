@@ -91,6 +91,29 @@ TEST(OracleTest, ResetForgetsEverything)
     EXPECT_TRUE(o.clean());
 }
 
+TEST(OracleTest, UnwrittenShadowIsNeverCompared)
+{
+    // The shadow starts uninitialized and reset() leaves it as it is:
+    // only the defined bits say which words hold a value. Check both
+    // ends of memory on a fresh and on a reset oracle.
+    const auto exercise = [](ConsistencyOracle &o, PhysAddr pa) {
+        o.cpuLoad(pa, 0xdeadbeef);  // never written: nothing to compare
+        EXPECT_TRUE(o.clean());
+        o.cpuStore(pa, 7);
+        o.cpuLoad(pa, 7);
+        o.cpuLoad(pa, 8);           // stale
+        ASSERT_EQ(o.violationCount(), 1u);
+        EXPECT_EQ(o.violations()[0].expected, 7u);
+        EXPECT_EQ(o.checkedCount(), 3u);
+    };
+    for (const PhysAddr pa : {PhysAddr(0), PhysAddr(4092)}) {
+        ConsistencyOracle o(4096);
+        exercise(o, pa);
+        o.reset();  // the shadow still holds 7 at pa
+        exercise(o, pa);
+    }
+}
+
 TEST(OracleDeathTest, RejectsUnalignedAndOutOfRange)
 {
     ConsistencyOracle o(4096);

@@ -542,9 +542,13 @@ TEST(Table3Test, ClearResetsEverything)
 TEST(PhysPageInfoTest, MappingListOperations)
 {
     PhysPageInfo info(4, 4);
+    PageTable pt(4096);
+    const auto add = [&](SpaceVa va, Protection prot) {
+        info.addMapping(va, prot, pt.enter(va, 0, prot));
+    };
     EXPECT_FALSE(info.hasMappings());
-    info.addMapping(SpaceVa(1, VirtAddr(0x1000)), Protection::readWrite());
-    info.addMapping(SpaceVa(2, VirtAddr(0x2000)), Protection::readOnly());
+    add(SpaceVa(1, VirtAddr(0x1000)), Protection::readWrite());
+    add(SpaceVa(2, VirtAddr(0x2000)), Protection::readOnly());
     EXPECT_TRUE(info.hasMappings());
     ASSERT_NE(info.findMapping(SpaceVa(1, VirtAddr(0x1000))), nullptr);
     EXPECT_EQ(info.findMapping(SpaceVa(3, VirtAddr(0x1000))), nullptr);
