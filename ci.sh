@@ -12,6 +12,12 @@
 #      cache op the shipping lazy policies issue load-bearing and
 #      that no classic policy retains a fully-removable call site,
 #      archiving the machine-readable verdicts (VERIFY_report.json);
+#      a --cost --diff-policy Utah CMU pass then prices every policy's
+#      reachable transitions and bounds eager Utah against lazy CMU
+#      per Table 2 transition class (the bounds docs/VERIFICATION.md
+#      quotes), gating on its exit status: an unexpected soundness
+#      verdict, or a cost census or product graph cut short of its
+#      fixed point, fails the step;
 #   4. interleaving exploration: verify_policy --interleave runs the
 #      DPOR schedule explorer (src/mc) per shipping policy at a CI
 #      budget — the guarded kernel orderings must be race- and
@@ -103,9 +109,10 @@ cmake --build build-asan -j "$JOBS"
 step "sanitizer ctest"
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
 
-step "protocol lint (verify_policy --necessity)"
+step "protocol lint (verify_policy --necessity, --cost --diff-policy)"
 ./build/tools/verify_policy --necessity --json VERIFY_report.json
 echo "artifact archived: VERIFY_report.json"
+./build/tools/verify_policy --cost --diff-policy Utah CMU
 
 step "interleaving exploration (verify_policy --interleave)"
 ./build/tools/verify_policy --interleave --budget 5000 --jobs 2 \

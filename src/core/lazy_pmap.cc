@@ -1,6 +1,7 @@
 #include "core/lazy_pmap.hh"
 
 #include "common/logging.hh"
+#include "core/lazy_rules.hh"
 
 namespace vic
 {
@@ -18,6 +19,56 @@ PhysPageInfo &
 LazyPmap::getInfo(FrameId frame)
 {
     return pages.getOrMake(frame, dColours, iColours);
+}
+
+class LazyPmap::FrameView : public MappingView
+{
+  public:
+    FrameView(LazyPmap &p, FrameId f, PhysPageInfo *i)
+        : MappingView(p, f, i ? &i->mappings : nullptr), lazy(p), info(i)
+    {}
+
+    void
+    install(SpaceVa va, Protection vm_prot, Protection hw_prot,
+            bool modified)
+    {
+        info->addMapping(va, vm_prot, translate(va, hw_prot, modified));
+    }
+
+    bool
+    drop(const VaMapping &m)
+    {
+        const SpaceVa va = m.va;
+        const bool modified = untranslate(va);
+        const bool removed = info->removeMapping(va);
+        vic_assert(removed, "mapping list out of sync with page table");
+        return modified;
+    }
+
+    CacheStateVector &dstate() { return info->dstate; }
+    CacheStateVector &istate() { return info->istate; }
+
+    void
+    applyProtections()
+    {
+        for (const VaMapping &m : info->mappings)
+            setHardwareProt(
+                m, m.vmProt.intersect(lazy.cacheProtFor(*info, m)));
+    }
+
+    void countSync() { ++lazy.statSyncs; }
+
+  private:
+    LazyPmap &lazy;
+    PhysPageInfo *info;
+};
+
+LazyPmap::FrameView
+LazyPmap::viewOf(const PageTableEntry *pte)
+{
+    if (!pte)
+        return FrameView(*this, 0, nullptr);
+    return FrameView(*this, pte->frame, &getInfo(pte->frame));
 }
 
 const PhysPageInfo *
@@ -38,26 +89,6 @@ LazyPmap::instState(FrameId frame, CachePageId colour) const
 {
     const PhysPageInfo *pi = info(frame);
     return pi ? pi->istate.decode(colour) : CachePageState::Empty;
-}
-
-void
-LazyPmap::syncDirtyFromModifiedBits(PhysPageInfo &info)
-{
-    for (auto &m : info.mappings) {
-        if (m.pte->modified) {
-            m.pte->modified = false;
-            ++statSyncs;
-            if (!info.dstate.cacheDirty) {
-                // A write was permitted without a fault, which the
-                // protection logic only allows while exactly one data
-                // cache page is mapped.
-                vic_assert(info.dstate.mapped.exactlyOne(),
-                           "modified bit with %u mapped colours",
-                           info.dstate.mapped.count());
-                info.dstate.cacheDirty = true;
-            }
-        }
-    }
 }
 
 Protection
@@ -95,13 +126,6 @@ LazyPmap::cacheProtFor(const PhysPageInfo &info, const VaMapping &m) const
 {
     return cacheStateProt(info.dstate, info.istate, dColourOf(m.va.va),
                           iColourOf(m.va.va), cfg.useModifiedBit);
-}
-
-void
-LazyPmap::applyProtections(PhysPageInfo &info)
-{
-    for (const auto &m : info.mappings)
-        setHardwareProt(m, m.vmProt.intersect(cacheProtFor(info, m)));
 }
 
 void
@@ -200,55 +224,6 @@ LazyPmap::planCacheControl(CacheStateVector &dstate,
 }
 
 void
-LazyPmap::cacheControl(FrameId frame, PhysPageInfo &info, MemOp op,
-                       std::optional<SpaceVa> target, AccessType access,
-                       bool will_overwrite, bool need_data,
-                       Reason reason)
-{
-    mach.clock().advance(mach.params().pmapOverheadCycles);
-
-    if (cfg.useModifiedBit)
-        syncDirtyFromModifiedBits(info);
-
-    const bool cpu_op = op == MemOp::CpuRead || op == MemOp::CpuWrite;
-    vic_assert(cpu_op == target.has_value(),
-               "cacheControl: %s and target mismatch", memOpName(op));
-    vic_assert(!(op == MemOp::CpuWrite && access == AccessType::IFetch),
-               "instruction fetches cannot write");
-
-    std::optional<CachePageId> cd, ci;
-    if (target) {
-        cd = dColourOf(target->va);
-        ci = iColourOf(target->va);
-    }
-
-    // Stanzas 2-5: decide state transitions and the required cache
-    // operations, then perform the latter on the real caches. The
-    // planned operations depend only on the pre-operation state, so
-    // executing them after the full plan is equivalent to the
-    // interleaved form.
-    const Plan planned = planCacheControl(
-        info.dstate, info.istate, op, cd, ci, access, will_overwrite,
-        need_data, cfg.useNeedData, cfg.useWillOverwrite);
-
-    for (const PlannedOp &p : planned) {
-        if (p.cache == CacheKind::Instruction)
-            purgeInstPage(frame, p.colour, reason);
-        else if (p.op == RequiredOp::Flush)
-            flushDataPage(frame, p.colour, reason);
-        else
-            purgeDataPage(frame, p.colour, reason);
-    }
-
-    // --- Stanza 6: reprogram protections so no inconsistency can be
-    // perceived and every future transition traps.
-    applyProtections(info);
-
-    info.dstate.checkInvariants();
-    info.istate.checkInvariants();
-}
-
-void
 LazyPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
                 AccessType access, const EnterHints &hints)
 {
@@ -256,37 +231,16 @@ LazyPmap::enter(SpaceVa va, FrameId frame, Protection vm_prot,
     vic_assert(mach.pageTable().lookup(va) == nullptr,
                "enter over live mapping space=%u va=%llx", va.space,
                (unsigned long long)va.va.value);
-
-    PhysPageInfo &pi = getInfo(frame);
-    pi.addMapping(va, vm_prot,
-                  setTranslation(va, frame, Protection::none()));
-
-    const MemOp op = isWrite(access) ? MemOp::CpuWrite : MemOp::CpuRead;
-    const Reason reason =
-        access == AccessType::IFetch ? Reason::IFetch : Reason::NewMap;
-    cacheControl(frame, pi, op, va, access, hints.willOverwrite,
-                 hints.needData, reason);
+    FrameView v(*this, frame, &getInfo(frame));
+    LazyRules<FrameView>(cfg).enter(v, va, vm_prot, access, hints);
 }
 
 void
 LazyPmap::remove(SpaceVa va)
 {
     va.va = mach.pageTable().pageBase(va.va);
-    const PageTableEntry *pte = mach.pageTable().lookup(va);
-    if (!pte)
-        return;
-    PhysPageInfo &pi = getInfo(pte->frame);
-
-    // Capture dirtiness carried by the hardware modified bit before
-    // the entry disappears.
-    if (cfg.useModifiedBit)
-        syncDirtyFromModifiedBits(pi);
-
-    dropTranslation(va);
-    bool removed = pi.removeMapping(va);
-    vic_assert(removed, "mapping list out of sync with page table");
-    // Lazy unmap: no cache operation. The consistency state persists
-    // on the frame and is reconciled when the frame is next touched.
+    FrameView v = viewOf(mach.pageTable().lookup(va));
+    LazyRules<FrameView>(cfg).remove(v, va);
 }
 
 void
@@ -297,8 +251,10 @@ LazyPmap::protect(SpaceVa va, Protection vm_prot)
     vic_assert(pte != nullptr, "protect of unmapped page");
     PhysPageInfo &pi = getInfo(pte->frame);
 
-    if (cfg.useModifiedBit)
-        syncDirtyFromModifiedBits(pi);
+    if (cfg.useModifiedBit) {
+        FrameView v(*this, pte->frame, &pi);
+        LazyRules<FrameView>::syncDirty(v);
+    }
 
     VaMapping *m = pi.findMapping(va);
     vic_assert(m != nullptr, "mapping list out of sync with page table");
@@ -310,25 +266,8 @@ bool
 LazyPmap::resolveConsistencyFault(SpaceVa va, AccessType access)
 {
     va.va = mach.pageTable().pageBase(va.va);
-    const PageTableEntry *pte = mach.pageTable().lookup(va);
-    if (!pte)
-        return false;  // a mapping fault, not ours
-
-    PhysPageInfo &pi = getInfo(pte->frame);
-    VaMapping *m = pi.findMapping(va);
-    vic_assert(m != nullptr, "mapping list out of sync with page table");
-
-    if (!protPermits(m->vmProt, access))
-        return false;  // genuine VM-level denial (e.g. copy-on-write)
-
-    const MemOp op = isWrite(access) ? MemOp::CpuWrite : MemOp::CpuRead;
-    const Reason reason =
-        access == AccessType::IFetch ? Reason::IFetch : Reason::Fault;
-    cacheControl(pte->frame, pi, op, va, access, false, true, reason);
-
-    vic_assert(protPermits(m->pte->prot, access),
-               "consistency fault did not enable the access");
-    return true;
+    FrameView v = viewOf(mach.pageTable().lookup(va));
+    return LazyRules<FrameView>(cfg).resolveFault(v, va, access);
 }
 
 void
@@ -337,8 +276,8 @@ LazyPmap::dmaRead(FrameId frame, bool need_data)
     PhysPageInfo *pi = pages.find(frame);
     if (!pi)
         return;  // never cached: memory is trivially current
-    cacheControl(frame, *pi, MemOp::DmaRead, std::nullopt,
-                 AccessType::Load, false, need_data, Reason::DmaRead);
+    FrameView v(*this, frame, pi);
+    LazyRules<FrameView>(cfg).dmaRead(v, need_data);
 }
 
 void
@@ -350,8 +289,8 @@ LazyPmap::dmaWrite(FrameId frame)
     PhysPageInfo *pi = pages.find(frame);
     if (!pi)
         return;
-    cacheControl(frame, *pi, MemOp::DmaWrite, std::nullopt,
-                 AccessType::Load, false, false, Reason::DmaWrite);
+    FrameView v(*this, frame, pi);
+    LazyRules<FrameView>(cfg).dmaWrite(v);
 }
 
 void

@@ -25,6 +25,11 @@
  *    faulting and cache_dirty is recovered from the hardware modified
  *    bit at the next CacheControl invocation;
  *  - the will_overwrite / need_data semantic hints (configs F and E).
+ *
+ * The entry points' sync → plan → apply sequence is LazyRules
+ * (core/lazy_rules.hh), which the static verifier runs too; this class
+ * keeps the per-frame state it works on and connects it to the
+ * machine.
  */
 
 #ifndef VIC_CORE_LAZY_PMAP_HH
@@ -76,9 +81,8 @@ class LazyPmap : public Pmap
      * @p istate to the post-operation encoding and returns the cache
      * flushes/purges that must precede the operation, in order.
      *
-     * Shared between the concrete cacheControl() and the static
-     * protocol verifier (vic::verify), so the abstract model cannot
-     * drift from the implementation.
+     * LazyRules' CacheControl runs it, in the simulator and in the
+     * static protocol verifier (vic::verify) alike.
      */
     static Plan planCacheControl(
         CacheStateVector &dstate, CacheStateVector &istate, MemOp op,
@@ -125,6 +129,11 @@ class LazyPmap : public Pmap
     CachePageState instState(FrameId frame, CachePageId colour) const;
 
   private:
+    /** One frame as LazyRules sees it (core/lazy_rules.hh): its
+     *  PhysPageInfo, reached through the page-table entry handles,
+     *  and the machine's caches. */
+    class FrameView;
+
     std::uint32_t dColours;
     std::uint32_t iColours;
     FrameTable<PhysPageInfo> pages;
@@ -133,29 +142,14 @@ class LazyPmap : public Pmap
 
     PhysPageInfo &getInfo(FrameId frame);
 
-    /** Recover cache_dirty from hardware page-modified bits (the
-     *  Section 4.1 optimisation). */
-    void syncDirtyFromModifiedBits(PhysPageInfo &info);
-
-    /**
-     * The CacheControl algorithm (Figure 1). @p target is the target
-     * virtual address for CPU operations (absent for DMA); @p access
-     * distinguishes data references from instruction fetches;
-     * @p will_overwrite and @p need_data are the semantic hints;
-     * @p reason attributes any flushes/purges in the statistics.
-     */
-    void cacheControl(FrameId frame, PhysPageInfo &info, MemOp op,
-                      std::optional<SpaceVa> target, AccessType access,
-                      bool will_overwrite, bool need_data,
-                      Reason reason);
+    /** The view of the frame @p pte maps; frameless if @p pte is
+     *  null. */
+    FrameView viewOf(const PageTableEntry *pte);
 
     /** Cache-state-permitted protection for one mapping (the final
      *  stanza's per-mapping decision). */
     Protection cacheProtFor(const PhysPageInfo &info,
                             const VaMapping &m) const;
-
-    /** Final stanza: reprogram every mapping's hardware protection. */
-    void applyProtections(PhysPageInfo &info);
 };
 
 } // namespace vic

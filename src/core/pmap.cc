@@ -120,6 +120,18 @@ Pmap::setHardwareProt(const VaMapping &m, Protection prot)
     mach.tlbShootdownPage(m.va);
 }
 
+std::optional<VaMapping>
+Pmap::MappingView::find(SpaceVa va) const
+{
+    if (!list)
+        return std::nullopt;
+    for (const VaMapping &m : *list) {
+        if (m.va == va)
+            return m;
+    }
+    vic_panic("mapping list out of sync with page table");
+}
+
 std::unique_ptr<Pmap>
 Pmap::create(Machine &m, const PolicyConfig &policy_config)
 {

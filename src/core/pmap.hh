@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -54,6 +55,29 @@ class Pmap
          *  false (page being recycled and prepared), a dirty cache
          *  page can be purged instead of flushed. */
         bool needData = true;
+    };
+
+    /** Why a cache page is flushed or purged. Each (operation,
+     *  reason) pair counts into "pmap.<op>.<reason>", e.g.
+     *  "pmap.d_flush.dma_read". */
+    enum class Reason : std::uint8_t
+    {
+        Unmap,     ///< a mapping went away
+        NewMap,    ///< a frame gained a mapping
+        Alias,     ///< an unaligned alias was broken
+        Fault,     ///< a consistency fault
+        IFetch,    ///< an instruction fetch
+        DmaRead,   ///< a device reads the frame
+        DmaWrite,  ///< a device writes the frame
+    };
+
+    /** Where a policy issues a cache op: the reason the simulator's
+     *  stats count it under, and the label the verifier's necessity
+     *  analysis reports it by (docs/VERIFICATION.md). */
+    struct OpSite
+    {
+        Reason reason;
+        const char *label;
     };
 
     Pmap(Machine &m, const PolicyConfig &policy_config);
@@ -197,20 +221,6 @@ class Pmap
         }
     };
 
-    /** Why a cache page is flushed or purged. Each (operation,
-     *  reason) pair counts into "pmap.<op>.<reason>", e.g.
-     *  "pmap.d_flush.dma_read". */
-    enum class Reason : std::uint8_t
-    {
-        Unmap,     ///< a mapping went away
-        NewMap,    ///< a frame gained a mapping
-        Alias,     ///< an unaligned alias was broken
-        Fault,     ///< a consistency fault
-        IFetch,    ///< an instruction fetch
-        DmaRead,   ///< a device reads the frame
-        DmaWrite,  ///< a device writes the frame
-    };
-
     // --- cache page operations with statistics attribution ---
 
     void flushDataPage(FrameId frame, CachePageId colour, Reason reason);
@@ -232,6 +242,79 @@ class Pmap
     /** Update the protection of mapping @p m's translation through
      *  its handle, then shoot the page down. */
     void setHardwareProt(const VaMapping &m, Protection prot);
+
+    /**
+     * What both pmaps' per-frame views share (the View the shared
+     * rules run on, core/classic_rules.hh): one frame's mapping list,
+     * read and written through the page-table entry handles, and the
+     * machine's caches. A view opened on an unmapped address has no
+     * list, and finds nothing.
+     */
+    class MappingView
+    {
+      public:
+        using Va = SpaceVa;
+        using Mapping = VaMapping;
+
+        CachePageId dColour(SpaceVa va) const
+        { return pmap.dColourOf(va.va); }
+        CachePageId iColour(SpaceVa va) const
+        { return pmap.iColourOf(va.va); }
+
+        std::size_t size() const { return list->size(); }
+        const VaMapping &at(std::size_t i) const { return (*list)[i]; }
+        /** The listed mapping of @p va; nullopt if the view has no
+         *  list. Panics if the list lacks a mapped @p va. */
+        std::optional<VaMapping> find(SpaceVa va) const;
+
+        static SpaceVa vaOf(const VaMapping &m) { return m.va; }
+        static Protection vmProt(const VaMapping &m) { return m.vmProt; }
+        static Protection hwProt(const VaMapping &m)
+        { return m.pte->prot; }
+        static bool modified(const VaMapping &m)
+        { return m.pte->modified; }
+        static bool takeModified(const VaMapping &m)
+        { return std::exchange(m.pte->modified, false); }
+        void setHardwareProt(const VaMapping &m, Protection prot)
+        { pmap.setHardwareProt(m, prot); }
+
+        void flushData(CachePageId colour, const OpSite &site)
+        { pmap.flushDataPage(frame, colour, site.reason); }
+        void purgeData(CachePageId colour, const OpSite &site)
+        { pmap.purgeDataPage(frame, colour, site.reason); }
+        void purgeInst(CachePageId colour, const OpSite &site)
+        { pmap.purgeInstPage(frame, colour, site.reason); }
+
+        void
+        chargeBookkeeping()
+        {
+            const Cycles cost = pmap.mach.params().pmapOverheadCycles;
+            pmap.mach.clock().advance(cost);
+        }
+
+      protected:
+        MappingView(Pmap &p, FrameId f, std::vector<VaMapping> *l)
+            : pmap(p), frame(f), list(l)
+        {}
+
+        /** Enter the frame's translation at @p va; @return the entry
+         *  for the new mapping, its modified bit set if @p modified. */
+        PageTableEntry *
+        translate(SpaceVa va, Protection prot, bool modified)
+        {
+            PageTableEntry *pte = pmap.setTranslation(va, frame, prot);
+            if (modified)
+                pte->modified = true;
+            return pte;
+        }
+
+        /** Drop the translation at @p va; @return its modified bit. */
+        bool untranslate(SpaceVa va) { return pmap.dropTranslation(va); }
+
+        Pmap &pmap;
+        FrameId frame;
+        std::vector<VaMapping> *list;
+    };
 
   private:
     /** The page operations counted per reason. */

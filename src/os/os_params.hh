@@ -65,10 +65,6 @@ struct OsParams
     /** Words the syscall stub writes/reads through the shared page. */
     std::uint32_t syscallArgWords = 8;
 
-    /** Cycles charged per pmap bookkeeping invocation (bit-vector and
-     *  protection updates). */
-    Cycles pmapBookkeepingCycles = 40;
-
     // --- pageout daemon ---
     /** Reclaim pages when the free pool drops below this. */
     std::uint64_t pageoutLowWater = 12;

@@ -1,10 +1,10 @@
 #include "verify/abstract_model.hh"
 
-#include <algorithm>
-#include <bit>
+#include <utility>
 
 #include "common/logging.hh"
-#include "core/lazy_pmap.hh"
+#include "core/classic_rules.hh"
+#include "core/lazy_rules.hh"
 #include "core/phys_page_info.hh"
 
 namespace vic::verify
@@ -222,40 +222,17 @@ AbstractSimulator::initial() const
     return ModelState{};
 }
 
-bool
-AbstractSimulator::conflicts(std::uint8_t a, std::uint8_t b) const
-{
-    if (cfg.breakAlignedAliases)
-        return true;
-    return dcol(a) != dcol(b);
-}
-
 // ---------------------------------------------------------------------
 // Issued-op instrumentation
 // ---------------------------------------------------------------------
 
-/** Sets the active call-site label for ops issued in its scope. */
-struct AbstractSimulator::SiteScope
-{
-    const AbstractSimulator &sim;
-    const char *saved;
-    SiteScope(const AbstractSimulator &s, const char *site)
-        : sim(s), saved(s.curSite)
-    {
-        sim.curSite = site;
-    }
-    ~SiteScope() { sim.curSite = saved; }
-    SiteScope(const SiteScope &) = delete;
-    SiteScope &operator=(const SiteScope &) = delete;
-};
-
 bool
 AbstractSimulator::issueOp(CacheKind cache, RequiredOp op,
-                           CachePageId colour, bool present,
-                           bool dirty) const
+                           CachePageId colour, bool present, bool dirty,
+                           const char *site) const
 {
     if (rec)
-        rec->ops.push_back({cache, op, colour, present, dirty, curSite});
+        rec->ops.push_back({cache, op, colour, present, dirty, site});
     const bool apply = opCursor != skipAt;
     ++opCursor;
     return apply;
@@ -275,11 +252,12 @@ AbstractSimulator::hazard(const ModelState &s)
 // ---------------------------------------------------------------------
 
 void
-AbstractSimulator::gtFlushData(ModelState &s, CachePageId c) const
+AbstractSimulator::gtFlushData(ModelState &s, CachePageId c,
+                               const char *site) const
 {
     ModelState::DLine &l = s.dline[c];
     if (!issueOp(CacheKind::Data, RequiredOp::Flush, c, l.present,
-                 l.present && l.dirty))
+                 l.present && l.dirty, site))
         return;
     if (!l.present)
         return;
@@ -292,11 +270,12 @@ AbstractSimulator::gtFlushData(ModelState &s, CachePageId c) const
 }
 
 void
-AbstractSimulator::gtPurgeData(ModelState &s, CachePageId c) const
+AbstractSimulator::gtPurgeData(ModelState &s, CachePageId c,
+                               const char *site) const
 {
     ModelState::DLine &l = s.dline[c];
     if (!issueOp(CacheKind::Data, RequiredOp::Purge, c, l.present,
-                 l.present && l.dirty))
+                 l.present && l.dirty, site))
         return;
     // Purging the only fresh copy silently loses the newest data;
     // that is detected at the next observing event, when no fresh
@@ -305,11 +284,12 @@ AbstractSimulator::gtPurgeData(ModelState &s, CachePageId c) const
 }
 
 void
-AbstractSimulator::gtPurgeInst(ModelState &s, CachePageId c) const
+AbstractSimulator::gtPurgeInst(ModelState &s, CachePageId c,
+                               const char *site) const
 {
     ModelState::ILine &l = s.iline[c];
     if (!issueOp(CacheKind::Instruction, RequiredOp::Purge, c, l.present,
-                 false))
+                 false, site))
         return;
     l = ModelState::ILine{};
 }
@@ -385,30 +365,8 @@ AbstractSimulator::gtCpuAccess(ModelState &s, std::uint8_t slot,
 }
 
 // ---------------------------------------------------------------------
-// Mapping order
+// State canonicalisation
 // ---------------------------------------------------------------------
-
-void
-AbstractSimulator::addOrdered(ModelState &s, std::uint8_t slot) const
-{
-    vic_assert(s.numLive < kMaxSlots, "mapping order overflow");
-    s.order[s.numLive++] = slot;
-}
-
-void
-AbstractSimulator::removeOrdered(ModelState &s, std::uint8_t slot) const
-{
-    for (std::uint8_t i = 0; i < s.numLive; ++i) {
-        if (s.order[i] == slot) {
-            // Mirror the concrete swap-removal so later iteration
-            // order matches ClassicPmap exactly.
-            s.order[i] = s.order[s.numLive - 1];
-            s.order[--s.numLive] = 0;
-            return;
-        }
-    }
-    vic_panic("removeOrdered: slot not in mapping order");
-}
 
 void
 AbstractSimulator::normalize(ModelState &s) const
@@ -427,35 +385,185 @@ AbstractSimulator::normalize(ModelState &s) const
 }
 
 // ---------------------------------------------------------------------
-// The trap-and-retry CPU path (Cpu::access + Kernel::handleFault)
+// The shared pmap rules over the model
 // ---------------------------------------------------------------------
 
-bool
-AbstractSimulator::accessPermitted(const ModelState &s,
-                                   std::uint8_t slot,
-                                   AccessType t) const
+/**
+ * The model state as ClassicRules and LazyRules see a frame (the View
+ * of core/classic_rules.hh): the live alias slots, in the state's list
+ * order, are the mappings, each entered with every VM permission, and
+ * cache ops act on the freshness lattice. The policy bookkeeping that
+ * ModelState packs into bits — the Tut residue, and the lazy Table 3
+ * vectors — is unpacked on construction and packed back on
+ * destruction.
+ */
+class AbstractSimulator::ModelView
 {
-    if (!lazy) {
-        switch (t) {
-          case AccessType::Load: return true;
-          case AccessType::Store: return s.hwWrite[slot];
-          case AccessType::IFetch: return s.hwExec[slot];
+  public:
+    /** A slot's virtual address: the slot and its generation, which
+     *  UnmapMove flips. */
+    struct Va
+    {
+        std::uint8_t slot = 0;
+        bool gen = false;
+        bool operator==(const Va &) const = default;
+    };
+    using Mapping = std::uint8_t;  ///< a live slot
+
+    ModelView(const AbstractSimulator &simulator, ModelState &state)
+        : sim(simulator), s(state)
+    {
+        if (s.hasResidue)
+            res = ClassicResidue<Va>{{s.residueSlot, s.residueGen},
+                                     s.residueDirty, s.residueExec};
+        if (sim.lazy) {
+            d = makeVec(s.dMapped, s.dStale, s.dCacheDirty,
+                        sim.slotPlan.dColours);
+            i = makeVec(s.iMapped, s.iStale, false, sim.slotPlan.iColours);
         }
-        return false;
     }
-    const CacheStateVector d =
-        makeVec(s.dMapped, s.dStale, s.dCacheDirty, slotPlan.dColours);
-    const CacheStateVector i =
-        makeVec(s.iMapped, s.iStale, false, slotPlan.iColours);
-    const Protection p = LazyPmap::cacheStateProt(
-        d, i, dcol(slot), icol(slot), cfg.useModifiedBit);
-    return protPermits(p, t);
+
+    ~ModelView()
+    {
+        s.hasResidue = res.has_value();
+        s.residueSlot = res ? res->va.slot : 0;
+        s.residueGen = res && res->va.gen;
+        s.residueDirty = res && res->dirty;
+        s.residueExec = res && res->exec;
+        if (sim.lazy) {
+            s.dMapped = maskOf(d.mapped);
+            s.dStale = maskOf(d.stale);
+            s.dCacheDirty = d.cacheDirty;
+            s.iMapped = maskOf(i.mapped);
+            s.iStale = maskOf(i.stale);
+        }
+    }
+
+    ModelView(const ModelView &) = delete;
+    ModelView &operator=(const ModelView &) = delete;
+
+    CachePageId dColour(Va va) const { return sim.dcol(va.slot); }
+    CachePageId iColour(Va va) const { return sim.icol(va.slot); }
+    static bool sameAddress(Va a, Va b) { return a == b; }
+
+    std::size_t size() const { return s.numLive; }
+    Mapping at(std::size_t k) const { return s.order[k]; }
+
+    std::optional<Mapping>
+    find(Va va) const
+    {
+        if (s.live[va.slot])
+            return va.slot;
+        return std::nullopt;
+    }
+
+    Va vaOf(Mapping slot) const { return {slot, s.vaGen[slot]}; }
+    static Protection vmProt(Mapping) { return Protection::all(); }
+
+    /** What the slot's translation permits: the stored bits, or under
+     *  the lazy policy what its Table 3 state allows. */
+    Protection
+    hwProt(Mapping slot) const
+    {
+        if (sim.lazy)
+            return LazyPmap::cacheStateProt(d, i, sim.dcol(slot),
+                                            sim.icol(slot),
+                                            sim.cfg.useModifiedBit);
+        return {true, s.hwWrite[slot], s.hwExec[slot]};
+    }
+
+    bool modified(Mapping slot) const { return s.modbit[slot]; }
+    bool takeModified(Mapping slot)
+    { return std::exchange(s.modbit[slot], false); }
+
+    void
+    setHardwareProt(Mapping slot, Protection prot)
+    {
+        s.hwWrite[slot] = prot.write;
+        s.hwExec[slot] = prot.execute;
+    }
+
+    void
+    install(Va va, Protection, Protection hw_prot, bool modified)
+    {
+        vic_assert(s.numLive < kMaxSlots, "mapping order overflow");
+        s.order[s.numLive++] = va.slot;
+        s.everTouched = true;
+        s.live[va.slot] = true;
+        s.modbit[va.slot] = modified;
+        setHardwareProt(va.slot, hw_prot);
+    }
+
+    bool
+    drop(Mapping slot)
+    {
+        // The concrete pmaps' swap-removal, so that later iteration
+        // order matches ClassicPmap's exactly.
+        std::uint8_t k = 0;
+        while (k < s.numLive && s.order[k] != slot)
+            ++k;
+        vic_assert(k < s.numLive, "slot not in mapping order");
+        s.order[k] = s.order[s.numLive - 1];
+        s.order[--s.numLive] = 0;
+        s.live[slot] = false;
+        setHardwareProt(slot, Protection::none());
+        return takeModified(slot);
+    }
+
+    std::optional<ClassicResidue<Va>> &residue() { return res; }
+    bool &execMode() { return s.execMode; }
+
+    CacheStateVector &dstate() { return d; }
+    CacheStateVector &istate() { return i; }
+    /** Nothing to store: hwProt derives the lazy protections from the
+     *  Table 3 bits. */
+    void applyProtections() {}
+    void countSync() {}
+
+    void flushData(CachePageId colour, const Pmap::OpSite &site)
+    { sim.gtFlushData(s, colour, site.label); }
+    void purgeData(CachePageId colour, const Pmap::OpSite &site)
+    { sim.gtPurgeData(s, colour, site.label); }
+    void purgeInst(CachePageId colour, const Pmap::OpSite &site)
+    { sim.gtPurgeInst(s, colour, site.label); }
+
+    void
+    chargeBookkeeping()
+    {
+        if (sim.rec)
+            ++sim.rec->pmapCalls;
+    }
+
+  private:
+    const AbstractSimulator &sim;
+    ModelState &s;
+    std::optional<ClassicResidue<Va>> res;
+    CacheStateVector d;
+    CacheStateVector i;
+};
+
+template <typename F>
+auto
+AbstractSimulator::withPolicy(ModelState &s, F &&f) const
+{
+    ModelView v(*this, s);
+    if (lazy) {
+        LazyRules<ModelView> rules(cfg);
+        return f(rules, v);
+    }
+    ClassicRules<ModelView> rules(cfg);
+    return f(rules, v);
 }
+
+// ---------------------------------------------------------------------
+// The trap-and-retry CPU path (Cpu::access + Kernel::handleFault)
+// ---------------------------------------------------------------------
 
 std::optional<AbstractViolation>
 AbstractSimulator::cpuAccess(ModelState &s, std::uint8_t slot,
                              AccessType t) const
 {
+    const ModelView::Va va{slot, s.vaGen[slot]};
     // The concrete CPU retries a faulting access after the handler
     // resolves it; two resolution rounds (mapping fault, then
     // consistency fault) always suffice, but mirror the retry bound.
@@ -463,34 +571,20 @@ AbstractSimulator::cpuAccess(ModelState &s, std::uint8_t slot,
         if (!s.live[slot]) {
             // Demand mapping with default hints, as the kernel's
             // resolveMappingFault does.
-            if (rec) {
+            if (rec)
                 ++rec->traps;
-                ++rec->pmapCalls;
-            }
-            if (lazy)
-                lazyEnter(s, slot, t);
-            else
-                classicEnter(s, slot, t);
+            withPolicy(s, [&](auto &rules, ModelView &v) {
+                rules.enter(v, va, Protection::all(), t, {});
+            });
             continue;
         }
-        if (!accessPermitted(s, slot, t)) {
-            if (rec) {
+        if (!protPermits(ModelView(*this, s).hwProt(slot), t)) {
+            if (rec)
                 ++rec->traps;
-                ++rec->pmapCalls;
-            }
-            bool resolved;
-            if (lazy) {
-                const SiteScope scope(
-                    *this, t == AccessType::IFetch ? "lazy.ifetch-fault"
-                                                   : "lazy.fault");
-                lazyCacheControl(s,
-                                 isWrite(t) ? MemOp::CpuWrite
-                                            : MemOp::CpuRead,
-                                 slot, t, false, true);
-                resolved = true;
-            } else {
-                resolved = classicResolveFault(s, slot, t);
-            }
+            const bool resolved =
+                withPolicy(s, [&](auto &rules, ModelView &v) {
+                    return rules.resolveFault(v, va, t);
+                });
             vic_assert(resolved,
                        "consistency fault not resolvable (%s slot %u)",
                        accessTypeName(t), slot);
@@ -504,440 +598,6 @@ AbstractSimulator::cpuAccess(ModelState &s, std::uint8_t slot,
         return gtCpuAccess(s, slot, t);
     }
     vic_panic("abstract access retry loop did not converge");
-}
-
-// ---------------------------------------------------------------------
-// Lazy policy (through LazyPmap's extracted pure logic)
-// ---------------------------------------------------------------------
-
-void
-AbstractSimulator::lazySync(ModelState &s) const
-{
-    for (std::uint8_t i = 0; i < s.numLive; ++i) {
-        const std::uint8_t k = s.order[i];
-        if (!s.modbit[k])
-            continue;
-        s.modbit[k] = false;
-        if (!s.dCacheDirty) {
-            vic_assert(
-                std::popcount(static_cast<unsigned>(s.dMapped)) == 1,
-                "modified bit with %u mapped colours",
-                std::popcount(static_cast<unsigned>(s.dMapped)));
-            s.dCacheDirty = true;
-        }
-    }
-}
-
-void
-AbstractSimulator::lazyCacheControl(ModelState &s, MemOp op,
-                                    std::optional<std::uint8_t> slot,
-                                    AccessType access,
-                                    bool will_overwrite,
-                                    bool need_data) const
-{
-    if (cfg.useModifiedBit)
-        lazySync(s);
-
-    CacheStateVector d =
-        makeVec(s.dMapped, s.dStale, s.dCacheDirty, slotPlan.dColours);
-    CacheStateVector i =
-        makeVec(s.iMapped, s.iStale, false, slotPlan.iColours);
-
-    std::optional<CachePageId> cd, ci;
-    if (slot) {
-        cd = dcol(*slot);
-        ci = icol(*slot);
-    }
-
-    const LazyPmap::Plan planned =
-        LazyPmap::planCacheControl(d, i, op, cd, ci, access,
-                                   will_overwrite, need_data,
-                                   cfg.useNeedData,
-                                   cfg.useWillOverwrite);
-
-    s.dMapped = maskOf(d.mapped);
-    s.dStale = maskOf(d.stale);
-    s.dCacheDirty = d.cacheDirty;
-    s.iMapped = maskOf(i.mapped);
-    s.iStale = maskOf(i.stale);
-    d.checkInvariants();
-    i.checkInvariants();
-
-    for (const LazyPmap::PlannedOp &p : planned) {
-        if (p.cache == CacheKind::Instruction)
-            gtPurgeInst(s, p.colour);
-        else if (p.op == RequiredOp::Flush)
-            gtFlushData(s, p.colour);
-        else
-            gtPurgeData(s, p.colour);
-    }
-}
-
-void
-AbstractSimulator::lazyEnter(ModelState &s, std::uint8_t slot,
-                             AccessType t) const
-{
-    s.everTouched = true;
-    s.live[slot] = true;
-    s.modbit[slot] = false;
-    addOrdered(s, slot);
-    const SiteScope scope(*this, t == AccessType::IFetch
-                                     ? "lazy.ifetch-enter"
-                                     : "lazy.enter");
-    lazyCacheControl(s, isWrite(t) ? MemOp::CpuWrite : MemOp::CpuRead,
-                     slot, t, /*will_overwrite=*/false,
-                     /*need_data=*/true);
-}
-
-void
-AbstractSimulator::lazyUnmap(ModelState &s, std::uint8_t slot) const
-{
-    if (!s.live[slot])
-        return;
-    // Capture dirtiness carried by the modified bit, then drop the
-    // translation; lazy unmap performs no cache operation.
-    if (cfg.useModifiedBit)
-        lazySync(s);
-    s.modbit[slot] = false;
-    s.live[slot] = false;
-    removeOrdered(s, slot);
-}
-
-// ---------------------------------------------------------------------
-// Classic policy (mirrors ClassicPmap)
-// ---------------------------------------------------------------------
-
-bool
-AbstractSimulator::classicColourPossiblyDirty(const ModelState &s,
-                                              CachePageId c,
-                                              bool base_modified) const
-{
-    if (base_modified)
-        return true;
-    for (std::uint8_t i = 0; i < s.numLive; ++i) {
-        const std::uint8_t k = s.order[i];
-        if (dcol(k) == c && s.modbit[k])
-            return true;
-    }
-    return false;
-}
-
-void
-AbstractSimulator::classicCleanResidue(ModelState &s,
-                                       bool base_modified) const
-{
-    if (!s.hasResidue)
-        return;
-    // Dirt written through a live aligned sibling (or the mapping
-    // being removed right now) lives in the residue's cache page too.
-    const bool dirty = s.residueDirty ||
-        classicColourPossiblyDirty(s, dcol(s.residueSlot),
-                                   base_modified);
-    if (dirty)
-        gtFlushData(s, dcol(s.residueSlot));
-    else
-        gtPurgeData(s, dcol(s.residueSlot));
-    if (s.residueExec)
-        gtPurgeInst(s, icol(s.residueSlot));
-    s.hasResidue = false;
-    s.residueSlot = 0;
-    s.residueGen = s.residueDirty = s.residueExec = false;
-}
-
-void
-AbstractSimulator::classicCleanThrough(ModelState &s, std::uint8_t slot,
-                                       bool flush_dirty,
-                                       bool had_exec) const
-{
-    if (flush_dirty)
-        gtFlushData(s, dcol(slot));
-    else
-        gtPurgeData(s, dcol(slot));
-    if (had_exec)
-        gtPurgeInst(s, icol(slot));
-}
-
-void
-AbstractSimulator::classicEnterExecMode(ModelState &s,
-                                        CachePageId icolour) const
-{
-    // Flush every colour a live mapping may have dirtied, consuming
-    // modified bits — but only the first mapping of an already-flushed
-    // colour is consulted, exactly as the concrete loop works.
-    std::array<bool, kMaxColours> flushed{};
-    for (std::uint8_t i = 0; i < s.numLive; ++i) {
-        const std::uint8_t k = s.order[i];
-        const CachePageId c = dcol(k);
-        if (flushed[c])
-            continue;
-        const bool modified = s.modbit[k];
-        s.modbit[k] = false;
-        if (classicColourPossiblyDirty(s, c, modified)) {
-            gtFlushData(s, c);
-            flushed[c] = true;
-        }
-    }
-    // A dirty residue (Tut) holds newest data too; no live mapping's
-    // modified bit covers it.
-    if (s.hasResidue && s.residueDirty) {
-        gtFlushData(s, dcol(s.residueSlot));
-        s.residueDirty = false;
-    }
-    gtPurgeInst(s, icolour);
-    for (std::uint8_t i = 0; i < s.numLive; ++i)
-        s.hwWrite[s.order[i]] = false;
-    s.execMode = true;
-}
-
-void
-AbstractSimulator::classicEnterWriteMode(ModelState &s) const
-{
-    for (std::uint8_t i = 0; i < s.numLive; ++i)
-        s.hwExec[s.order[i]] = false;
-    s.execMode = false;
-}
-
-void
-AbstractSimulator::classicBreakMapping(ModelState &s,
-                                       std::uint8_t slot) const
-{
-    const bool modified = s.modbit[slot];
-    s.modbit[slot] = false;
-    s.live[slot] = false;  // translation dropped before the dirtiness
-                           // scan, as in the concrete breakMapping
-    const bool dirty =
-        classicColourPossiblyDirty(s, dcol(slot), modified);
-    classicCleanThrough(s, slot, dirty, /*had_exec=*/true);
-    removeOrdered(s, slot);
-    s.hwWrite[slot] = s.hwExec[slot] = false;
-}
-
-void
-AbstractSimulator::classicEnter(ModelState &s, std::uint8_t slot,
-                                AccessType t) const
-{
-    s.everTouched = true;
-
-    if (cfg.brokenNoConsistency) {
-        s.live[slot] = true;
-        s.modbit[slot] = false;
-        s.hwWrite[slot] = true;
-        s.hwExec[slot] = true;
-        addOrdered(s, slot);
-        return;
-    }
-
-    // A matching dirty residue is consumed without a flush; its
-    // dirtiness is carried into the new mapping's modified bit (or
-    // flushed right here when this very enter switches to exec mode).
-    bool carry_dirty = false;
-    if (s.hasResidue) {
-        const bool matches = cfg.equalVaOnly
-            ? (s.residueSlot == slot && s.residueGen == s.vaGen[slot])
-            : (dcol(s.residueSlot) == dcol(slot));
-        if (!matches) {
-            const SiteScope scope(*this,
-                                  "classic.enter.clean-residue");
-            classicCleanResidue(s);
-            // No purge of the NEW colour: the residue is the only
-            // place this frame's lines survive outside live
-            // mappings (any earlier residue was cleaned when it was
-            // replaced), so the new cache page cannot hold the
-            // frame's stale data. The necessity analyzer proves
-            // every instance of such a purge redundant.
-        } else {
-            carry_dirty = s.residueDirty;
-            s.hasResidue = false;
-            s.residueSlot = 0;
-            s.residueGen = s.residueDirty = s.residueExec = false;
-        }
-    }
-
-    bool conflicting_alias = false;
-    std::vector<std::uint8_t> to_break;
-    for (std::uint8_t i = 0; i < s.numLive; ++i) {
-        const std::uint8_t k = s.order[i];
-        if (!conflicts(k, slot))
-            continue;
-        conflicting_alias = true;
-        if (isWrite(t) || s.hwWrite[k] || s.modbit[k])
-            to_break.push_back(k);
-    }
-    {
-        const SiteScope scope(*this, "classic.enter.break-alias");
-        for (std::uint8_t k : to_break)
-            classicBreakMapping(s, k);
-    }
-
-    bool eff_write = true, eff_exec = true;  // vmProt == all
-    if (!isWrite(t) && conflicting_alias)
-        eff_write = false;
-
-    if (t == AccessType::IFetch && eff_exec) {
-        if (!s.execMode) {
-            if (carry_dirty) {
-                const SiteScope scope(*this,
-                                      "classic.enter.carry-flush");
-                gtFlushData(s, dcol(slot));
-                carry_dirty = false;
-            }
-            const SiteScope scope(*this, "classic.exec-mode");
-            classicEnterExecMode(s, icol(slot));
-        }
-        eff_write = false;
-    } else {
-        if (isWrite(t) && s.execMode)
-            classicEnterWriteMode(s);
-        if (s.execMode)
-            eff_write = false;
-        else
-            eff_exec = false;
-    }
-
-    s.live[slot] = true;
-    s.modbit[slot] = carry_dirty;
-    s.hwWrite[slot] = eff_write;
-    s.hwExec[slot] = eff_exec;
-    addOrdered(s, slot);
-}
-
-void
-AbstractSimulator::classicUnmap(ModelState &s, std::uint8_t slot) const
-{
-    if (!s.live[slot])
-        return;
-    const bool modified = s.modbit[slot];
-    s.modbit[slot] = false;
-    s.live[slot] = false;
-    s.hwWrite[slot] = s.hwExec[slot] = false;
-    removeOrdered(s, slot);
-
-    if (cfg.brokenNoConsistency) {
-        // Leave whatever is in the cache.
-    } else if (cfg.cleanOnUnmap) {
-        const SiteScope scope(*this, "classic.unmap.clean");
-        const bool dirty =
-            classicColourPossiblyDirty(s, dcol(slot), modified);
-        classicCleanThrough(s, slot, dirty, /*had_exec=*/true);
-    } else {
-        // Tut residue: one per frame; a pre-existing residue at a
-        // different address must be cleaned now.
-        const SiteScope scope(*this, "classic.unmap.clean-residue");
-        if (s.hasResidue && !(s.residueSlot == slot &&
-                              s.residueGen == s.vaGen[slot]))
-            classicCleanResidue(s, modified &&
-                                       dcol(slot) ==
-                                           dcol(s.residueSlot));
-        s.hasResidue = true;
-        s.residueSlot = slot;
-        s.residueGen = s.vaGen[slot];
-        s.residueDirty = modified;
-        s.residueExec = true;  // vmProt == all
-    }
-}
-
-bool
-AbstractSimulator::classicResolveFault(ModelState &s, std::uint8_t slot,
-                                       AccessType t) const
-{
-    if (cfg.brokenNoConsistency) {
-        s.hwWrite[slot] = true;
-        s.hwExec[slot] = true;
-        return t != AccessType::Load;
-    }
-
-    if (t == AccessType::IFetch) {
-        // Only the write-to-execute mode switch needs cache work.
-        // While exec mode holds, stores trap (write-xor-execute) and
-        // DMA input purges eagerly, so no instruction cache page can
-        // be stale — the necessity analyzer proves the old
-        // purge-on-every-ifetch-fault redundant in every instance.
-        if (!s.execMode) {
-            const SiteScope scope(*this, "classic.exec-mode");
-            classicEnterExecMode(s, icol(slot));
-        }
-        s.hwWrite[slot] = false;
-        s.hwExec[slot] = true;
-        return true;
-    }
-
-    if (t != AccessType::Store)
-        return false;  // reads are never denied for consistency
-
-    if (s.execMode)
-        classicEnterWriteMode(s);
-
-    // A residue at a conflicting address is an alias too: clean it
-    // before the store makes its cache page stale.
-    if (s.hasResidue && conflicts(s.residueSlot, slot)) {
-        const SiteScope scope(*this, "classic.fault.clean-residue");
-        classicCleanResidue(s);
-    }
-
-    std::vector<std::uint8_t> to_break;
-    for (std::uint8_t i = 0; i < s.numLive; ++i) {
-        const std::uint8_t k = s.order[i];
-        if (k != slot && conflicts(k, slot))
-            to_break.push_back(k);
-    }
-    {
-        const SiteScope scope(*this, "classic.fault.break-alias");
-        for (std::uint8_t k : to_break)
-            classicBreakMapping(s, k);
-    }
-
-    s.hwWrite[slot] = true;
-    s.hwExec[slot] = false;
-    return true;
-}
-
-void
-AbstractSimulator::classicDmaRead(ModelState &s) const
-{
-    if (cfg.brokenNoConsistency)
-        return;
-    if (!s.everTouched)
-        return;
-    const SiteScope scope(*this, "classic.dma-out.flush");
-    if (rec)
-        ++rec->pmapCalls;
-    for (std::uint8_t i = 0; i < s.numLive; ++i) {
-        const std::uint8_t k = s.order[i];
-        if (s.modbit[k]) {
-            s.modbit[k] = false;
-            gtFlushData(s, dcol(k));
-        }
-    }
-    if (s.hasResidue && s.residueDirty) {
-        gtFlushData(s, dcol(s.residueSlot));
-        s.residueDirty = false;
-    }
-}
-
-void
-AbstractSimulator::classicDmaWrite(ModelState &s) const
-{
-    if (cfg.brokenNoConsistency)
-        return;
-    if (!s.everTouched)
-        return;
-    const SiteScope scope(*this, "classic.dma-in.purge");
-    if (rec)
-        ++rec->pmapCalls;
-    for (std::uint8_t i = 0; i < s.numLive; ++i) {
-        const std::uint8_t k = s.order[i];
-        s.modbit[k] = false;
-        gtPurgeData(s, dcol(k));
-        gtPurgeInst(s, icol(k));  // vmProt == all
-    }
-    if (s.hasResidue) {
-        gtPurgeData(s, dcol(s.residueSlot));
-        if (s.residueExec)
-            gtPurgeInst(s, icol(s.residueSlot));
-        s.hasResidue = false;
-        s.residueSlot = 0;
-        s.residueGen = s.residueDirty = s.residueExec = false;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -963,27 +623,20 @@ AbstractSimulator::step(ModelState &s, const Event &e) const
 
       case EventKind::Unmap:
       case EventKind::UnmapMove:
-        if (lazy)
-            lazyUnmap(s, e.slot);
-        else
-            classicUnmap(s, e.slot);
+        withPolicy(s, [&](auto &rules, ModelView &v) {
+            rules.remove(v, v.vaOf(e.slot));
+        });
         if (e.kind == EventKind::UnmapMove)
             s.vaGen[e.slot] = !s.vaGen[e.slot];
         break;
 
       case EventKind::DmaIn:
-        // Policy preparation, then the device writes word 0.
-        if (lazy) {
-            if (s.everTouched) {
-                const SiteScope scope(*this, "lazy.dma-in");
-                if (rec)
-                    ++rec->pmapCalls;
-                lazyCacheControl(s, MemOp::DmaWrite, std::nullopt,
-                                 AccessType::Load, false, false);
-            }
-        } else {
-            classicDmaWrite(s);
-        }
+        // Policy preparation (a pmap has nothing to prepare for a
+        // frame it never saw), then the device writes word 0.
+        if (s.everTouched)
+            withPolicy(s, [](auto &rules, ModelView &v) {
+                rules.dmaWrite(v);
+            });
         s.memFresh = true;
         for (std::uint32_t c = 0; c < kMaxColours; ++c) {
             // Cached copies go stale; dirty lines stay dirty and will
@@ -996,17 +649,10 @@ AbstractSimulator::step(ModelState &s, const Event &e) const
         break;
 
       case EventKind::DmaOut:
-        if (lazy) {
-            if (s.everTouched) {
-                const SiteScope scope(*this, "lazy.dma-out");
-                if (rec)
-                    ++rec->pmapCalls;
-                lazyCacheControl(s, MemOp::DmaRead, std::nullopt,
-                                 AccessType::Load, false, true);
-            }
-        } else {
-            classicDmaRead(s);
-        }
+        if (s.everTouched)
+            withPolicy(s, [](auto &rules, ModelView &v) {
+                rules.dmaRead(v, /*need_data=*/true);
+            });
         if (!s.memFresh)
             violation = AbstractViolation{ViolationKind::StaleDmaOut, 0,
                                           classify(s, false)};

@@ -14,12 +14,20 @@
  *     dirty write-back (destroying the only fresh copy is detected the
  *     moment anything observes the survivor);
  *  2. the policy's own bookkeeping — the Table 3 mapped/stale/dirty
- *     vectors for the lazy strategy, or mapping/residue/exec-mode
- *     metadata for the classic ones. The lazy component is driven
- *     through LazyPmap::planCacheControl / cacheStateProt, i.e. the
- *     same code the simulator runs, so the model cannot drift;
- *  3. the mapping layer — which virtual alias slots are live, their
- *     hardware protections and page-table modified bits.
+ *     vectors for the lazy strategy, or the Tut residue and
+ *     write-xor-execute mode for the classic ones;
+ *  3. the mapping layer — which virtual alias slots are live, in
+ *     which list order, their hardware protections and page-table
+ *     modified bits.
+ *
+ * The model owns only the ground truth, the alias slots and the
+ * trap-and-retry loop. Every policy decision — what a pmap entry
+ * point does to components 2 and 3 and which cache ops it issues — is
+ * made by the pmaps' own code: LazyRules (core/lazy_rules.hh) and
+ * ClassicRules (core/classic_rules.hh) run over a view of this state,
+ * exactly as LazyPmap and ClassicPmap run them over theirs. The model
+ * cannot drift from the simulator, and a bug in either policy is a bug
+ * the verifier sees.
  *
  * The event alphabet covers the paper's whole consistency problem:
  * loads, stores and instruction fetches through aligned and unaligned
@@ -163,9 +171,9 @@ struct IssuedOp
     CachePageId colour = 0;
     bool present = false;
     bool dirty = false;
-    /** Stable label of the policy call site that issued the op (finer
-     *  than the simulator's stats `reason` strings; see
-     *  docs/VERIFICATION.md for the mapping to shipping code). */
+    /** Label of the pmap rules' call site that issued the op
+     *  (Pmap::OpSite::label: finer than the simulator's stats
+     *  `reason`; see docs/VERIFICATION.md). */
     const char *site = "?";
 
     /** "flush d0 (present,dirty) @lazy.dma-out"-style display name. */
@@ -173,12 +181,15 @@ struct IssuedOp
 };
 
 /** Everything one step cost: cache ops issued, faults taken, and pmap
- *  consistency invocations. CostModel turns this into cycles. */
+ *  bookkeeping charges. CostModel turns this into cycles. */
 struct StepTrace
 {
     std::vector<IssuedOp> ops;
     std::uint32_t traps = 0;      ///< CPU faults (kernel entry/exit)
-    std::uint32_t pmapCalls = 0;  ///< pmap consistency invocations
+    /** pmap calls that charge MachineParams::pmapOverheadCycles: the
+     *  rules' chargeBookkeeping() hook, so exactly the calls the
+     *  concrete pmap charges. */
+    std::uint32_t pmapCalls = 0;
     /** A store was performed into a present non-newest line. Never
      *  happens under a sound policy; tracked because the adversarial
      *  step semantics diverge exactly here (see stepSkipping). */
@@ -345,6 +356,9 @@ class AbstractSimulator
     static bool hazard(const ModelState &s);
 
   private:
+    /** The model state as the shared pmap rules' View. */
+    class ModelView;
+
     PolicyConfig cfg;
     SlotPlan slotPlan;
     bool lazy;
@@ -354,24 +368,21 @@ class AbstractSimulator
     mutable StepTrace *rec = nullptr;    ///< recording target, if any
     mutable long skipAt = -1;            ///< op index to suppress
     mutable long opCursor = 0;           ///< ops issued so far this step
-    mutable const char *curSite = "?";   ///< active call-site label
-    struct SiteScope;
 
     /** Record the op and decide whether its hardware effect applies
      *  (false only for the skipAt-th op of the step). */
     bool issueOp(CacheKind cache, RequiredOp op, CachePageId colour,
-                 bool present, bool dirty) const;
+                 bool present, bool dirty, const char *site) const;
 
     CachePageId dcol(std::uint8_t slot) const
     { return slotPlan.slots[slot].dColour; }
     CachePageId icol(std::uint8_t slot) const
     { return slotPlan.slots[slot].iColour; }
-    bool conflicts(std::uint8_t a, std::uint8_t b) const;
 
-    // ground-truth transfers
-    void gtFlushData(ModelState &s, CachePageId c) const;
-    void gtPurgeData(ModelState &s, CachePageId c) const;
-    void gtPurgeInst(ModelState &s, CachePageId c) const;
+    // ground-truth transfers, issued from call site @p site
+    void gtFlushData(ModelState &s, CachePageId c, const char *site) const;
+    void gtPurgeData(ModelState &s, CachePageId c, const char *site) const;
+    void gtPurgeInst(ModelState &s, CachePageId c, const char *site) const;
     std::optional<AbstractViolation>
     gtCpuAccess(ModelState &s, std::uint8_t slot, AccessType t) const;
     std::string classify(const ModelState &s, bool ifetch) const;
@@ -379,41 +390,14 @@ class AbstractSimulator
     // the trap-and-retry CPU path
     std::optional<AbstractViolation>
     cpuAccess(ModelState &s, std::uint8_t slot, AccessType t) const;
-    bool accessPermitted(const ModelState &s, std::uint8_t slot,
-                         AccessType t) const;
 
-    // mapping-order helpers
-    void addOrdered(ModelState &s, std::uint8_t slot) const;
-    void removeOrdered(ModelState &s, std::uint8_t slot) const;
+    /** Canonical mapping order (lazy) and zeroed unused slots. */
     void normalize(ModelState &s) const;
 
-    // lazy policy (via LazyPmap's extracted pure logic)
-    void lazySync(ModelState &s) const;
-    void lazyCacheControl(ModelState &s, MemOp op,
-                          std::optional<std::uint8_t> slot,
-                          AccessType access, bool will_overwrite,
-                          bool need_data) const;
-    void lazyEnter(ModelState &s, std::uint8_t slot,
-                   AccessType t) const;
-    void lazyUnmap(ModelState &s, std::uint8_t slot) const;
-
-    // classic policy (mirrors ClassicPmap)
-    bool classicColourPossiblyDirty(const ModelState &s, CachePageId c,
-                                    bool base_modified) const;
-    void classicCleanResidue(ModelState &s,
-                             bool base_modified = false) const;
-    void classicCleanThrough(ModelState &s, std::uint8_t slot,
-                             bool flush_dirty, bool had_exec) const;
-    void classicEnterExecMode(ModelState &s, CachePageId icolour) const;
-    void classicEnterWriteMode(ModelState &s) const;
-    void classicBreakMapping(ModelState &s, std::uint8_t slot) const;
-    void classicEnter(ModelState &s, std::uint8_t slot,
-                      AccessType t) const;
-    void classicUnmap(ModelState &s, std::uint8_t slot) const;
-    bool classicResolveFault(ModelState &s, std::uint8_t slot,
-                             AccessType t) const;
-    void classicDmaRead(ModelState &s) const;
-    void classicDmaWrite(ModelState &s) const;
+    /** @return f(rules, view): the policy's pmap rules (LazyRules or
+     *  ClassicRules, the code the pmaps run) over a view of @p s. */
+    template <typename F>
+    auto withPolicy(ModelState &s, F &&f) const;
 };
 
 } // namespace vic::verify

@@ -85,6 +85,7 @@ TraceReplayer::replay(const Trace &trace) const
 
     for (std::size_t i = 0; i < trace.size(); ++i) {
         current_event = static_cast<int>(i);
+        const Cycles start = machine.clock().now();
         const Event &e = trace[i];
         const SpaceVa sva(1, slotVa(e.slot));
 
@@ -123,6 +124,7 @@ TraceReplayer::replay(const Trace &trace) const
             break;
           }
         }
+        res.eventCycles.push_back(machine.clock().now() - start);
     }
 
     res.violated = oracle.violationCount() > 0;

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/policy_config.hh"
 #include "machine/machine_params.hh"
@@ -46,6 +47,9 @@ struct ReplayResult
     /** Oracle classification of the first violation ("cpu-load",
      *  "cpu-ifetch" or "dma-read"). */
     std::string kind;
+    /** Simulated cycles each event of the trace took, in order: the
+     *  concrete side of CostModel::stepCycles. */
+    std::vector<Cycles> eventCycles;
 };
 
 class TraceReplayer

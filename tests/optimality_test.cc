@@ -9,6 +9,10 @@
  * refuse to cost-compare an unsound policy.
  */
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
@@ -144,6 +148,84 @@ TEST_F(CostAgreementTest, StepCyclesSumsTrapsPmapCallsAndOps)
     const Cycles expected = 2 * mp.trapCycles +
         3 * mp.pmapOverheadCycles + costs.dataPageOpCycles(0);
     EXPECT_EQ(costs.stepCycles(t), expected);
+}
+
+/** Every policy the verifier checks, the deliberately broken one
+ *  included. */
+std::vector<PolicyConfig>
+everyPolicy()
+{
+    std::vector<PolicyConfig> all = PolicyConfig::table4Sweep();
+    for (const PolicyConfig &p : PolicyConfig::table5Systems())
+        all.push_back(p);
+    all.push_back(PolicyConfig::broken());
+    return all;
+}
+
+TEST_F(CostAgreementTest, WholeStepsCostWhatTheConcreteMachineCharges)
+{
+    // Zero every cost the model leaves out (hits, fills, TLB misses,
+    // DMA and disk), so an event's clock delta on the concrete machine
+    // is exactly traps, pmap bookkeeping and page ops. No cost depends
+    // on the memory size, and a small memory makes the ~12,000
+    // machines below cheap to build.
+    MachineParams machine = MachineParams::hp720();
+    machine.numFrames = 16;
+    for (CacheCosts *c : {&machine.dcacheCosts, &machine.icacheCosts}) {
+        c->hit = 0;
+        c->missPenalty = 0;
+    }
+    machine.tlbMissPenalty = 0;
+    machine.dmaCosts.setup = 0;
+    machine.dmaCosts.perWord = 0;
+    machine.diskAccessCycles = 0;
+    const verify::CostModel model(machine);
+
+    for (const PolicyConfig &policy : everyPolicy()) {
+        // Every trace of three events for one policy of each pmap
+        // family (eager, per-VA residue, lazy), of two for the rest.
+        const bool deep = policy.name == "Utah" || policy.name == "Tut" ||
+            policy.name == "CMU";
+        const std::size_t len = deep ? 3 : 2;
+        const verify::AbstractSimulator sim(policy);
+        const verify::TraceReplayer replayer(
+            policy, verify::SlotPlan::standard(), machine);
+        const std::vector<verify::Event> alpha = sim.alphabet();
+
+        std::uint64_t events = 0;
+        std::uint64_t disagreements = 0;
+        std::vector<std::size_t> idx(len, 0);
+        for (bool more = true; more;) {
+            verify::Trace trace;
+            for (std::size_t k : idx)
+                trace.push_back(alpha[k]);
+            const verify::ReplayResult concrete = replayer.replay(trace);
+            ASSERT_EQ(concrete.eventCycles.size(), trace.size());
+            verify::ModelState s = sim.initial();
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                verify::StepTrace step;
+                (void)sim.stepTraced(s, trace[i], step);
+                ++events;
+                const Cycles modelled = model.stepCycles(step);
+                if (modelled == concrete.eventCycles[i])
+                    continue;
+                if (++disagreements <= 3)
+                    ADD_FAILURE()
+                        << policy.name << ": " << verify::traceName(trace)
+                        << " event " << i << " modelled " << modelled
+                        << " cycles (" << step.traps << " traps, "
+                        << step.pmapCalls << " pmap calls, "
+                        << step.ops.size() << " ops), concrete "
+                        << concrete.eventCycles[i];
+            }
+            std::size_t p = 0;
+            while (p < len && ++idx[p] == alpha.size())
+                idx[p++] = 0;
+            more = p < len;
+        }
+        EXPECT_EQ(disagreements, 0u)
+            << policy.name << ": of " << events << " events";
+    }
 }
 
 // ---------------------------------------------------------------------
