@@ -2,10 +2,13 @@
 # Continuous-integration driver. Three gating steps plus best-effort
 # lint:
 #
-#   1. tier-1: plain build + full ctest suite (the seed contract);
+#   1. tier-1: plain build + full ctest suite (the seed contract),
+#      which also runs the six examples (each exits non-zero when its
+#      run goes wrong) and policy_explorer's malformed-flag checks;
 #   2. sanitizer: rebuild and rerun the suite under
 #      AddressSanitizer + UndefinedBehaviorSanitizer (a UBSan finding
-#      fails its test) with the checked standard library;
+#      fails its test) with the checked standard library, examples
+#      included;
 #   3. protocol lint: verify_policy must prove every shipping policy
 #      sound and the broken one unsound with a replaying
 #      counterexample; the --necessity pass additionally proves every

@@ -12,8 +12,10 @@
  *             (default afs)
  *
  * Prints the run's elapsed time, fault and cache-operation counts and
- * the oracle verdict. Handy for eyeballing how one knob changes the
- * numbers, e.g.:
+ * the oracle verdict, and exits 1 if the oracle saw a violation. The
+ * numeric flags take whole decimal numbers (--trace may be 0, the
+ * others must be positive); anything else exits 2 naming the flag.
+ * Handy for eyeballing how one knob changes the numbers, e.g.:
  *
  *   ./build/examples/policy_explorer A build
  *   ./build/examples/policy_explorer F build --pipt
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "os/os_params.hh"
 #include "workload/afs_bench.hh"
 #include "workload/contrived_alias.hh"
@@ -97,20 +100,26 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--snoop")) {
             mp.dmaSnoops = true;
         } else if (!std::strcmp(argv[i], "--ways") && i + 1 < argc) {
-            mp.dcacheWays = std::uint32_t(std::atoi(argv[++i]));
+            mp.dcacheWays = parseCount(argv[i], argv[i + 1], 1u);
             mp.icacheWays = mp.dcacheWays;
+            ++i;
         } else if (!std::strcmp(argv[i], "--colours") &&
                    i + 1 < argc) {
             // Colours = cache size / page size for direct mapping.
-            mp.dcacheBytes = std::uint64_t(std::atoi(argv[++i])) *
-                             mp.pageBytes;
+            const std::uint32_t colours =
+                parseCount(argv[i], argv[i + 1], 1u);
+            mp.dcacheBytes = std::uint64_t(colours) * mp.pageBytes;
             mp.icacheBytes = mp.dcacheBytes;
+            ++i;
         } else if (!std::strcmp(argv[i], "--cpus") && i + 1 < argc) {
-            mp.numCpus = std::uint32_t(std::atoi(argv[++i]));
+            mp.numCpus = parseCount(argv[i], argv[i + 1], 1u);
+            ++i;
         } else if (!std::strcmp(argv[i], "--stats")) {
             dump_stats = true;
         } else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
-            trace_events = std::size_t(std::atoi(argv[++i]));
+            trace_events = parseCount(argv[i], argv[i + 1],
+                                      std::size_t(0));
+            ++i;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
             return 2;
@@ -153,10 +162,11 @@ main(int argc, char **argv)
                 (unsigned long long)r.dmaWritePurges());
     std::printf("I page purges      : %llu\n",
                 (unsigned long long)r.iPagePurges());
+    // Over every data cache: a multiprocessor names them dcacheN.
+    const std::uint64_t hits = r.sumMatching("dcache", ".hits");
+    const std::uint64_t misses = r.sumMatching("dcache", ".misses");
     std::printf("cache hit rate     : %.2f%%\n",
-                100.0 * double(r.stat("dcache.hits")) /
-                    double(r.stat("dcache.hits") +
-                           r.stat("dcache.misses")));
+                100.0 * double(hits) / double(hits + misses));
     if (dump_stats) {
         std::printf("\nall non-zero counters:\n");
         std::vector<std::pair<std::string, std::uint64_t>> sorted(
@@ -182,5 +192,5 @@ main(int argc, char **argv)
                 r.oracleViolations
                     ? "  <-- THE MEMORY SYSTEM RETURNED STALE DATA"
                     : " (consistent)");
-    return 0;
+    return r.oracleViolations ? 1 : 0;
 }

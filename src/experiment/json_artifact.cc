@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -54,39 +53,6 @@ runResultToJson(const RunResult &r)
         v.set("trace", std::move(trace));
     }
     return v;
-}
-
-RunResult
-runResultFromJson(const JsonValue &v)
-{
-    RunResult r;
-    const auto *workload = v.find("workload");
-    const auto *policy = v.find("policy");
-    const auto *cycles = v.find("cycles");
-    const auto *seconds = v.find("seconds");
-    const auto *oracle = v.find("oracle");
-    const auto *stats = v.find("stats");
-    if (!workload || !policy || !cycles || !seconds || !oracle ||
-        !stats)
-        throw std::runtime_error("run entry missing required fields");
-
-    r.workload = workload->asString();
-    r.policy = policy->asString();
-    r.cycles = cycles->asU64();
-    r.seconds = seconds->asDouble();
-    const auto *checked = oracle->find("checked");
-    const auto *violations = oracle->find("violations");
-    if (!checked || !violations)
-        throw std::runtime_error("run entry missing oracle verdict");
-    r.oracleChecked = checked->asU64();
-    r.oracleViolations = violations->asU64();
-    for (const auto &[name, value] : stats->members())
-        r.stats[name] = value.asU64();
-    if (const auto *trace = v.find("trace")) {
-        for (const auto &line : trace->items())
-            r.traceTail.push_back(line.asString());
-    }
-    return r;
 }
 
 JsonValue

@@ -52,9 +52,6 @@ struct ArtifactMeta
 /** Serialise a RunResult (deterministic: stats sorted by name). */
 JsonValue runResultToJson(const RunResult &r);
 
-/** Rebuild a RunResult from runResultToJson output. */
-RunResult runResultFromJson(const JsonValue &v);
-
 /** Serialise one run entry. */
 JsonValue outcomeToJson(const RunOutcome &out);
 

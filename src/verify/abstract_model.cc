@@ -178,19 +178,10 @@ maskOf(const BitVector &b)
 } // namespace
 
 AbstractSimulator::AbstractSimulator(const PolicyConfig &policy,
-                                     SlotPlan plan, bool adversarial)
-    : cfg(policy), slotPlan(std::move(plan)),
-      lazy(policy.pmapKind == PmapKind::Lazy), advMode(adversarial)
+                                     bool adversarial)
+    : cfg(policy), lazy(policy.pmapKind == PmapKind::Lazy),
+      advMode(adversarial)
 {
-    vic_assert(slotPlan.slots.size() <= kMaxSlots,
-               "slot plan too large");
-    vic_assert(slotPlan.dColours <= kMaxColours &&
-                   slotPlan.iColours <= kMaxColours,
-               "slot plan uses too many colours");
-    for (const SlotPlan::Slot &s : slotPlan.slots)
-        vic_assert(s.dColour < slotPlan.dColours &&
-                       s.iColour < slotPlan.iColours,
-                   "slot colour out of range");
 }
 
 std::vector<Event>

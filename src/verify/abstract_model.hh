@@ -126,10 +126,10 @@ struct SlotPlan
     std::uint32_t iColours = 2;
 
     /**
-     * The default plan: slot A (colour 0), slot B (colour 1, an
-     * unaligned alias of A), slot C (colour 0 again — an aligned alias
-     * of A at a different virtual address). This covers every
-     * qualitative alias relation the paper discusses.
+     * The plan the model and the replayer use: slot A (colour 0), slot
+     * B (colour 1, an unaligned alias of A), slot C (colour 0 again —
+     * an aligned alias of A at a different virtual address). This
+     * covers every qualitative alias relation the paper discusses.
      */
     static SlotPlan standard();
 };
@@ -200,7 +200,8 @@ struct StepTrace
 // Model state
 // ---------------------------------------------------------------------
 
-/** Compile-time bounds; SlotPlan sizes must fit. */
+/** Compile-time bounds of the state layout; the standard SlotPlan
+ *  fits. */
 constexpr std::uint32_t kMaxColours = 4;
 constexpr std::uint32_t kMaxSlots = 4;
 
@@ -265,19 +266,6 @@ struct ModelState
     Key pack() const;
 };
 
-struct ModelStateKeyHash
-{
-    std::size_t operator()(const ModelState::Key &k) const
-    {
-        // splitmix-style combine
-        std::uint64_t h = k[0] * 0x9e3779b97f4a7c15ull;
-        h ^= h >> 32;
-        h += k[1] * 0xbf58476d1ce4e5b9ull;
-        h ^= h >> 29;
-        return static_cast<std::size_t>(h);
-    }
-};
-
 // ---------------------------------------------------------------------
 // Simulator
 // ---------------------------------------------------------------------
@@ -300,14 +288,13 @@ struct ModelStateKeyHash
  *      non-newest data line as violating (hazard()): under cache
  *      pressure the hardware may write such a line back at any time,
  *      clobbering the newest memory copy.
- *   Exact reachability (PolicyVerifier, TraceReplayer equivalence)
+ *   Exact reachability (verifyPolicy, TraceReplayer equivalence)
  *   must use the default non-adversarial semantics.
  */
 class AbstractSimulator
 {
   public:
     explicit AbstractSimulator(const PolicyConfig &policy,
-                               SlotPlan plan = SlotPlan::standard(),
                                bool adversarial = false);
 
     const PolicyConfig &policy() const { return cfg; }
@@ -360,7 +347,7 @@ class AbstractSimulator
     class ModelView;
 
     PolicyConfig cfg;
-    SlotPlan slotPlan;
+    SlotPlan slotPlan = SlotPlan::standard();
     bool lazy;
     bool advMode;
 

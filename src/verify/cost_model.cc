@@ -1,12 +1,9 @@
 #include "verify/cost_model.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <deque>
-#include <unordered_map>
 
 #include "common/logging.hh"
-#include "verify/bfs_util.hh"
+#include "verify/reachability.hh"
 
 namespace vic::verify
 {
@@ -67,82 +64,67 @@ CostModel::stepCycles(const StepTrace &t) const
     return c;
 }
 
+namespace
+{
+
+/** A census search state: the model state, and the cost of the
+ *  BFS-tree path that first reached it (not part of its identity). */
+struct CostedState
+{
+    ModelState model;
+    Cycles pathCycles = 0;
+
+    ModelState::Key pack() const { return model.pack(); }
+};
+
+} // namespace
+
 CostCensus
-runCostCensus(const PolicyConfig &policy, const CostCensusOptions &opts)
+runCostCensus(const PolicyConfig &policy)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
-    const AbstractSimulator sim(policy, opts.plan);
-    const std::vector<Event> alphabet = sim.alphabet();
-    const CostModel costs(opts.machine);
+    const AbstractSimulator sim(policy);
+    const CostModel costs;
 
     CostCensus res;
     res.policyName = policy.name;
 
-    SeenMap seen;
-    std::unordered_map<ModelState::Key, Cycles, ModelStateKeyHash> cum;
-    std::deque<ModelState> frontier;
+    Reachability<CostedState> search(CostedState{sim.initial()});
+    search.run(sim.alphabet(), [&](std::size_t from, const Event &e,
+                                   CostedState &next) {
+        StepTrace tr;
+        // Violations are ignored: the census prices transitions even
+        // for a broken policy.
+        (void)sim.stepTraced(next.model, e, tr);
 
-    const ModelState init = sim.initial();
-    seen.emplace(init.pack(), Discovery{{}, {}, 0, true});
-    cum.emplace(init.pack(), 0);
-    frontier.push_back(init);
-    res.numStates = 1;
-
-    bool truncated = false;
-    while (!frontier.empty()) {
-        const ModelState cur = frontier.front();
-        frontier.pop_front();
-        const ModelState::Key cur_key = cur.pack();
-        const std::uint32_t cur_depth = seen.at(cur_key).depth;
-        const Cycles cur_cum = cum.at(cur_key);
-
-        for (const Event &e : alphabet) {
-            ModelState next = cur;
-            StepTrace tr;
-            // Violations are ignored: the census prices transitions
-            // even for a broken policy.
-            (void)sim.stepTraced(next, e, tr);
-            ++res.numTransitions;
-
-            res.faults += tr.traps;
-            for (const IssuedOp &op : tr.ops) {
-                if (op.cache == CacheKind::Instruction)
-                    ++res.instPurges;
-                else if (op.op == RequiredOp::Flush)
-                    ++res.dataFlushes;
-                else
-                    ++res.dataPurges;
-                (op.present ? res.presentOps : res.absentOps) += 1;
-            }
-
-            const Cycles step = costs.stepCycles(tr);
-            if (step > res.worstStepCycles) {
-                res.worstStepCycles = step;
-                res.worstStepTrace = reconstruct(seen, cur_key, e);
-            }
-
-            const ModelState::Key key = next.pack();
-            if (seen.find(key) != seen.end())
-                continue;
-            if (res.numStates >= opts.maxStates) {
-                truncated = true;
-                continue;
-            }
-            seen.emplace(key,
-                         Discovery{cur_key, e, cur_depth + 1, false});
-            cum.emplace(key, cur_cum + step);
-            res.worstPathCycles =
-                std::max(res.worstPathCycles, cur_cum + step);
-            frontier.push_back(std::move(next));
-            ++res.numStates;
+        res.faults += tr.traps;
+        for (const IssuedOp &op : tr.ops) {
+            if (op.cache == CacheKind::Instruction)
+                ++res.instPurges;
+            else if (op.op == RequiredOp::Flush)
+                ++res.dataFlushes;
+            else
+                ++res.dataPurges;
+            (op.present ? res.presentOps : res.absentOps) += 1;
         }
-    }
 
-    res.fixedPointReached = !truncated;
-    res.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+        const Cycles step = costs.stepCycles(tr);
+        next.pathCycles += step;
+        if (step > res.worstStepCycles) {
+            res.worstStepCycles = step;
+            res.worstStepTrace = search.trace(from, e);
+        }
+        return false;
+    });
+
+    res.fixedPointReached = !search.truncated();
+    res.numStates = search.size();
+    res.numTransitions = search.transitions();
+    for (std::size_t i = 0; i < search.size(); ++i)
+        res.worstPathCycles =
+            std::max(res.worstPathCycles, search.state(i).pathCycles);
+    res.seconds = secondsSince(t0);
     return res;
 }
 

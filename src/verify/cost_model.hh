@@ -64,13 +64,6 @@ class CostModel
 // Cost census
 // ---------------------------------------------------------------------
 
-struct CostCensusOptions
-{
-    SlotPlan plan = SlotPlan::standard();
-    std::uint64_t maxStates = 4'000'000;
-    MachineParams machine = MachineParams::hp720();
-};
-
 /** Aggregate static cost annotation of one policy's whole reachable
  *  transition graph. */
 struct CostCensus
@@ -102,8 +95,7 @@ struct CostCensus
 /** Explore @p policy's reachable graph and price every transition.
  *  Violations (broken policies) are ignored — the census is a cost
  *  annotation, not a soundness check. */
-CostCensus runCostCensus(const PolicyConfig &policy,
-                         const CostCensusOptions &opts = {});
+CostCensus runCostCensus(const PolicyConfig &policy);
 
 } // namespace vic::verify
 

@@ -3,79 +3,35 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <chrono>
-#include <deque>
 #include <map>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "verify/policy_verifier.hh"
+#include "verify/reachability.hh"
 
 namespace vic::verify
 {
 
-DifferentialAnalyzer::DifferentialAnalyzer(DiffOptions opts)
-    : options(std::move(opts))
-{
-}
-
 namespace
 {
 
-using PairKey = std::array<std::uint64_t, 4>;
-
-struct PairKeyHash
+/** A product search state: both policies' model states, and the cost
+ *  each paid along the BFS-tree path that first reached the pair (not
+ *  part of its identity). */
+struct ProductState
 {
-    std::size_t operator()(const PairKey &k) const
+    ModelState a;
+    ModelState b;
+    Cycles pathA = 0;
+    Cycles pathB = 0;
+
+    std::array<std::uint64_t, 4> pack() const
     {
-        std::uint64_t h = 0;
-        for (std::uint64_t v : k) {
-            h += v * 0x9e3779b97f4a7c15ull;
-            h ^= h >> 32;
-            h *= 0xbf58476d1ce4e5b9ull;
-        }
-        return static_cast<std::size_t>(h);
+        const ModelState::Key ka = a.pack();
+        const ModelState::Key kb = b.pack();
+        return {ka[0], ka[1], kb[0], kb[1]};
     }
 };
-
-PairKey
-pairKey(const ModelState &a, const ModelState &b)
-{
-    const ModelState::Key ka = a.pack();
-    const ModelState::Key kb = b.pack();
-    return {ka[0], ka[1], kb[0], kb[1]};
-}
-
-struct PairDiscovery
-{
-    PairKey parent{};
-    Event via;
-    bool isRoot = false;
-    Cycles cumA = 0;
-    Cycles cumB = 0;
-};
-
-using PairSeen =
-    std::unordered_map<PairKey, PairDiscovery, PairKeyHash>;
-
-Trace
-reconstructPair(const PairSeen &seen, const PairKey &last,
-                const Event &final_event)
-{
-    Trace t;
-    t.push_back(final_event);
-    PairKey k = last;
-    for (;;) {
-        auto it = seen.find(k);
-        vic_assert(it != seen.end(), "broken product parent chain");
-        if (it->second.isRoot)
-            break;
-        t.push_back(it->second.via);
-        k = it->second.parent;
-    }
-    std::reverse(t.begin(), t.end());
-    return t;
-}
 
 /** Decode the lazy side's Table 3 bits into the Table 2 state letter
  *  of the event's target cache page, with a "+disp" marker when the
@@ -155,8 +111,7 @@ classifyEvent(const Event &e, const ModelState *ls,
 } // namespace
 
 DiffResult
-DifferentialAnalyzer::compare(const PolicyConfig &a,
-                              const PolicyConfig &b) const
+comparePolicies(const PolicyConfig &a, const PolicyConfig &b)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
@@ -165,26 +120,22 @@ DifferentialAnalyzer::compare(const PolicyConfig &a,
     res.nameB = b.name;
 
     // --- Soundness gate: an unsound policy has no cost story.
-    const PolicyVerifier verifier(
-        VerifyOptions{options.plan, options.maxStates});
     for (const PolicyConfig *p : {&a, &b}) {
-        const VerifyResult vr = verifier.verify(*p);
+        const VerifyResult vr = verifyPolicy(*p);
         if (!vr.sound) {
             res.comparable = false;
             res.unsoundPolicy = p->name;
             res.unsoundTrace = vr.counterexample;
             res.unsoundViolation = vr.violation;
-            res.seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
+            res.seconds = secondsSince(t0);
             return res;
         }
     }
     res.comparable = true;
 
-    const AbstractSimulator simA(a, options.plan);
-    const AbstractSimulator simB(b, options.plan);
-    const CostModel costs(options.machine);
+    const AbstractSimulator simA(a);
+    const AbstractSimulator simB(b);
+    const CostModel costs;
 
     // Union alphabet: a per-VA policy adds UnmapMove, which every
     // other policy treats exactly as Unmap.
@@ -199,88 +150,59 @@ DifferentialAnalyzer::compare(const PolicyConfig &a,
     const bool b_lazy = b.pmapKind == PmapKind::Lazy;
     const bool a_lazy = a.pmapKind == PmapKind::Lazy;
 
-    PairSeen seen;
-    std::deque<std::pair<ModelState, ModelState>> frontier;
-
-    const std::pair<ModelState, ModelState> init{simA.initial(),
-                                                 simB.initial()};
-    seen.emplace(pairKey(init.first, init.second),
-                 PairDiscovery{{}, {}, true, 0, 0});
-    frontier.push_back(init);
-    res.productStates = 1;
-
     std::map<std::string, DiffClassBound> classes;
-    bool truncated = false;
+    Reachability<ProductState> search(
+        ProductState{simA.initial(), simB.initial()});
+    search.run(alphabet, [&](std::size_t from, const Event &e,
+                             ProductState &next) {
+        // Classified by the state the event leaves, before stepping.
+        const ModelState *lazy_side =
+            b_lazy ? &next.b : (a_lazy ? &next.a : nullptr);
+        const std::string label =
+            classifyEvent(e, lazy_side, simA.plan());
 
-    while (!frontier.empty()) {
-        const auto [curA, curB] = frontier.front();
-        frontier.pop_front();
-        const PairKey cur_key = pairKey(curA, curB);
-        const PairDiscovery cur_disc = seen.at(cur_key);
+        StepTrace trA, trB;
+        const auto vA = simA.stepTraced(next.a, e, trA);
+        const auto vB = simB.stepTraced(next.b, e, trB);
+        vic_assert(!vA && !vB,
+                   "sound policy violated inside the product");
 
-        for (const Event &e : alphabet) {
-            const ModelState *lazy_side =
-                b_lazy ? &curB : (a_lazy ? &curA : nullptr);
-            const std::string label =
-                classifyEvent(e, lazy_side, options.plan);
+        const Cycles costA = costs.stepCycles(trA);
+        const Cycles costB = costs.stepCycles(trB);
+        next.pathA += costA;
+        next.pathB += costB;
 
-            ModelState nextA = curA;
-            ModelState nextB = curB;
-            StepTrace trA, trB;
-            const auto vA = simA.stepTraced(nextA, e, trA);
-            const auto vB = simB.stepTraced(nextB, e, trB);
-            vic_assert(!vA && !vB,
-                       "sound policy violated inside the product");
-            ++res.productTransitions;
+        DiffClassBound &cls = classes[label];
+        if (cls.label.empty())
+            cls.label = label;
+        ++cls.transitions;
+        cls.worstA = std::max(cls.worstA, costA);
+        cls.worstB = std::max(cls.worstB, costB);
 
-            const Cycles costA = costs.stepCycles(trA);
-            const Cycles costB = costs.stepCycles(trB);
-
-            DiffClassBound &cls = classes[label];
-            if (cls.label.empty())
-                cls.label = label;
-            ++cls.transitions;
-            cls.worstA = std::max(cls.worstA, costA);
-            cls.worstB = std::max(cls.worstB, costB);
-
-            res.worstStepA = std::max(res.worstStepA, costA);
-            res.worstStepB = std::max(res.worstStepB, costB);
-            if (costA > 0 && costB == 0)
-                ++res.aPaysBFree;
-            if (costB > 0 && costA == 0)
-                ++res.bPaysAFree;
-            if (costA > costB &&
-                costA - costB > res.worstStepGap) {
-                res.worstStepGap = costA - costB;
-                res.worstGapTrace =
-                    reconstructPair(seen, cur_key, e);
-            }
-
-            const PairKey key = pairKey(nextA, nextB);
-            if (seen.find(key) != seen.end())
-                continue;
-            if (res.productStates >= options.maxStates) {
-                truncated = true;
-                continue;
-            }
-            const Cycles cumA = cur_disc.cumA + costA;
-            const Cycles cumB = cur_disc.cumB + costB;
-            res.worstPathA = std::max(res.worstPathA, cumA);
-            res.worstPathB = std::max(res.worstPathB, cumB);
-            seen.emplace(key, PairDiscovery{cur_key, e, false, cumA,
-                                            cumB});
-            frontier.emplace_back(std::move(nextA), std::move(nextB));
-            ++res.productStates;
+        res.worstStepA = std::max(res.worstStepA, costA);
+        res.worstStepB = std::max(res.worstStepB, costB);
+        if (costA > 0 && costB == 0)
+            ++res.aPaysBFree;
+        if (costB > 0 && costA == 0)
+            ++res.bPaysAFree;
+        if (costA > costB && costA - costB > res.worstStepGap) {
+            res.worstStepGap = costA - costB;
+            res.worstGapTrace = search.trace(from, e);
         }
-    }
+        return false;
+    });
 
-    res.fixedPointReached = !truncated;
+    res.fixedPointReached = !search.truncated();
+    res.productStates = search.size();
+    res.productTransitions = search.transitions();
+    for (std::size_t i = 0; i < search.size(); ++i) {
+        res.worstPathA = std::max(res.worstPathA, search.state(i).pathA);
+        res.worstPathB = std::max(res.worstPathB, search.state(i).pathB);
+    }
     for (auto &kv : classes)
         res.classes.push_back(std::move(kv.second));
 
-    res.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    res.seconds = secondsSince(t0);
     return res;
 }
 

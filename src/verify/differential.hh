@@ -29,14 +29,6 @@
 namespace vic::verify
 {
 
-struct DiffOptions
-{
-    SlotPlan plan = SlotPlan::standard();
-    /** Cap on the product state space (and on each soundness check). */
-    std::uint64_t maxStates = 4'000'000;
-    MachineParams machine = MachineParams::hp720();
-};
-
 /** Worst-case step cost of one Table 2 transition class, per policy. */
 struct DiffClassBound
 {
@@ -84,19 +76,9 @@ struct DiffResult
     double seconds = 0.0;
 };
 
-class DifferentialAnalyzer
-{
-  public:
-    explicit DifferentialAnalyzer(DiffOptions opts = {});
-
-    /** Run @p a and @p b against the same event streams and bound
-     *  their cost divergence. */
-    DiffResult compare(const PolicyConfig &a,
-                       const PolicyConfig &b) const;
-
-  private:
-    DiffOptions options;
-};
+/** Run @p a and @p b against the same event streams and bound their
+ *  cost divergence. */
+DiffResult comparePolicies(const PolicyConfig &a, const PolicyConfig &b);
 
 } // namespace vic::verify
 

@@ -1,26 +1,21 @@
 #include "verify/necessity.hh"
 
-#include <chrono>
 #include <deque>
 #include <map>
 #include <unordered_set>
 
-#include "common/logging.hh"
-#include "verify/bfs_util.hh"
+#include "verify/reachability.hh"
 
 namespace vic::verify
 {
 
-NecessityAnalyzer::NecessityAnalyzer(NecessityOptions opts)
-    : options(std::move(opts))
-{
-}
-
 namespace
 {
 
-using KeySet =
-    std::unordered_set<ModelState::Key, ModelStateKeyHash>;
+/** Total budget for all mutant explorations of one analysis. */
+constexpr std::uint64_t kMaxMutantStates = 8'000'000;
+
+using KeySet = std::unordered_set<ModelState::Key, PackedKeyHash>;
 
 enum class Verdict : std::uint8_t
 {
@@ -30,10 +25,10 @@ enum class Verdict : std::uint8_t
 };
 
 /**
- * Shared scratch of one analyze() run. memoSafe holds states proven
- * adversarially safe (no violation reachable); memoBad holds mutant
- * roots from which a violation was reached. Both persist across op
- * instances, so repeated mutants resolve by lookup.
+ * Shared scratch of one analyzeNecessity() run. memoSafe holds states
+ * proven adversarially safe (no violation reachable); memoBad holds
+ * mutant roots from which a violation was reached. Both persist across
+ * op instances, so repeated mutants resolve by lookup.
  */
 struct MutantSearch
 {
@@ -95,95 +90,61 @@ struct MutantSearch
 } // namespace
 
 NecessityResult
-NecessityAnalyzer::analyze(const PolicyConfig &policy) const
+analyzeNecessity(const PolicyConfig &policy)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
-    const AbstractSimulator sim(policy, options.plan);
-    const AbstractSimulator adv(policy, options.plan,
-                                /*adversarial=*/true);
+    const AbstractSimulator sim(policy);
+    const AbstractSimulator adv(policy, /*adversarial=*/true);
     const std::vector<Event> alphabet = sim.alphabet();
-    const CostModel costs(options.machine);
+    const CostModel costs;
 
     NecessityResult res;
     res.policyName = policy.name;
 
-    // --- Phase 1: exact reachability (as PolicyVerifier), keeping the
+    // --- Phase 1: exact reachability (as verifyPolicy), keeping the
     // discovered states in BFS order for phase 2.
-    SeenMap seen;
-    std::vector<ModelState> order;
     bool divergence = false;  // hazard or stale store seen in base set
+    Reachability<ModelState> search(sim.initial());
+    search.run(alphabet,
+               [&](std::size_t from, const Event &e, ModelState &next) {
+                   StepTrace tr;
+                   std::optional<AbstractViolation> v =
+                       sim.stepTraced(next, e, tr);
+                   if (v) {
+                       res.counterexample = search.trace(from, e);
+                       res.violation = std::move(v);
+                       return true;
+                   }
+                   divergence |= tr.staleStore ||
+                       AbstractSimulator::hazard(next);
+                   return false;
+               });
 
-    const ModelState init = sim.initial();
-    seen.emplace(init.pack(), Discovery{{}, {}, 0, true});
-    order.push_back(init);
-
-    bool truncated = false;
-    for (std::size_t head = 0; head < order.size(); ++head) {
-        const ModelState cur = order[head];
-        const ModelState::Key cur_key = cur.pack();
-        const std::uint32_t cur_depth = seen.at(cur_key).depth;
-
-        for (const Event &e : alphabet) {
-            ModelState next = cur;
-            StepTrace tr;
-            const std::optional<AbstractViolation> v =
-                sim.stepTraced(next, e, tr);
-            if (v) {
-                res.sound = false;
-                res.fixedPointReached = true;
-                res.numStates = order.size();
-                res.counterexample = reconstruct(seen, cur_key, e);
-                res.violation = v;
-                res.seconds = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-                return res;
-            }
-            divergence |= tr.staleStore ||
-                AbstractSimulator::hazard(next);
-
-            const ModelState::Key key = next.pack();
-            if (seen.find(key) != seen.end())
-                continue;
-            if (order.size() >=
-                static_cast<std::size_t>(options.maxStates)) {
-                truncated = true;
-                continue;
-            }
-            seen.emplace(key,
-                         Discovery{cur_key, e, cur_depth + 1, false});
-            order.push_back(std::move(next));
-        }
-    }
-
-    res.sound = !truncated;
-    res.fixedPointReached = !truncated;
-    res.numStates = order.size();
-    if (truncated) {
-        res.seconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+    res.sound = !search.stopped() && !search.truncated();
+    res.fixedPointReached = search.stopped() || !search.truncated();
+    res.numStates = search.size();
+    if (!res.sound) {
+        res.seconds = secondsSince(t0);
         return res;
     }
 
     // --- Phase 2: the one-op-skipped mutant of every issued op.
-    MutantSearch search{adv, alphabet, {}, {},
-                        options.maxMutantStates};
+    MutantSearch mutants{adv, alphabet, {}, {}, kMaxMutantStates};
     res.adversariallyClean = !divergence;
     if (res.adversariallyClean) {
         // Sound + adversarially clean: the whole base reachable set is
         // closed under adversarial steps and violation-free, so every
         // base state is safe. Pre-seeding makes the common mutant case
         // (skip was a hardware no-op) a single lookup.
-        for (const auto &kv : seen)
-            search.memoSafe.insert(kv.first);
+        for (std::size_t i = 0; i < search.size(); ++i)
+            mutants.memoSafe.insert(search.state(i).pack());
     }
 
     std::map<std::string, SiteReport> sites;
 
-    for (const ModelState &s : order) {
-        const ModelState::Key s_key = s.pack();
+    for (std::size_t i = 0; i < search.size(); ++i) {
+        const ModelState &s = search.state(i);
         for (const Event &e : alphabet) {
             ModelState normal = s;
             StepTrace tr;
@@ -213,7 +174,7 @@ NecessityAnalyzer::analyze(const PolicyConfig &policy) const
                     // IS the (safe) normal successor.
                     verdict = Verdict::Redundant;
                 } else {
-                    verdict = search.explore(mutant);
+                    verdict = mutants.explore(mutant);
                 }
 
                 switch (verdict) {
@@ -233,7 +194,7 @@ NecessityAnalyzer::analyze(const PolicyConfig &policy) const
                         std::max(site.worstWastedCycles, waste);
                     if (!site.exemplar) {
                         RedundantOp r;
-                        r.prefix = reconstruct(seen, s_key, e);
+                        r.prefix = search.trace(i, e);
                         r.event = r.prefix.back();
                         r.prefix.pop_back();
                         r.opIndex = k;
@@ -248,13 +209,11 @@ NecessityAnalyzer::analyze(const PolicyConfig &policy) const
         }
     }
 
-    res.complete = !search.exhausted;
+    res.complete = !mutants.exhausted;
     for (auto &kv : sites)
         res.sites.push_back(std::move(kv.second));
 
-    res.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    res.seconds = secondsSince(t0);
     return res;
 }
 

@@ -37,16 +37,6 @@
 namespace vic::verify
 {
 
-struct NecessityOptions
-{
-    SlotPlan plan = SlotPlan::standard();
-    /** Cap on the base reachability exploration. */
-    std::uint64_t maxStates = 4'000'000;
-    /** Total budget for all mutant explorations combined. */
-    std::uint64_t maxMutantStates = 8'000'000;
-    MachineParams machine = MachineParams::hp720();
-};
-
 /** One provably redundant op instance, with the minimal trace that
  *  reaches it (replayable on the concrete machine). */
 struct RedundantOp
@@ -115,18 +105,9 @@ struct NecessityResult
     }
 };
 
-class NecessityAnalyzer
-{
-  public:
-    explicit NecessityAnalyzer(NecessityOptions opts = {});
-
-    /** Explore @p policy, then prove or refute the necessity of every
-     *  issued op instance. */
-    NecessityResult analyze(const PolicyConfig &policy) const;
-
-  private:
-    NecessityOptions options;
-};
+/** Explore @p policy, then prove or refute the necessity of every
+ *  issued op instance. */
+NecessityResult analyzeNecessity(const PolicyConfig &policy);
 
 } // namespace vic::verify
 

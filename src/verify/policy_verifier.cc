@@ -1,85 +1,39 @@
 #include "verify/policy_verifier.hh"
 
-#include <chrono>
-#include <deque>
-
-#include "common/logging.hh"
-#include "verify/bfs_util.hh"
+#include "verify/reachability.hh"
 
 namespace vic::verify
 {
 
-PolicyVerifier::PolicyVerifier(VerifyOptions opts)
-    : options(std::move(opts))
-{
-}
-
 VerifyResult
-PolicyVerifier::verify(const PolicyConfig &policy) const
+verifyPolicy(const PolicyConfig &policy)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
-    AbstractSimulator sim(policy, options.plan);
-    const std::vector<Event> alphabet = sim.alphabet();
+    const AbstractSimulator sim(policy);
 
     VerifyResult res;
     res.policyName = policy.name;
 
-    SeenMap seen;
-    std::deque<ModelState> frontier;
+    Reachability<ModelState> search(sim.initial());
+    search.run(sim.alphabet(),
+               [&](std::size_t from, const Event &e, ModelState &next) {
+                   std::optional<AbstractViolation> v = sim.step(next, e);
+                   if (!v)
+                       return false;
+                   // First violation in BFS order: minimal
+                   // counterexample.
+                   res.counterexample = search.trace(from, e);
+                   res.violation = std::move(v);
+                   return true;
+               });
 
-    const ModelState init = sim.initial();
-    seen.emplace(init.pack(), Discovery{{}, {}, 0, true});
-    frontier.push_back(init);
-    res.numStates = 1;
-
-    bool truncated = false;
-    while (!frontier.empty()) {
-        const ModelState cur = frontier.front();
-        frontier.pop_front();
-        const ModelState::Key cur_key = cur.pack();
-        const std::uint32_t cur_depth = seen.at(cur_key).depth;
-
-        for (const Event &e : alphabet) {
-            ModelState next = cur;
-            const std::optional<AbstractViolation> v =
-                sim.step(next, e);
-            ++res.numTransitions;
-
-            if (v) {
-                // First violation in BFS order: minimal counterexample.
-                res.sound = false;
-                res.fixedPointReached = true;
-                res.counterexample = reconstruct(seen, cur_key, e);
-                res.violation = v;
-                res.diameter = std::max(res.diameter, cur_depth + 1);
-                res.seconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-                return res;
-            }
-
-            const ModelState::Key key = next.pack();
-            if (seen.find(key) != seen.end())
-                continue;
-            if (res.numStates >= options.maxStates) {
-                truncated = true;
-                continue;
-            }
-            seen.emplace(key,
-                         Discovery{cur_key, e, cur_depth + 1, false});
-            frontier.push_back(std::move(next));
-            ++res.numStates;
-            res.diameter = std::max(res.diameter, cur_depth + 1);
-        }
-    }
-
-    res.sound = !truncated;
-    res.fixedPointReached = !truncated;
-    res.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    res.sound = !search.stopped() && !search.truncated();
+    res.fixedPointReached = search.stopped() || !search.truncated();
+    res.numStates = search.size();
+    res.numTransitions = search.transitions();
+    res.diameter = search.diameter();
+    res.seconds = secondsSince(t0);
     return res;
 }
 

@@ -22,21 +22,14 @@
 namespace vic::verify
 {
 
-struct VerifyOptions
-{
-    SlotPlan plan = SlotPlan::standard();
-    /** Safety valve against state-space bugs; far above any real
-     *  policy's reachable set. */
-    std::uint64_t maxStates = 4'000'000;
-};
-
 struct VerifyResult
 {
     std::string policyName;
     /** No reachable state violates the invariants. Only meaningful
      *  when @c fixedPointReached. */
     bool sound = false;
-    /** The full reachable set was explored (maxStates not hit). */
+    /** The full reachable set was explored (kMaxStates not hit), or
+     *  the search stopped at a violation. */
     bool fixedPointReached = false;
 
     std::uint64_t numStates = 0;       ///< reachable states
@@ -51,18 +44,9 @@ struct VerifyResult
     double seconds = 0.0;
 };
 
-class PolicyVerifier
-{
-  public:
-    explicit PolicyVerifier(VerifyOptions opts = {});
-
-    /** Explore @p policy's reachable states and check the paper's
-     *  invariants on every transition. */
-    VerifyResult verify(const PolicyConfig &policy) const;
-
-  private:
-    VerifyOptions options;
-};
+/** Explore @p policy's reachable states and check the paper's
+ *  invariants on every transition. */
+VerifyResult verifyPolicy(const PolicyConfig &policy);
 
 } // namespace vic::verify
 

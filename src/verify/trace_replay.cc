@@ -13,10 +13,23 @@
 namespace vic::verify
 {
 
-TraceReplayer::TraceReplayer(const PolicyConfig &policy, SlotPlan plan,
-                             MachineParams params)
-    : cfg(policy), slotPlan(std::move(plan)), mparams(params)
+namespace
 {
+
+/** The physical page under analysis: every event of a trace touches
+ *  it and no other. */
+constexpr FrameId kFrame = 7;
+
+} // namespace
+
+TraceReplayer::TraceReplayer(const PolicyConfig &policy,
+                             MachineParams params)
+    : cfg(policy), mparams(params)
+{
+    // No other frame is touched, so a larger memory would only cost
+    // the time to build it and the oracle's shadow of it for every
+    // trace (hp720's 512 frames are 2 MB of each).
+    mparams.numFrames = kFrame + 1;
 }
 
 ReplayResult
@@ -59,10 +72,6 @@ TraceReplayer::replay(const Trace &trace) const
             }
         });
 
-    // The physical page under analysis.
-    const FrameId frame = 7;
-    vic_assert(frame < mparams.numFrames, "frame out of range");
-
     const std::uint32_t machine_colours =
         machine.dcache().geometry().numColours();
     vic_assert(slotPlan.dColours + 1 <= machine_colours,
@@ -91,15 +100,15 @@ TraceReplayer::replay(const Trace &trace) const
 
         switch (e.kind) {
           case EventKind::Load:
-            known[sva] = frame;
+            known[sva] = kFrame;
             cpu.load(sva.va);
             break;
           case EventKind::Store:
-            known[sva] = frame;
+            known[sva] = kFrame;
             cpu.store(sva.va, stamp++);
             break;
           case EventKind::IFetch:
-            known[sva] = frame;
+            known[sva] = kFrame;
             cpu.ifetch(sva.va);
             break;
 
@@ -112,15 +121,15 @@ TraceReplayer::replay(const Trace &trace) const
             break;
 
           case EventKind::DmaIn: {
-            pmap->dmaWrite(frame);
+            pmap->dmaWrite(kFrame);
             const std::uint32_t w = 0x80000000u + stamp++;
-            machine.dma().deviceWrite(machine.frameAddr(frame), &w, 1);
+            machine.dma().deviceWrite(machine.frameAddr(kFrame), &w, 1);
             break;
           }
           case EventKind::DmaOut: {
-            pmap->dmaRead(frame, /*need_data=*/true);
+            pmap->dmaRead(kFrame, /*need_data=*/true);
             std::uint32_t w = 0;
-            machine.dma().deviceRead(machine.frameAddr(frame), &w, 1);
+            machine.dma().deviceRead(machine.frameAddr(kFrame), &w, 1);
             break;
           }
         }

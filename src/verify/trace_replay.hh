@@ -55,8 +55,9 @@ struct ReplayResult
 class TraceReplayer
 {
   public:
+    /** Replay on a machine of @p params, with only the memory a trace
+     *  can touch: frames up to the one under analysis. */
     explicit TraceReplayer(const PolicyConfig &policy,
-                           SlotPlan plan = SlotPlan::standard(),
                            MachineParams params = MachineParams::hp720());
 
     /** Execute @p trace on a fresh machine under the oracle. */
@@ -64,7 +65,7 @@ class TraceReplayer
 
   private:
     PolicyConfig cfg;
-    SlotPlan slotPlan;
+    SlotPlan slotPlan = SlotPlan::standard();
     MachineParams mparams;
 };
 

@@ -11,6 +11,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,11 +169,8 @@ TEST_F(CostAgreementTest, WholeStepsCostWhatTheConcreteMachineCharges)
 {
     // Zero every cost the model leaves out (hits, fills, TLB misses,
     // DMA and disk), so an event's clock delta on the concrete machine
-    // is exactly traps, pmap bookkeeping and page ops. No cost depends
-    // on the memory size, and a small memory makes the ~12,000
-    // machines below cheap to build.
+    // is exactly traps, pmap bookkeeping and page ops.
     MachineParams machine = MachineParams::hp720();
-    machine.numFrames = 16;
     for (CacheCosts *c : {&machine.dcacheCosts, &machine.icacheCosts}) {
         c->hit = 0;
         c->missPenalty = 0;
@@ -188,8 +188,7 @@ TEST_F(CostAgreementTest, WholeStepsCostWhatTheConcreteMachineCharges)
             policy.name == "CMU";
         const std::size_t len = deep ? 3 : 2;
         const verify::AbstractSimulator sim(policy);
-        const verify::TraceReplayer replayer(
-            policy, verify::SlotPlan::standard(), machine);
+        const verify::TraceReplayer replayer(policy, machine);
         const std::vector<verify::Event> alpha = sim.alphabet();
 
         std::uint64_t events = 0;
@@ -234,31 +233,43 @@ TEST_F(CostAgreementTest, WholeStepsCostWhatTheConcreteMachineCharges)
 
 TEST(NecessityTest, EagerClassicIssuesProvablyRedundantOps)
 {
-    const verify::NecessityAnalyzer analyzer;
     const verify::NecessityResult r =
-        analyzer.analyze(PolicyConfig::configA());
+        verify::analyzeNecessity(PolicyConfig::configA());
     ASSERT_TRUE(r.sound);
     ASSERT_TRUE(r.complete);
     EXPECT_TRUE(r.adversariallyClean);
+    EXPECT_EQ(r.numStates, 839u);
     // The eager strategy burns ops the machine never needed — the
-    // statically derived face of the paper's Table 1 waste.
-    EXPECT_GE(r.redundantOps, 1u);
-    EXPECT_GT(r.necessaryOps, 0u);
+    // statically derived face of the paper's Table 1 waste: four in
+    // five of the ops config A issues are redundant where issued.
+    EXPECT_EQ(r.opsExamined, 15'220u);
+    EXPECT_EQ(r.redundantOps, 12'158u);
+    EXPECT_EQ(r.necessaryOps, 3'062u);
     EXPECT_EQ(r.inconclusiveOps, 0u);
 }
 
 TEST(NecessityTest, EagerClassicExemplarHasReplayableTrace)
 {
-    const verify::NecessityAnalyzer analyzer;
     const verify::NecessityResult r =
-        analyzer.analyze(PolicyConfig::configA());
+        verify::analyzeNecessity(PolicyConfig::configA());
     ASSERT_TRUE(r.sound);
 
-    bool found = false;
+    // Each site's exemplar is its first redundant instance in BFS
+    // order, so its trace is a shortest one.
+    const std::map<std::string, std::string> first_redundant{
+        {"classic.dma-in.purge", "load@A -> dma-in"},
+        {"classic.dma-out.flush", "store@A -> store@C -> dma-out"},
+        {"classic.enter.break-alias", "load@A -> load@B"},
+        {"classic.exec-mode", "ifetch@A"},
+        {"classic.fault.break-alias",
+         "ifetch@A -> load@B -> store@A"},
+        {"classic.unmap.clean", "load@A -> unmap@A"},
+    };
+    std::size_t found = 0;
     for (const verify::SiteReport &s : r.sites) {
         if (!s.exemplar)
             continue;
-        found = true;
+        ++found;
         EXPECT_GT(s.exemplar->wastedCycles, 0u);
         // The minimal trace reaching the redundant op must replay
         // clean on the concrete machine: the policy (op included) is
@@ -266,26 +277,30 @@ TEST(NecessityTest, EagerClassicExemplarHasReplayableTrace)
         // artifact of the abstraction.
         verify::Trace full = s.exemplar->prefix;
         full.push_back(s.exemplar->event);
+        const auto want = first_redundant.find(s.site);
+        ASSERT_NE(want, first_redundant.end()) << s.site;
+        EXPECT_EQ(verify::traceName(full), want->second) << s.site;
         const verify::TraceReplayer replayer(PolicyConfig::configA());
         const verify::ReplayResult rr = replayer.replay(full);
         EXPECT_FALSE(rr.violated)
             << "exemplar trace violated at " << s.site;
     }
-    EXPECT_TRUE(found);
+    EXPECT_EQ(found, first_redundant.size());
 }
 
 TEST(NecessityTest, ShippedLazyPoliciesIssueOnlyNecessaryOps)
 {
-    const verify::NecessityAnalyzer analyzer;
     for (const PolicyConfig &p : PolicyConfig::table4Sweep()) {
         if (p.pmapKind != PmapKind::Lazy)
             continue;
-        const verify::NecessityResult r = analyzer.analyze(p);
+        const verify::NecessityResult r = verify::analyzeNecessity(p);
         ASSERT_TRUE(r.sound) << p.name;
         ASSERT_TRUE(r.complete) << p.name;
+        EXPECT_EQ(r.numStates, 1'001u) << p.name;
+        EXPECT_EQ(r.opsExamined, 5'672u) << p.name;
         EXPECT_EQ(r.redundantOps, 0u) << p.name;
         EXPECT_EQ(r.inconclusiveOps, 0u) << p.name;
-        EXPECT_GT(r.necessaryOps, 0u) << p.name;
+        EXPECT_EQ(r.necessaryOps, 5'672u) << p.name;
     }
 }
 
@@ -296,24 +311,38 @@ TEST(NecessityTest, ClassicPoliciesHaveNoRemovableSiteLeft)
     // such sites the analyzer originally found (the classic ifetch
     // re-purge and Tut's purge of the new colour on remap) have been
     // removed from the shipping pmaps.
-    const verify::NecessityAnalyzer analyzer;
+    // Utah and Apollo run config A's rules, so they share its counts.
+    const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+        examined_redundant{
+            {"Utah", {15'220, 12'158}},
+            {"Tut", {304'016, 246'384}},
+            {"Apollo", {15'220, 12'158}},
+            {"Sun", {15'870, 13'082}},
+        };
+    std::size_t analyzed = 0;
     for (const PolicyConfig &p : PolicyConfig::table5Systems()) {
         if (p.pmapKind != PmapKind::Classic)
             continue;
-        const verify::NecessityResult r = analyzer.analyze(p);
+        const verify::NecessityResult r = verify::analyzeNecessity(p);
         ASSERT_TRUE(r.sound) << p.name;
         EXPECT_FALSE(r.anyRemovableSite()) << p.name;
+        const auto want = examined_redundant.find(p.name);
+        ASSERT_NE(want, examined_redundant.end()) << p.name;
+        EXPECT_EQ(r.opsExamined, want->second.first) << p.name;
+        EXPECT_EQ(r.redundantOps, want->second.second) << p.name;
+        ++analyzed;
     }
+    EXPECT_EQ(analyzed, examined_redundant.size());
 }
 
 TEST(NecessityTest, UnsoundPolicyIsRejectedNotAnalyzed)
 {
-    const verify::NecessityAnalyzer analyzer;
     const verify::NecessityResult r =
-        analyzer.analyze(PolicyConfig::broken());
+        verify::analyzeNecessity(PolicyConfig::broken());
     EXPECT_FALSE(r.sound);
-    EXPECT_FALSE(r.counterexample.empty());
+    EXPECT_EQ(verify::traceName(r.counterexample), "store@A -> ifetch@A");
     EXPECT_TRUE(r.violation.has_value());
+    EXPECT_EQ(r.numStates, 19u);
     EXPECT_EQ(r.opsExamined, 0u);
 }
 
@@ -326,14 +355,33 @@ TEST(CostCensusTest, LazyNeverTouchesAbsentLinesEagerDoes)
     const verify::CostCensus lazy =
         verify::runCostCensus(PolicyConfig::cmu());
     ASSERT_TRUE(lazy.fixedPointReached);
+    EXPECT_EQ(lazy.numStates, 1'001u);
+    EXPECT_EQ(lazy.numTransitions, 14'014u);
     EXPECT_EQ(lazy.absentOps, 0u);
-    EXPECT_GT(lazy.presentOps, 0u);
+    EXPECT_EQ(lazy.presentOps, 5'672u);
+    EXPECT_EQ(lazy.faults, 7'433u);
+    // The worst step and its trace are the first maximum in BFS order;
+    // the worst path is the costliest BFS-tree path.
+    EXPECT_EQ(lazy.worstStepCycles, 2'265u);
+    EXPECT_EQ(verify::traceName(lazy.worstStepTrace),
+              "ifetch@A -> store@A -> ifetch@A");
+    EXPECT_EQ(lazy.worstPathCycles, 1'429u);
 
     const verify::CostCensus eager =
         verify::runCostCensus(PolicyConfig::utah());
     ASSERT_TRUE(eager.fixedPointReached);
-    EXPECT_GT(eager.absentOps, 0u);
-    EXPECT_GE(eager.worstStepCycles, lazy.worstStepCycles);
+    EXPECT_EQ(eager.numStates, 839u);
+    EXPECT_EQ(eager.numTransitions, 11'746u);
+    EXPECT_EQ(eager.dataFlushes, 614u);
+    EXPECT_EQ(eager.dataPurges, 6'886u);
+    EXPECT_EQ(eager.instPurges, 7'720u);
+    EXPECT_EQ(eager.presentOps, 5'633u);
+    EXPECT_EQ(eager.absentOps, 9'587u);
+    EXPECT_EQ(eager.faults, 4'149u);
+    EXPECT_EQ(eager.worstStepCycles, 6'168u);
+    EXPECT_EQ(verify::traceName(eager.worstStepTrace),
+              "load@A -> ifetch@C -> load@B -> dma-in");
+    EXPECT_EQ(eager.worstPathCycles, 13'370u);
 }
 
 // ---------------------------------------------------------------------
@@ -342,8 +390,7 @@ TEST(CostCensusTest, LazyNeverTouchesAbsentLinesEagerDoes)
 
 TEST(DifferentialTest, UnsoundPolicyYieldsNoCostDiff)
 {
-    const verify::DifferentialAnalyzer analyzer;
-    const verify::DiffResult r = analyzer.compare(
+    const verify::DiffResult r = verify::comparePolicies(
         PolicyConfig::broken(), PolicyConfig::cmu());
     EXPECT_FALSE(r.comparable);
     EXPECT_EQ(r.unsoundPolicy, PolicyConfig::broken().name);
@@ -353,8 +400,7 @@ TEST(DifferentialTest, UnsoundPolicyYieldsNoCostDiff)
 
 TEST(DifferentialTest, ClassicVsLazyBoundsFollowTable2)
 {
-    const verify::DifferentialAnalyzer analyzer;
-    const verify::DiffResult r = analyzer.compare(
+    const verify::DiffResult r = verify::comparePolicies(
         PolicyConfig::utah(), PolicyConfig::cmu());
     ASSERT_TRUE(r.comparable);
     ASSERT_TRUE(r.fixedPointReached);
@@ -393,6 +439,24 @@ TEST(DifferentialTest, ClassicVsLazyBoundsFollowTable2)
     // Table 1/2 ordering — and never the other way round by less.
     EXPECT_GT(r.aPaysBFree, 0u);
     EXPECT_GE(r.worstPathA, r.worstPathB);
+
+    // The product graph and its bounds, as the search reports them.
+    EXPECT_EQ(r.productStates, 10'770u);
+    EXPECT_EQ(r.productTransitions, 150'780u);
+    EXPECT_EQ(r.aPaysBFree, 38'142u);
+    EXPECT_EQ(r.bPaysAFree, 22'841u);
+    EXPECT_EQ(r.worstStepA, 6'168u);
+    EXPECT_EQ(r.worstStepB, 2'265u);
+    EXPECT_EQ(r.worstStepGap, 6'128u);
+    EXPECT_EQ(verify::traceName(r.worstGapTrace),
+              "load@A -> ifetch@C -> load@B -> dma-in");
+    EXPECT_EQ(r.worstPathA, 18'934u);
+    EXPECT_EQ(r.worstPathB, 5'885u);
+    EXPECT_EQ(r.classes.size(), 22u);
+    std::uint64_t classified = 0;
+    for (const verify::DiffClassBound &c : r.classes)
+        classified += c.transitions;
+    EXPECT_EQ(classified, r.productTransitions);
 }
 
 } // anonymous namespace

@@ -6,8 +6,8 @@
  * missing-fence exemplar whose weak-order window only relaxed
  * exploration can catch (with an oracle-confirmed minimal schedule),
  * DPOR soundness/optimality over the drain-extended alphabet,
- * deterministic schedule fuzzing, and the v2/v3 verify-report schema
- * round trip.
+ * deterministic schedule fuzzing, and the counters a v4 verify-report
+ * scenario entry carries.
  */
 
 #include <gtest/gtest.h>
@@ -280,7 +280,7 @@ TEST(WeakOrder, FuzzCoverageIsSubsetOfExhaustiveExploration)
 
 // --- report schema v4 ----------------------------------------------------
 
-TEST(WeakOrder, ReportV4RoundTripsThroughTheReader)
+TEST(WeakOrder, ReportV4EntryCarriesTheVerdictCounters)
 {
     const Scenario s = missingFenceExemplar(PolicyConfig::cmu());
     const ScenarioResult r = explore(s, defaults());
@@ -289,84 +289,34 @@ TEST(WeakOrder, ReportV4RoundTripsThroughTheReader)
     opt.seed = 42;
     const FuzzResult f = fuzzSchedules(s, opt, 0, r.canonicalHashes);
 
-    JsonValue js = verify::scenarioResultJson(r, r.passed(s.expect));
-    js.set("fuzz", verify::fuzzResultJson(f, true));
-    JsonValue interleave = JsonValue::object();
-    JsonValue scenarios = JsonValue::array();
-    scenarios.push(std::move(js));
-    interleave.set("scenarios", std::move(scenarios));
-    JsonValue policyEntry = JsonValue::object();
-    policyEntry.set("interleave", std::move(interleave));
-    JsonValue policies = JsonValue::array();
-    policies.push(std::move(policyEntry));
-    JsonValue report = JsonValue::object();
-    report.set("schema",
-               JsonValue::str(verify::kVerifyReportSchemaV4));
-    report.set("ok", JsonValue::boolean(true));
-    report.set("policies", std::move(policies));
+    // Read back from its text, as a consumer of the artifact would.
+    const JsonValue js = JsonValue::parse(
+        verify::scenarioResultJson(r, r.passed(s.expect)).dump(2));
+    const JsonValue jf =
+        JsonValue::parse(verify::fuzzResultJson(f, true).dump(2));
+    for (const char *key :
+         {"scenario", "memoryOrder", "executions", "canonicalTraces",
+          "violatingRuns", "weakWindowRaces", "races", "reportedRaces",
+          "passed"})
+        ASSERT_NE(js.find(key), nullptr) << key;
+    for (const char *key :
+         {"samples", "canonicalTraces", "newTraces", "passed"})
+        ASSERT_NE(jf.find(key), nullptr) << key;
 
-    // Serialize and parse back, as a consumer of the artifact would.
-    const JsonValue parsed = JsonValue::parse(report.dump(2));
-    const verify::McReportSummary sum = verify::readMcReport(parsed);
-    EXPECT_TRUE(sum.recognised);
-    EXPECT_EQ(sum.schema, verify::kVerifyReportSchemaV4);
-    EXPECT_TRUE(sum.ok);
-    ASSERT_EQ(sum.scenarios.size(), 1u);
-    const verify::McScenarioSummary &ss = sum.scenarios[0];
-    EXPECT_EQ(ss.scenario, s.name);
-    EXPECT_EQ(ss.memoryOrder, "weak");
-    EXPECT_EQ(ss.executions, r.executions);
-    EXPECT_EQ(ss.canonicalTraces, r.canonicalTraces);
-    EXPECT_EQ(ss.violatingRuns, r.violatingRuns);
-    EXPECT_EQ(ss.weakWindowRaces, r.weakWindowRaces);
-    EXPECT_EQ(ss.races, r.races.size());
-    EXPECT_EQ(ss.reportedRaces, r.reportedRaces());
-    EXPECT_TRUE(ss.passed);
-    EXPECT_TRUE(ss.hasFuzz);
-    EXPECT_EQ(ss.fuzzSamples, f.samples);
-    EXPECT_EQ(ss.fuzzTraces, f.canonicalTraces);
-    EXPECT_EQ(ss.fuzzNewTraces, f.newTraces);
-    EXPECT_TRUE(ss.fuzzPassed);
-}
+    EXPECT_EQ(js.find("scenario")->asString(), s.name);
+    EXPECT_EQ(js.find("memoryOrder")->asString(), "weak");
+    EXPECT_EQ(js.find("executions")->asU64(), r.executions);
+    EXPECT_EQ(js.find("canonicalTraces")->asU64(), r.canonicalTraces);
+    EXPECT_EQ(js.find("violatingRuns")->asU64(), r.violatingRuns);
+    EXPECT_EQ(js.find("weakWindowRaces")->asU64(), r.weakWindowRaces);
+    EXPECT_EQ(js.find("races")->items().size(), r.races.size());
+    EXPECT_EQ(js.find("reportedRaces")->asU64(), r.reportedRaces());
+    EXPECT_TRUE(js.find("passed")->asBool());
 
-TEST(WeakOrder, ReportReaderRejectsV2AndV3)
-{
-    // Nothing writes the older schemas any more: a well-formed v2 or
-    // v3 document is rejected, not read with guessed defaults.
-    for (const char *schema :
-         {"vic-verify-report-v2", "vic-verify-report-v3"}) {
-        const std::string doc = std::string(R"({
-          "schema": ")") + schema + R"(",
-          "ok": true,
-          "policies": [{
-            "interleave": {
-              "scenarios": [{
-                "scenario": "dma-out-guarded",
-                "exhausted": true,
-                "executions": 3,
-                "canonicalTraces": 3,
-                "violatingRuns": 0,
-                "races": [],
-                "passed": true
-              }]
-            }
-          }]
-        })";
-        const verify::McReportSummary sum =
-            verify::readMcReport(JsonValue::parse(doc));
-        EXPECT_FALSE(sum.recognised) << schema;
-        EXPECT_EQ(sum.schema, schema);
-        EXPECT_FALSE(sum.ok) << schema;
-        EXPECT_TRUE(sum.scenarios.empty()) << schema;
-    }
-}
-
-TEST(WeakOrder, ReportReaderFlagsUnknownSchema)
-{
-    const char *doc = R"({"schema": "vic-verify-report-v9"})";
-    const verify::McReportSummary sum =
-        verify::readMcReport(JsonValue::parse(doc));
-    EXPECT_FALSE(sum.recognised);
+    EXPECT_EQ(jf.find("samples")->asU64(), f.samples);
+    EXPECT_EQ(jf.find("canonicalTraces")->asU64(), f.canonicalTraces);
+    EXPECT_EQ(jf.find("newTraces")->asU64(), f.newTraces);
+    EXPECT_TRUE(jf.find("passed")->asBool());
 }
 
 } // namespace

@@ -131,8 +131,7 @@ bool
 checkSoundness(const PolicyConfig &policy, bool do_replay,
                JsonValue &out)
 {
-    const verify::PolicyVerifier verifier;
-    const verify::VerifyResult r = verifier.verify(policy);
+    const verify::VerifyResult r = verify::verifyPolicy(policy);
 
     std::printf("%-10s %-8s %8llu states %9llu transitions  "
                 "diameter %2u  %6.0f ms\n",
@@ -256,8 +255,7 @@ checkCost(const PolicyConfig &policy, JsonValue &out)
 bool
 checkNecessity(const PolicyConfig &policy, JsonValue &out)
 {
-    const verify::NecessityAnalyzer analyzer;
-    const verify::NecessityResult r = analyzer.analyze(policy);
+    const verify::NecessityResult r = verify::analyzeNecessity(policy);
 
     out.set("sound", JsonValue::boolean(r.sound));
     out.set("complete", JsonValue::boolean(r.complete));
@@ -523,8 +521,7 @@ bool
 checkDifferential(const PolicyConfig &a, const PolicyConfig &b,
                   JsonValue &out)
 {
-    const verify::DifferentialAnalyzer analyzer;
-    const verify::DiffResult r = analyzer.compare(a, b);
+    const verify::DiffResult r = verify::comparePolicies(a, b);
 
     out.set("a", JsonValue::str(r.nameA));
     out.set("b", JsonValue::str(r.nameB));
