@@ -4,7 +4,10 @@
 #
 #   1. tier-1: plain build + full ctest suite (the seed contract),
 #      which also runs the six examples (each exits non-zero when its
-#      run goes wrong) and policy_explorer's malformed-flag checks;
+#      run goes wrong), policy_explorer's malformed-flag checks and
+#      bench/mc_statespace (DPOR runs each trace exactly once and
+#      brute force finds no trace it missed, over all three schedule
+#      catalogs);
 #   2. sanitizer: rebuild and rerun the suite under
 #      AddressSanitizer + UndefinedBehaviorSanitizer (a UBSan finding
 #      fails its test) with the checked standard library, examples

@@ -30,8 +30,9 @@ Cache::Cache(std::string cache_name, const CacheGeometry &geom,
              PhysicalMemory &memory, CycleClock &clock, StatSet &stat_set)
     : cacheName(std::move(cache_name)), geo(geom), costs(cache_costs),
       policy(write_policy), mem(memory), clk(clock), statSet(stat_set),
-      lineCols(geo.numLines()), lineState(lineCols.column<0>()),
-      lineTag(lineCols.column<1>()), lineUse(lineCols.column<2>()),
+      stateCol(geo.numLines()), tagCol(geo.numLines()),
+      useCol(geo.numLines()), lineState(stateCol.data()),
+      lineTag(tagCol.data()), lineUse(useCol.data()),
       data(std::uint64_t(geo.numLines()) * geo.wordsPerLine(), 0),
       copies(memory.sizeBytes() >> geo.lineShift(), 0),
       resident((copies.size() + 63) / 64, 0),

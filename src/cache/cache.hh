@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "cache/cache_geometry.hh"
-#include "common/column_store.hh"
 #include "common/cycle_clock.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -343,17 +342,18 @@ class Cache
     CoherenceBus *bus = nullptr;
 
     /**
-     * Per-line metadata in structure-of-arrays layout
-     * (common/column_store.hh): column 0 = MESI state, column 1 =
-     * physical tag (pa / lineBytes), column 2 = LRU use tick. The tag
-     * probe touches only the state and tag columns, so a whole set's
-     * candidates land in one or two host cache lines and the
-     * branchless compare in findWay() vectorises; the LRU tick —
-     * written on every hit but read only by victim selection — stays
-     * out of the probe's way. Raw column pointers are resolved once
-     * (the store never reallocates).
+     * Per-line metadata in structure-of-arrays layout: one column each
+     * for the MESI state, the physical tag (pa / lineBytes) and the
+     * LRU use tick. The tag probe touches only the state and tag
+     * columns, so a whole set's candidates land in one or two host
+     * cache lines and the branchless compare in findWay() vectorises;
+     * the LRU tick — written on every hit but read only by victim
+     * selection — stays out of the probe's way. The columns never
+     * resize, so their raw pointers are resolved once.
      */
-    ColumnStore<MesiState, std::uint64_t, std::uint64_t> lineCols;
+    std::vector<MesiState> stateCol;
+    std::vector<std::uint64_t> tagCol;
+    std::vector<std::uint64_t> useCol;
     MesiState *lineState = nullptr;
     std::uint64_t *lineTag = nullptr;
     std::uint64_t *lineUse = nullptr;

@@ -7,11 +7,13 @@
  * accesses through the virtually indexed caches, the pmap's DMA
  * preparation calls, page busy-bit synchronisation, and asynchronous
  * line-granular DMA transfers. The executor (src/mc/executor.hh) runs
- * one operation at a time under an explicit schedule; each executed
- * step records a Footprint — the physical lines it read and wrote,
- * the frames it touched, and which synchronisation domain it belongs
- * to. Footprints drive both the DPOR dependence relation (which
- * operations commute) and the happens-before race detector.
+ * one operation at a time under an explicit schedule; each step
+ * records the Footprint predicted for it before it runs — the physical
+ * lines it reads and writes, the frames it touches, and which
+ * synchronisation domain it belongs to — and asserts that it touched
+ * nothing outside it. Footprints drive both the DPOR dependence
+ * relation (which operations commute) and the happens-before race
+ * detector.
  */
 
 #ifndef VIC_MC_EVENT_HH
@@ -156,7 +158,6 @@ struct StepRecord
     std::string label;   ///< "thread:op" for reports
     Footprint fp;
     bool faulted = false;          ///< the CPU access trapped
-    std::uint64_t violations = 0;  ///< oracle violations in this step
     int startedBeat = -1;          ///< beat thread a DmaStart created
     std::vector<int> joins;        ///< beat threads a DmaWait joined
 };

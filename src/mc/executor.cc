@@ -1,12 +1,16 @@
 #include "mc/executor.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace vic::mc
 {
 
-/** MemoryObserver sandwich: records the physical lines the current
- *  step touches, then forwards every transfer to the oracle. */
+/** MemoryObserver sandwich: checks that every physical line the
+ *  current step touches lies in the footprint peek() predicted for it,
+ *  then forwards the transfer to the oracle. DPOR prunes on predicted
+ *  footprints, which is sound only if they contain what steps do. */
 class Executor::Recorder : public MemoryObserver
 {
   public:
@@ -18,40 +22,39 @@ class Executor::Recorder : public MemoryObserver
 
     void begin(StepRecord *step) { cur = step; }
     void end() { cur = nullptr; }
-    StepRecord *currentStep() { return cur; }
 
     void
     cpuLoad(PhysAddr pa, std::uint32_t observed) override
     {
-        noteRead(pa);
+        check(pa, false);
         oracle.cpuLoad(pa, observed);
     }
 
     void
     cpuIFetch(PhysAddr pa, std::uint32_t observed) override
     {
-        noteRead(pa);
+        check(pa, false);
         oracle.cpuIFetch(pa, observed);
     }
 
     void
     cpuStore(PhysAddr pa, std::uint32_t value) override
     {
-        noteWrite(pa);
+        check(pa, true);
         oracle.cpuStore(pa, value);
     }
 
     void
     dmaWrite(PhysAddr pa, std::uint32_t value) override
     {
-        noteWrite(pa);
+        check(pa, true);
         oracle.dmaWrite(pa, value);
     }
 
     void
     dmaRead(PhysAddr pa, std::uint32_t observed) override
     {
-        noteRead(pa);
+        check(pa, false);
         oracle.dmaRead(pa, observed);
     }
 
@@ -61,22 +64,27 @@ class Executor::Recorder : public MemoryObserver
     std::uint32_t pageBytes;
     StepRecord *cur = nullptr;
 
-    void
-    noteRead(PhysAddr pa)
+    static bool
+    holds(const std::vector<std::uint64_t> &set, std::uint64_t v)
     {
-        if (cur == nullptr)
-            return;
-        Footprint::addLine(cur->fp.readLines, pa.value / lineBytes);
-        Footprint::addFrame(cur->fp.frames, pa.value / pageBytes);
+        return std::binary_search(set.begin(), set.end(), v);
     }
 
+    /** A write must be predicted as one; a read may lie in either
+     *  line set, since a predicted write conflicts with every access. */
     void
-    noteWrite(PhysAddr pa)
+    check(PhysAddr pa, bool write)
     {
         if (cur == nullptr)
             return;
-        Footprint::addLine(cur->fp.writeLines, pa.value / lineBytes);
-        Footprint::addFrame(cur->fp.frames, pa.value / pageBytes);
+        const Footprint &fp = cur->fp;
+        const std::uint64_t line = pa.value / lineBytes;
+        vic_assert((holds(fp.writeLines, line) ||
+                    (!write && holds(fp.readLines, line))) &&
+                       holds(fp.frames, pa.value / pageBytes),
+                   "%s %s pa %#llx outside its predicted footprint",
+                   cur->label.c_str(), write ? "wrote" : "read",
+                   static_cast<unsigned long long>(pa.value));
     }
 };
 
@@ -112,8 +120,6 @@ Executor::Executor(const Scenario &scenario)
                                           scn.mparams.pageBytes);
     machine.setObserver(recorder.get());
     oracle.setViolationHook([this](const ConsistencyOracle::Violation &) {
-        if (StepRecord *cur = recorder->currentStep())
-            ++cur->violations;
         if (firstViolation < 0)
             firstViolation = static_cast<int>(hist.size());
     });
@@ -377,11 +383,12 @@ Executor::peek(int t)
             return fp;
         fp.cpuData = true;
         fp.cpu = ts.sbCpu;
-        fp.colour = ts.sbColour;
+        fp.colour = machine.dcache().geometry().colourOf(ts.sbVa);
         fp.sbOp = true;
         fp.sbCpu = ts.sbCpu;
         Footprint::addFrame(fp.frames, ts.sbFrame);
-        Footprint::addLine(fp.writeLines, ts.sbLine);
+        Footprint::addLine(fp.writeLines,
+                           machine.frameAddr(ts.sbFrame).value / lineBytes);
         return fp;
     }
     const Thread &st = scn.threads[static_cast<std::size_t>(
@@ -475,7 +482,6 @@ Executor::execute(int t, StepRecord &cur)
 
     if (ts.isBeat) {
         cur.kind = OpKind::DmaBeat;
-        cur.fp.dmaAccess = true;
         const bool stepped = machine.dma().stepTransfer(ts.ticket);
         vic_assert(stepped, "beat thread stepped without pending beat");
         ++ts.pc;
@@ -495,12 +501,6 @@ Executor::execute(int t, StepRecord &cur)
         const std::uint64_t faults_before = cpu.faultCount();
         cpu.access(AccessType::Store, ts.sbVa, ts.sbValue);
         cur.faulted = cpu.faultCount() != faults_before;
-        cur.fp.cpuData = true;
-        cur.fp.cpu = ts.sbCpu;
-        cur.fp.colour = ts.sbColour;
-        cur.fp.sbOp = true;
-        cur.fp.sbCpu = ts.sbCpu;
-        Footprint::addFrame(cur.fp.frames, ts.sbFrame);
         ++sbHead[ts.sbCpu];
         ++ts.pc;
         return;
@@ -511,8 +511,6 @@ Executor::execute(int t, StepRecord &cur)
     const Op &op = st.ops[ts.pc];
     cur.kind = op.kind;
     const FrameId frame = frameOf(op.frameSel);
-    const std::uint32_t page_lines = scn.mparams.pageBytes / lineBytes;
-    const std::uint64_t frame_line = frame * page_lines;
 
     switch (op.kind) {
       case OpKind::CpuLoad:
@@ -522,17 +520,6 @@ Executor::execute(int t, StepRecord &cur)
         const SpaceVa sva(1, va);
         known[sva] = frame;
         Cpu &cpu = *cpus[st.cpu];
-        cur.fp.cpuData = true;
-        cur.fp.cpu = st.cpu;
-        cur.fp.inst = op.kind == OpKind::CpuIFetch;
-        cur.fp.colour = cur.fp.inst
-                            ? machine.icache().geometry().colourOf(va)
-                            : machine.dcache().geometry().colourOf(va);
-        Footprint::addFrame(cur.fp.frames, frame);
-        if (weakOrder()) {
-            cur.fp.sbOp = true;
-            cur.fp.sbCpu = st.cpu;
-        }
 
         if (weakOrder() && op.kind == OpKind::CpuStore) {
             // Issue: the store retires into the CPU's FIFO store
@@ -550,8 +537,6 @@ Executor::execute(int t, StepRecord &cur)
             drain.sbVa = va;
             drain.sbValue = value;
             drain.sbFrame = frame;
-            drain.sbLine = frame_line;
-            drain.sbColour = cur.fp.colour;
             drain.sbSlot = op.slot;
             drain.sbFrameSel = op.frameSel;
             cur.startedBeat = static_cast<int>(threads.size());
@@ -585,28 +570,16 @@ Executor::execute(int t, StepRecord &cur)
 
       case OpKind::PmapDmaRead:
         pmap->dmaRead(frame, /*need_data=*/true);
-        cur.fp.pmapOp = true;
-        Footprint::addFrame(cur.fp.frames, frame);
-        for (std::uint32_t i = 0; i < page_lines; ++i)
-            Footprint::addLine(cur.fp.writeLines, frame_line + i);
         break;
 
       case OpKind::PmapDmaWrite:
         pmap->dmaWrite(frame);
-        cur.fp.pmapOp = true;
-        Footprint::addFrame(cur.fp.frames, frame);
-        for (std::uint32_t i = 0; i < page_lines; ++i)
-            Footprint::addLine(cur.fp.writeLines, frame_line + i);
         break;
 
       case OpKind::PmapUnmap: {
         const SpaceVa sva(1, slotVa(op.slot, op.frameSel));
         known.erase(sva);
         pmap->remove(sva);
-        cur.fp.pmapOp = true;
-        Footprint::addFrame(cur.fp.frames, frame);
-        for (std::uint32_t i = 0; i < page_lines; ++i)
-            Footprint::addLine(cur.fp.writeLines, frame_line + i);
         break;
       }
 
@@ -614,16 +587,12 @@ Executor::execute(int t, StepRecord &cur)
         vic_assert(busyFrames.count(frame) == 0,
                    "busy frame acquired twice");
         busyFrames.insert(frame);
-        cur.fp.busyAcquire = true;
-        Footprint::addFrame(cur.fp.frames, frame);
         break;
 
       case OpKind::BusyRelease:
         vic_assert(busyFrames.count(frame) == 1,
                    "release of non-busy frame");
         busyFrames.erase(frame);
-        cur.fp.busyRelease = true;
-        Footprint::addFrame(cur.fp.frames, frame);
         break;
 
       case OpKind::DmaStartRead:
@@ -649,11 +618,9 @@ Executor::execute(int t, StepRecord &cur)
         beat.name = ts.name + ".dma" +
                     std::to_string(ts.startedBeatThreads.size() + 1);
         beat.isBeat = true;
-        beat.starter = t;
         cur.startedBeat = static_cast<int>(threads.size());
         ts.startedBeatThreads.push_back(cur.startedBeat);
         threads.push_back(std::move(beat));
-        Footprint::addFrame(cur.fp.frames, frame);
         break;
       }
 
@@ -666,8 +633,6 @@ Executor::execute(int t, StepRecord &cur)
         // Enabledness already guaranteed the CPU's buffer is empty;
         // the step itself is a pure ordering marker.
         vic_assert(bufferEmpty(st.cpu), "fence with non-empty buffer");
-        cur.fp.sbOp = true;
-        cur.fp.sbCpu = st.cpu;
         break;
 
       case OpKind::DmaBeat:
@@ -686,6 +651,7 @@ Executor::step(int t)
     StepRecord cur;
     cur.thread = t;
     cur.pc = ts.pc;
+    cur.fp = peek(t);
     if (ts.isBeat) {
         cur.label = ts.name + ":beat#" + std::to_string(ts.pc);
     } else if (ts.isDrain) {

@@ -57,10 +57,9 @@ class Executor
     /** @return true iff every thread has run to completion. */
     bool allFinished();
 
-    /** @return true iff nothing is enabled but work remains. */
-    bool deadlocked() { return !allFinished() && enabled().empty(); }
-
-    /** Predicted footprint of thread @p t's next step (no effects). */
+    /** Footprint of thread @p t's next step (no effects). step()
+     *  records it, and asserts that every line and frame the step
+     *  touches lies in it. */
     Footprint peek(int t);
 
     /** Union footprint of everything thread @p t may still do,
@@ -72,10 +71,6 @@ class Executor
 
     const std::vector<StepRecord> &history() const { return hist; }
 
-    /** Display name of thread @p t. */
-    const std::string &threadName(int t) const
-    { return threads[static_cast<std::size_t>(t)].name; }
-
     std::uint64_t violationCount() const
     { return oracle.violationCount(); }
 
@@ -86,8 +81,8 @@ class Executor
      * Order-insensitive hash of the observable machine state: memory
      * and cache contents of the scenario frames, page-table state of
      * the scenario slots, busy bits, thread progress and pending
-     * transfer residues. Used for end-state censuses and (optionally)
-     * pruning; the simulated clock is deliberately excluded.
+     * transfer residues. Used for the end-state census; the
+     * simulated clock is deliberately excluded.
      */
     std::uint64_t stateHash();
 
@@ -99,7 +94,6 @@ class Executor
         std::size_t pc = 0;       ///< next op (beats: beats done)
         int scenarioIndex = -1;   ///< static threads: index in scenario
         DmaTicket ticket;         ///< beat threads: the transfer stepped
-        int starter = -1;         ///< beat threads: starting thread
         std::vector<int> startedBeatThreads;
         /** Drain threads (WeakStoreOrder): one buffered store. The
          *  single step deposits it into the memory system through the
@@ -109,8 +103,6 @@ class Executor
         VirtAddr sbVa{0};
         std::uint32_t sbValue = 0;
         FrameId sbFrame = 0;
-        std::uint64_t sbLine = 0;
-        std::uint32_t sbColour = 0;
         std::uint8_t sbSlot = 0;
         std::uint8_t sbFrameSel = 0;
         int drainsIssued = 0; ///< issuing threads: drains created
@@ -122,8 +114,8 @@ class Executor
     std::vector<std::unique_ptr<Cpu>> cpus;
     ConsistencyOracle oracle;
 
-    /** Forwards transfers to the oracle while recording the lines the
-     *  current step touches. */
+    /** Forwards transfers to the oracle, checking each against the
+     *  current step's footprint. */
     class Recorder;
     std::unique_ptr<Recorder> recorder;
 

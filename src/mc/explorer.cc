@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -15,15 +14,15 @@ namespace vic::mc
 namespace
 {
 
+/** Hard bound on schedule length (safety net). */
+constexpr std::size_t kMaxSteps = 64;
+
 struct Ctx
 {
     const Scenario &scn;
     const ExploreOptions &opt;
     ScenarioResult res;
-    std::set<std::string> raceKeys;
-    std::set<std::uint64_t> canon;
-    std::set<std::uint64_t> endStates;
-    std::set<std::uint64_t> visited; ///< hashPrune only
+    Census census{scn, res};
     bool stop = false;
 };
 
@@ -117,46 +116,9 @@ completeRun(Ctx &c, Executor &ex, const Schedule &prefix)
         return;
     }
     ++c.res.executions;
-    c.res.maxDepth = std::max<std::uint64_t>(c.res.maxDepth,
-                                             prefix.size());
     if (!ex.allFinished())
         c.res.deadlock = true;
-
-    c.canon.insert(canonicalTraceHash(ex.history()));
-    c.res.canonicalTraces = c.canon.size();
-    c.endStates.insert(ex.stateHash());
-    c.res.distinctEndStates = c.endStates.size();
-
-    for (RaceReport &r :
-         detectRaces(ex.history(), ex.numThreads(),
-                     CoherenceModel::of(c.scn.mparams))) {
-        if (!c.raceKeys.insert(r.key()).second)
-            continue;
-        if (r.benign)
-            ++c.res.benignRaces;
-        if (r.weakWindow && !r.benign)
-            ++c.res.weakWindowRaces;
-        c.res.races.push_back(std::move(r));
-    }
-
-    const std::uint64_t v = ex.violationCount();
-    if (v > 0) {
-        ++c.res.violatingRuns;
-        c.res.totalViolations += v;
-        const int first = ex.firstViolationStep();
-        vic_assert(first >= 0, "violations without a violating step");
-        const std::size_t len = static_cast<std::size_t>(first) + 1;
-        if (c.res.minimalCounterexample.empty() ||
-            len < c.res.minimalCounterexample.size()) {
-            c.res.minimalCounterexample.assign(
-                prefix.begin(),
-                prefix.begin() + static_cast<std::ptrdiff_t>(len));
-            c.res.minimalCounterexampleLabels.clear();
-            for (std::size_t i = 0; i < len; ++i)
-                c.res.minimalCounterexampleLabels.push_back(
-                    ex.history()[i].label);
-        }
-    }
+    c.census.add(ex, prefix);
 }
 
 void
@@ -170,7 +132,7 @@ node(Ctx &c, std::unique_ptr<Executor> ex, const Schedule &prefix,
         completeRun(c, *ex, prefix);
         return;
     }
-    if (prefix.size() >= c.opt.maxSteps) {
+    if (prefix.size() >= kMaxSteps) {
         c.res.exhausted = false;
         return;
     }
@@ -208,12 +170,6 @@ node(Ctx &c, std::unique_ptr<Executor> ex, const Schedule &prefix,
         ++c.res.steps;
         const Footprint taken = child->history().back().fp;
 
-        if (c.opt.hashPrune &&
-            !c.visited.insert(child->stateHash()).second) {
-            sleep.insert(t);
-            continue;
-        }
-
         std::set<int> childSleep;
         for (int s : sleep) {
             if (!dependent(taken, ex->peek(s)))
@@ -228,6 +184,67 @@ node(Ctx &c, std::unique_ptr<Executor> ex, const Schedule &prefix,
 }
 
 } // namespace
+
+Census::Census(const Scenario &scenario, RunCensus &result)
+    : scn(scenario), out(result)
+{
+    out.scenario = scenario.name;
+    out.policy = scenario.policy.name;
+    out.memoryOrder = scenario.memoryOrder;
+}
+
+void
+Census::add(Executor &ex, const Schedule &schedule)
+{
+    out.maxDepth = std::max<std::uint64_t>(out.maxDepth, schedule.size());
+    canon.insert(canonicalTraceHash(ex.history()));
+    out.canonicalTraces = canon.size();
+    endStates.insert(ex.stateHash());
+    out.distinctEndStates = endStates.size();
+
+    for (RaceReport &r :
+         detectRaces(ex.history(), ex.numThreads(),
+                     CoherenceModel::of(scn.mparams))) {
+        if (!raceKeys.insert(r.key()).second)
+            continue;
+        if (r.benign)
+            ++out.benignRaces;
+        if (r.weakWindow && !r.benign)
+            ++out.weakWindowRaces;
+        out.races.push_back(std::move(r));
+    }
+
+    if (ex.violationCount() == 0)
+        return;
+    ++out.violatingRuns;
+    const int first = ex.firstViolationStep();
+    vic_assert(first >= 0, "violations without a violating step");
+    const std::size_t len = static_cast<std::size_t>(first) + 1;
+    if (!out.minimalCounterexample.empty() &&
+        len >= out.minimalCounterexample.size())
+        return;
+    out.minimalCounterexample.assign(
+        schedule.begin(),
+        schedule.begin() + static_cast<std::ptrdiff_t>(len));
+    out.minimalCounterexampleLabels.clear();
+    for (std::size_t i = 0; i < len; ++i)
+        out.minimalCounterexampleLabels.push_back(
+            ex.history()[i].label);
+}
+
+void
+Census::confirm()
+{
+    if (out.minimalCounterexample.empty())
+        return;
+    Executor replay(scn);
+    for (int t : out.minimalCounterexample)
+        replay.step(t);
+    out.replayConfirmed =
+        replay.violationCount() > 0 &&
+        replay.firstViolationStep() ==
+            static_cast<int>(out.minimalCounterexample.size()) - 1;
+}
 
 bool
 ScenarioResult::passed(const Expectation &expect) const
@@ -252,27 +269,25 @@ ScenarioResult::passed(const Expectation &expect) const
     return true;
 }
 
+bool
+FuzzResult::passed(const Expectation &expect, bool exhausted) const
+{
+    if (expect.violationFree && violatingRuns != 0)
+        return false;
+    if (expect.raceFree && reportedRaces() != 0)
+        return false;
+    if (exhausted && newTraces != 0)
+        return false;
+    return minimalCounterexample.empty() || replayConfirmed;
+}
+
 ScenarioResult
 explore(const Scenario &scenario, const ExploreOptions &options)
 {
-    Ctx c{scenario, options, {}, {}, {}, {}, {}, false};
-    c.res.scenario = scenario.name;
-    c.res.policy = scenario.policy.name;
-    c.res.memoryOrder = scenario.memoryOrder;
-
+    Ctx c{scenario, options, {}};
     node(c, runPrefix(c, {}), {}, {});
-    c.res.canonicalHashes.assign(c.canon.begin(), c.canon.end());
-
-    if (!c.res.minimalCounterexample.empty()) {
-        Executor replay(scenario);
-        for (int t : c.res.minimalCounterexample)
-            replay.step(t);
-        c.res.replayConfirmed =
-            replay.violationCount() > 0 &&
-            replay.firstViolationStep() ==
-                static_cast<int>(c.res.minimalCounterexample.size()) -
-                    1;
-    }
+    c.res.canonicalHashes = c.census.traceHashes();
+    c.census.confirm();
     if (c.res.violatingRuns > 0)
         c.res.confirmedRaces = c.res.reportedRaces();
     return c.res;
@@ -295,90 +310,33 @@ fuzzSchedules(const Scenario &scenario, const FuzzOptions &options,
               const std::vector<std::uint64_t> &knownTraces)
 {
     FuzzResult res;
-    res.scenario = scenario.name;
-    res.policy = scenario.policy.name;
-    res.memoryOrder = scenario.memoryOrder;
-
+    Census census(scenario, res);
     // Keyed by catalog index, so the stream does not depend on which
     // worker fuzzes the scenario.
     Random rng(streamSeed(options.seed, scenarioIndex));
-    std::set<std::uint64_t> canon;
-    std::set<std::uint64_t> endStates;
-    std::set<std::string> raceKeys;
 
-    for (std::uint64_t sample = 0; sample < options.samples;
-         ++sample) {
+    for (; res.samples < options.samples; ++res.samples) {
         Executor ex(scenario);
         Schedule schedule;
         for (;;) {
             const std::vector<int> en = ex.enabled();
-            if (en.empty() || schedule.size() >= options.maxSteps)
+            if (en.empty() || schedule.size() >= kMaxSteps)
                 break;
             const int t = en[static_cast<std::size_t>(
                 rng.below(en.size()))];
             ex.step(t);
             schedule.push_back(t);
         }
-        ++res.samples;
         res.steps += schedule.size();
-        res.maxDepth = std::max<std::uint64_t>(res.maxDepth,
-                                               schedule.size());
         if (!ex.allFinished())
             ++res.deadlockRuns;
-
-        const std::uint64_t trace = canonicalTraceHash(ex.history());
-        if (canon.insert(trace).second &&
-            !std::binary_search(knownTraces.begin(),
-                                knownTraces.end(), trace))
+        census.add(ex, schedule);
+    }
+    for (std::uint64_t trace : census.traceHashes())
+        if (!std::binary_search(knownTraces.begin(), knownTraces.end(),
+                                trace))
             ++res.newTraces;
-        endStates.insert(ex.stateHash());
-
-        for (RaceReport &r :
-             detectRaces(ex.history(), ex.numThreads(),
-                         CoherenceModel::of(scenario.mparams))) {
-            if (!raceKeys.insert(r.key()).second)
-                continue;
-            if (r.benign)
-                ++res.benignRaces;
-            if (r.weakWindow && !r.benign)
-                ++res.weakWindowRaces;
-            res.races.push_back(std::move(r));
-        }
-
-        const std::uint64_t v = ex.violationCount();
-        if (v > 0) {
-            ++res.violatingRuns;
-            res.totalViolations += v;
-            const int first = ex.firstViolationStep();
-            vic_assert(first >= 0,
-                       "violations without a violating step");
-            const std::size_t len =
-                static_cast<std::size_t>(first) + 1;
-            if (res.minimalCounterexample.empty() ||
-                len < res.minimalCounterexample.size()) {
-                res.minimalCounterexample.assign(
-                    schedule.begin(),
-                    schedule.begin() +
-                        static_cast<std::ptrdiff_t>(len));
-                res.minimalCounterexampleLabels.clear();
-                for (std::size_t i = 0; i < len; ++i)
-                    res.minimalCounterexampleLabels.push_back(
-                        ex.history()[i].label);
-            }
-        }
-    }
-    res.canonicalTraces = canon.size();
-    res.distinctEndStates = endStates.size();
-
-    if (!res.minimalCounterexample.empty()) {
-        Executor replay(scenario);
-        for (int t : res.minimalCounterexample)
-            replay.step(t);
-        res.replayConfirmed =
-            replay.violationCount() > 0 &&
-            replay.firstViolationStep() ==
-                static_cast<int>(res.minimalCounterexample.size()) - 1;
-    }
+    census.confirm();
     return res;
 }
 

@@ -26,6 +26,7 @@
 #ifndef VIC_MC_EXPLORER_HH
 #define VIC_MC_EXPLORER_HH
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,57 +36,91 @@
 namespace vic::mc
 {
 
+class Executor;
+
+/** What every completed run of a scenario adds to its result, under
+ *  either pass: the members ScenarioResult and FuzzResult share. */
+struct RunCensus
+{
+    std::string scenario;
+    std::string policy;
+    MemoryOrder memoryOrder = MemoryOrder::SC;
+
+    /** Machine steps executed; DPOR re-executes each prefix. */
+    std::uint64_t steps = 0;
+    std::uint64_t maxDepth = 0; ///< longest schedule seen
+    std::uint64_t canonicalTraces = 0; ///< inequivalent interleavings
+    std::uint64_t distinctEndStates = 0;
+
+    std::vector<RaceReport> races; ///< deduplicated across runs
+    std::uint64_t benignRaces = 0;
+    /** Races pairing a DMA access with an undrained store's drain. */
+    std::uint64_t weakWindowRaces = 0;
+
+    std::uint64_t violatingRuns = 0;
+    Schedule minimalCounterexample; ///< shortest violating prefix
+    std::vector<std::string> minimalCounterexampleLabels;
+    bool replayConfirmed = false; ///< replaying it violates again
+
+    /** Non-benign reported races. */
+    std::uint64_t reportedRaces() const
+    { return races.size() - benignRaces; }
+};
+
+/**
+ * Fills a RunCensus from the completed runs of one scenario: the
+ * canonical-trace and end-state sets, the race dedup, the violating
+ * runs and the shortest violating prefix. explore() and
+ * fuzzSchedules() feed every run they complete through one.
+ */
+class Census
+{
+  public:
+    /** Fill @p out, which names @p scenario from here on. */
+    Census(const Scenario &scenario, RunCensus &out);
+
+    /** Count the run @p ex completed by stepping @p schedule. */
+    void add(Executor &ex, const Schedule &schedule);
+
+    /** Sorted canonical-trace hashes of the runs added so far. */
+    std::vector<std::uint64_t> traceHashes() const
+    { return {canon.begin(), canon.end()}; }
+
+    /** Re-execute the shortest violating prefix on a fresh executor
+     *  of the scenario: replayConfirmed iff it violates again, first
+     *  at its last step. */
+    void confirm();
+
+  private:
+    const Scenario &scn;
+    RunCensus &out;
+    std::set<std::uint64_t> canon;
+    std::set<std::uint64_t> endStates;
+    std::set<std::string> raceKeys;
+};
+
 struct ExploreOptions
 {
     /** Maximum complete schedules to execute before giving up. */
     std::uint64_t budget = 20000;
     bool sleepSets = true;
     bool persistentSets = true;
-    /** Prune subtrees whose observable state hash was already seen.
-     *  Off by default: hashing is collision-checked nowhere, so
-     *  exhaustive counts only hold without it. */
-    bool hashPrune = false;
-    /** Hard bound on schedule length (safety net). */
-    std::size_t maxSteps = 64;
 };
 
-struct ScenarioResult
+struct ScenarioResult : RunCensus
 {
-    std::string scenario;
-    std::string policy;
-    MemoryOrder memoryOrder = MemoryOrder::SC;
-
     bool exhausted = true; ///< full space explored within budget
     bool deadlock = false; ///< some schedule blocked before finishing
-    std::uint64_t executions = 0;      ///< complete maximal schedules
-    std::uint64_t canonicalTraces = 0; ///< inequivalent interleavings
-    std::uint64_t distinctEndStates = 0;
-    std::uint64_t steps = 0; ///< machine steps incl. re-execution
+    std::uint64_t executions = 0; ///< complete maximal schedules
     std::uint64_t sleepPruned = 0;
     std::uint64_t persistentPruned = 0;
-    std::uint64_t maxDepth = 0; ///< longest schedule seen
-
-    std::vector<RaceReport> races; ///< deduplicated across schedules
-    std::uint64_t benignRaces = 0;
     /** Non-benign race pairs in a scenario where at least one
      *  schedule failed the oracle: the race demonstrably loses data. */
     std::uint64_t confirmedRaces = 0;
-    /** Races pairing a DMA access with an undrained store's drain. */
-    std::uint64_t weakWindowRaces = 0;
-
-    std::uint64_t violatingRuns = 0;
-    std::uint64_t totalViolations = 0;
-    Schedule minimalCounterexample; ///< shortest violating prefix
-    std::vector<std::string> minimalCounterexampleLabels;
-    bool replayConfirmed = false; ///< replaying it violates again
 
     /** Sorted canonical-trace hashes of every explored run — the
      *  coverage baseline the fuzzer's samples are compared against. */
     std::vector<std::uint64_t> canonicalHashes;
-
-    /** Non-benign reported races. */
-    std::uint64_t reportedRaces() const
-    { return races.size() - benignRaces; }
 
     /** Did the scenario meet its expectations? */
     bool passed(const Expectation &expect) const;
@@ -111,40 +146,25 @@ struct FuzzOptions
      *  SplitMix64 (no wall clock, no entropy — same seed, same
      *  schedules, on any machine and any --jobs). */
     std::uint64_t seed = 0x5eed;
-    /** Hard bound on schedule length (safety net). */
-    std::size_t maxSteps = 64;
 };
 
 /** What a fuzzing pass over one scenario found. */
-struct FuzzResult
+struct FuzzResult : RunCensus
 {
-    std::string scenario;
-    std::string policy;
-    MemoryOrder memoryOrder = MemoryOrder::SC;
-
-    std::uint64_t samples = 0;   ///< schedules executed
-    std::uint64_t steps = 0;     ///< machine steps executed
-    std::uint64_t maxDepth = 0;
+    std::uint64_t samples = 0; ///< schedules executed
     std::uint64_t deadlockRuns = 0;
-
-    std::uint64_t canonicalTraces = 0; ///< distinct traces sampled
-    std::uint64_t distinctEndStates = 0;
     /** Traces not in the exhaustive baseline the caller passed in.
      *  Zero whenever DPOR exhausted the space — random sampling can
      *  then only rediscover known traces. */
     std::uint64_t newTraces = 0;
 
-    std::vector<RaceReport> races; ///< deduplicated across samples
-    std::uint64_t benignRaces = 0;
-    std::uint64_t weakWindowRaces = 0;
-    std::uint64_t violatingRuns = 0;
-    std::uint64_t totalViolations = 0;
-    Schedule minimalCounterexample; ///< shortest violating prefix
-    std::vector<std::string> minimalCounterexampleLabels;
-    bool replayConfirmed = false;
-
-    std::uint64_t reportedRaces() const
-    { return races.size() - benignRaces; }
+    /** Did the pass behave as @p expect and the exhaustive pass
+     *  (@p exhausted: it covered the space) allow? Random sampling
+     *  cannot prove absence, so the gate is one-sided: clean
+     *  scenarios must fuzz clean, exhausted scenarios must yield no
+     *  trace DPOR missed, and any violating sample must carry a
+     *  deterministically replayable schedule. */
+    bool passed(const Expectation &expect, bool exhausted) const;
 };
 
 /**

@@ -80,8 +80,8 @@ guardedScenarios(const PolicyConfig &policy)
 {
     std::vector<Scenario> out;
 
-    // Swap-out / buffer write-back choreography (pageout.cc,
-    // buffer_cache.cc flushSlot): busy, flush, transfer, wait, release.
+    // Swap-out / buffer write-back choreography (Kernel::diskTransfer
+    // to disk): busy, flush, transfer, wait, release.
     {
         Scenario s = base("dma-out-guarded", policy);
         Thread pager;
@@ -95,8 +95,8 @@ guardedScenarios(const PolicyConfig &policy)
         out.push_back(std::move(s));
     }
 
-    // Swap-in / buffer fill choreography (kernel.cc faultInPage,
-    // buffer_cache.cc fillSlot): busy, purge, transfer, wait, release.
+    // Swap-in / buffer fill choreography (Kernel::diskTransfer from
+    // disk): busy, purge, transfer, wait, release.
     {
         Scenario s = base("dma-in-guarded", policy);
         Thread pager;

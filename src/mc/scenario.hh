@@ -6,8 +6,9 @@
  * alphabet: one or two CPUs issuing accesses, an operating-system
  * thread performing the pmap/DMA/busy-bit choreography of a kernel
  * I/O or pageout path, and the line-granular beats of any transfer
- * it starts. The guarded scenarios mirror the orderings the kernel
- * actually ships (src/os/pageout.cc, kernel.cc, buffer_cache.cc) and
+ * it starts. The guarded scenarios mirror the ordering the kernel
+ * ships in Kernel::diskTransfer (src/os/kernel.cc), which swap-out,
+ * swap-in and the buffer cache's write-back and fill all run, and
  * must be race- and violation-free under every sound policy; the
  * broken-ordering exemplars invert one edge of that choreography and
  * must lose a write-back that the explorer catches with a short

@@ -91,18 +91,8 @@ BufferCache::flushSlot(std::uint32_t slot)
     Slot &s = slots[slot];
     vic_assert(s.valid && s.dirty, "flush of clean slot");
     ++statWriteBacks;
-    // The device is about to read the frame: dirty cache data must be
-    // flushed to memory first (the DMA-read consistency step), before
-    // the transfer's first beat — not merely before its completion.
-    // The frame stays wired while beats are pending so pageout cannot
-    // recycle a buffer mid-write-back.
-    kernel.pmap().dmaRead(s.frame, true);
-    const std::uint64_t disk_block =
-        kernel.fs().diskBlockFor(s.file, s.block);
-    Machine &m = kernel.machine();
-    kernel.pageout().wire(s.frame);
-    m.dma().drain(m.disk().writeBlock(disk_block, m.frameAddr(s.frame)));
-    kernel.pageout().unwire(s.frame);
+    kernel.diskTransfer(s.frame, kernel.fs().diskBlockFor(s.file, s.block),
+                        Kernel::DiskIo::ToDisk);
     s.dirty = false;
 }
 
@@ -114,15 +104,8 @@ BufferCache::fillSlot(std::uint32_t slot, FileId file,
     const auto disk_block = kernel.fs().diskBlockIfAny(file, block);
 
     if (disk_block && !whole_block_write) {
-        // The device is about to overwrite the frame: cached copies
-        // must not shadow or clobber it (the DMA-write consistency
-        // step, ordered before the first beat).
-        kernel.pmap().dmaWrite(s.frame);
-        Machine &m = kernel.machine();
-        kernel.pageout().wire(s.frame);
-        m.dma().drain(
-            m.disk().readBlock(*disk_block, m.frameAddr(s.frame)));
-        kernel.pageout().unwire(s.frame);
+        kernel.diskTransfer(s.frame, *disk_block,
+                            Kernel::DiskIo::FromDisk);
     } else if (!disk_block && !whole_block_write) {
         // A block that has never been written reads as zeros; the
         // server zeroes the buffer through its mapping.

@@ -117,6 +117,21 @@ Kernel::freeFrame(FrameId frame)
     framePool.free(frame, pmapImpl->preferredColour(frame));
 }
 
+void
+Kernel::diskTransfer(FrameId frame, std::uint64_t block, DiskIo io)
+{
+    const PhysAddr pa = mach.frameAddr(frame);
+    if (io == DiskIo::ToDisk)
+        pmapImpl->dmaRead(frame, /*need_data=*/true);
+    else
+        pmapImpl->dmaWrite(frame);
+    pageoutDaemon->wire(frame);
+    mach.dma().drain(io == DiskIo::ToDisk
+                         ? mach.disk().writeBlock(block, pa)
+                         : mach.disk().readBlock(block, pa));
+    pageoutDaemon->unwire(frame);
+}
+
 // ----------------------------------------------------------------------
 // Tasks
 // ----------------------------------------------------------------------
@@ -670,11 +685,7 @@ Kernel::faultInPage(Region &region, std::uint32_t page_idx,
         // clobber the device's data; the stale state it leaves makes
         // the first CPU access refetch fresh memory.
         frame = allocFrame(pmapImpl->dColourOf(page_va));
-        pmapImpl->dmaWrite(frame);
-        pageoutDaemon->wire(frame);
-        mach.dma().drain(
-            mach.disk().readBlock(*swap_block, mach.frameAddr(frame)));
-        pageoutDaemon->unwire(frame);
+        diskTransfer(frame, *swap_block, DiskIo::FromDisk);
         pageoutDaemon->freeSwapBlock(*swap_block);
         region.object->clearSwapBlock(obj_page);
         ++statPageins;

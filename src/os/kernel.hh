@@ -210,6 +210,24 @@ class Kernel
 
     PageoutDaemon &pageout() { return *pageoutDaemon; }
 
+    /** Which way diskTransfer moves a frame. */
+    enum class DiskIo
+    {
+        ToDisk,   ///< swap-out, buffer write-back: a DMA-read
+        FromDisk, ///< swap-in, buffer fill: a DMA-write
+    };
+
+    /**
+     * Move @p frame to or from disk block @p block. The pmap's DMA
+     * preparation (flush before the device reads the frame, purge
+     * before it writes it) comes strictly before the transfer's first
+     * beat, and the frame stays wired while beats are pending so
+     * pageout cannot recycle it mid-transfer. The interleaving
+     * checker's guarded scenarios (src/mc/scenario.cc) mirror this
+     * ordering.
+     */
+    void diskTransfer(FrameId frame, std::uint64_t block, DiskIo io);
+
   private:
     friend class BufferCache;
 

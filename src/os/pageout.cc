@@ -84,17 +84,12 @@ PageoutDaemon::pageOut(const Candidate &c)
         // drop them; a refault re-copies from the buffer cache.
         ++statTextDrops;
     } else {
-        // Anonymous page: write to swap. The DMA-read consistency
-        // step flushes whatever dirty cache data the page still has —
-        // strictly BEFORE the first beat of the transfer can run (the
-        // interleaving checker, src/mc, explores exactly this window).
-        // The frame is wired while beats are pending so nothing
-        // recycles it mid-transfer.
+        // Anonymous page: write to swap. The transfer's DMA-read
+        // consistency step flushes whatever dirty cache data the page
+        // still has (the interleaving checker, src/mc, explores this
+        // window).
         const std::uint64_t block = allocSwapBlock();
-        pmap.dmaRead(c.frame, true);
-        wire(c.frame);
-        m.dma().drain(m.disk().writeBlock(block, m.frameAddr(c.frame)));
-        unwire(c.frame);
+        kernel.diskTransfer(c.frame, block, Kernel::DiskIo::ToDisk);
         obj->setSwapBlock(c.page, block);
         ++statSwapWrites;
     }

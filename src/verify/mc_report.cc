@@ -1,5 +1,7 @@
 #include "verify/mc_report.hh"
 
+#include <optional>
+
 namespace vic::verify
 {
 
@@ -19,22 +21,32 @@ raceJson(const mc::RaceReport &race)
     return j;
 }
 
-JsonValue
-labelsJson(const std::vector<std::string> &labels)
+/** The members both entries end with: the races, the violating runs
+ *  and the counterexample, then the verdict. @p confirmedRaces (an
+ *  explored scenario's, not a fuzzing pass's) follows reportedRaces. */
+void
+setRaceCensus(JsonValue &js, const mc::RunCensus &r,
+              std::optional<std::uint64_t> confirmedRaces, bool passed)
 {
-    JsonValue a = JsonValue::array();
-    for (const std::string &l : labels)
-        a.push(JsonValue::str(l));
-    return a;
-}
-
-JsonValue
-racesJson(const std::vector<mc::RaceReport> &races)
-{
-    JsonValue a = JsonValue::array();
-    for (const mc::RaceReport &r : races)
-        a.push(raceJson(r));
-    return a;
+    JsonValue races = JsonValue::array();
+    for (const mc::RaceReport &race : r.races)
+        races.push(raceJson(race));
+    js.set("races", std::move(races));
+    js.set("benignRaces", JsonValue::number(r.benignRaces));
+    js.set("reportedRaces", JsonValue::number(r.reportedRaces()));
+    if (confirmedRaces)
+        js.set("confirmedRaces", JsonValue::number(*confirmedRaces));
+    js.set("weakWindowRaces", JsonValue::number(r.weakWindowRaces));
+    js.set("violatingRuns", JsonValue::number(r.violatingRuns));
+    if (!r.minimalCounterexampleLabels.empty()) {
+        JsonValue labels = JsonValue::array();
+        for (const std::string &l : r.minimalCounterexampleLabels)
+            labels.push(JsonValue::str(l));
+        js.set("minimalCounterexample", std::move(labels));
+        js.set("replayConfirmed",
+               JsonValue::boolean(r.replayConfirmed));
+    }
+    js.set("passed", JsonValue::boolean(passed));
 }
 
 } // namespace
@@ -56,19 +68,7 @@ scenarioResultJson(const mc::ScenarioResult &r, bool passed)
     js.set("steps", JsonValue::number(r.steps));
     js.set("sleepPruned", JsonValue::number(r.sleepPruned));
     js.set("persistentPruned", JsonValue::number(r.persistentPruned));
-    js.set("races", racesJson(r.races));
-    js.set("benignRaces", JsonValue::number(r.benignRaces));
-    js.set("reportedRaces", JsonValue::number(r.reportedRaces()));
-    js.set("confirmedRaces", JsonValue::number(r.confirmedRaces));
-    js.set("weakWindowRaces", JsonValue::number(r.weakWindowRaces));
-    js.set("violatingRuns", JsonValue::number(r.violatingRuns));
-    if (!r.minimalCounterexampleLabels.empty()) {
-        js.set("minimalCounterexample",
-               labelsJson(r.minimalCounterexampleLabels));
-        js.set("replayConfirmed",
-               JsonValue::boolean(r.replayConfirmed));
-    }
-    js.set("passed", JsonValue::boolean(passed));
+    setRaceCensus(js, r, r.confirmedRaces, passed);
     return js;
 }
 
@@ -84,18 +84,7 @@ fuzzResultJson(const mc::FuzzResult &r, bool passed)
     js.set("distinctEndStates",
            JsonValue::number(r.distinctEndStates));
     js.set("newTraces", JsonValue::number(r.newTraces));
-    js.set("races", racesJson(r.races));
-    js.set("benignRaces", JsonValue::number(r.benignRaces));
-    js.set("reportedRaces", JsonValue::number(r.reportedRaces()));
-    js.set("weakWindowRaces", JsonValue::number(r.weakWindowRaces));
-    js.set("violatingRuns", JsonValue::number(r.violatingRuns));
-    if (!r.minimalCounterexampleLabels.empty()) {
-        js.set("minimalCounterexample",
-               labelsJson(r.minimalCounterexampleLabels));
-        js.set("replayConfirmed",
-               JsonValue::boolean(r.replayConfirmed));
-    }
-    js.set("passed", JsonValue::boolean(passed));
+    setRaceCensus(js, r, std::nullopt, passed);
     return js;
 }
 

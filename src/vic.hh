@@ -20,7 +20,6 @@
 // Support library
 #include "common/arena.hh"
 #include "common/bitvector.hh"
-#include "common/column_store.hh"
 #include "common/cycle_clock.hh"
 #include "common/event_log.hh"
 #include "common/logging.hh"

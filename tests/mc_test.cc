@@ -245,6 +245,118 @@ TEST(McExplorer, ResultsIndependentOfJobCount)
     }
 }
 
+// --- the explorer's census, pinned ------------------------------------
+
+/** One explored scenario's census, exactly as the explorer reports
+ *  it under CMU with the default options. */
+struct PinnedCensus
+{
+    const char *name;
+    std::uint64_t executions;
+    std::uint64_t canonicalTraces;
+    std::uint64_t distinctEndStates;
+    std::uint64_t steps;
+    std::uint64_t sleepPruned;
+    std::uint64_t persistentPruned;
+    std::uint64_t maxDepth;
+    std::size_t races;
+    std::uint64_t benign;
+    std::uint64_t weakWindow;
+    std::uint64_t confirmed;
+    std::uint64_t violatingRuns;
+    std::vector<std::string> counterexample;
+};
+
+void
+expectCensus(const std::vector<Scenario> &catalog,
+             const std::vector<PinnedCensus> &pinned)
+{
+    ASSERT_EQ(catalog.size(), pinned.size());
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+        const PinnedCensus &p = pinned[i];
+        ASSERT_EQ(catalog[i].name, p.name);
+        const ScenarioResult r = explore(catalog[i], defaults());
+        EXPECT_TRUE(r.exhausted) << p.name;
+        EXPECT_FALSE(r.deadlock) << p.name;
+        EXPECT_EQ(r.executions, p.executions) << p.name;
+        EXPECT_EQ(r.canonicalTraces, p.canonicalTraces) << p.name;
+        EXPECT_EQ(r.distinctEndStates, p.distinctEndStates) << p.name;
+        EXPECT_EQ(r.steps, p.steps) << p.name;
+        EXPECT_EQ(r.sleepPruned, p.sleepPruned) << p.name;
+        EXPECT_EQ(r.persistentPruned, p.persistentPruned) << p.name;
+        EXPECT_EQ(r.maxDepth, p.maxDepth) << p.name;
+        EXPECT_EQ(r.races.size(), p.races) << p.name;
+        EXPECT_EQ(r.benignRaces, p.benign) << p.name;
+        EXPECT_EQ(r.weakWindowRaces, p.weakWindow) << p.name;
+        EXPECT_EQ(r.confirmedRaces, p.confirmed) << p.name;
+        EXPECT_EQ(r.violatingRuns, p.violatingRuns) << p.name;
+        EXPECT_EQ(r.minimalCounterexampleLabels, p.counterexample)
+            << p.name;
+        EXPECT_EQ(r.replayConfirmed, !p.counterexample.empty())
+            << p.name;
+        EXPECT_EQ(r.canonicalHashes.size(), r.canonicalTraces)
+            << p.name;
+    }
+}
+
+TEST(McExplorer, WeakCatalogCensusIsPinned)
+{
+    expectCensus(weakCatalog(PolicyConfig::cmu()),
+                 {{"dma-out-guarded-weak", 5, 5, 3, 235, 0, 0, 10, 0, 0,
+                   0, 0, 0, {}},
+                  {"dma-in-guarded-weak", 5, 5, 3, 235, 0, 0, 10, 0, 0,
+                   0, 0, 0, {}},
+                  {"pageout-guarded-weak", 100, 100, 6, 6328, 79, 158,
+                   14, 0, 0, 0, 0, 0, {}},
+                  {"dma-out-missing-fence", 3, 3, 2, 56, 0, 2, 6, 1, 0,
+                   1, 1, 2,
+                   {"writer:store A", "writer:pmap-dma-read",
+                    "writer:dma-start-read", "writer.dma1:beat#0"}},
+                  {"dma-out-fenced", 1, 1, 1, 28, 0, 0, 7, 0, 0, 0, 0,
+                   0, {}}});
+}
+
+TEST(McExplorer, CensusConfirmsItsCounterexampleByReplay)
+{
+    // The census replays its shortest violating prefix on a fresh
+    // executor of its own scenario. The lost write-back's prefix,
+    // counted into a census of the snooping machine (the same threads
+    // with a snooping DMA engine), does not violate there.
+    const PolicyConfig policy = PolicyConfig::cmu();
+    const Scenario broken = lostWriteBackRace(policy);
+    const ScenarioResult r = explore(broken, defaults());
+    ASSERT_TRUE(r.replayConfirmed);
+
+    Executor ex(broken);
+    for (int t : r.minimalCounterexample)
+        ex.step(t);
+    const Scenario snooping = snoopingVariant(policy);
+    RunCensus out;
+    Census census(snooping, out);
+    census.add(ex, r.minimalCounterexample);
+    census.confirm();
+    EXPECT_EQ(out.scenario, snooping.name);
+    EXPECT_EQ(out.violatingRuns, 1u);
+    EXPECT_EQ(out.minimalCounterexampleLabels,
+              r.minimalCounterexampleLabels);
+    EXPECT_FALSE(out.replayConfirmed);
+
+    Census same(broken, out);
+    same.confirm();
+    EXPECT_TRUE(out.replayConfirmed);
+}
+
+TEST(McCoherence, CoherenceCatalogCensusIsPinned)
+{
+    expectCensus(coherenceCatalog(PolicyConfig::cmu()),
+                 {{"cross-cache-sharing", 2, 2, 2, 6, 0, 0, 2, 1, 1, 0,
+                   0, 0, {}},
+                  {"cross-cache-stores", 2, 2, 2, 6, 0, 0, 2, 1, 1, 0, 0,
+                   0, {}},
+                  {"cross-cache-noncoherent", 2, 2, 1, 6, 0, 0, 2, 1, 0,
+                   0, 1, 1, {"writer0:store A", "reader1:load A"}}});
+}
+
 // --- executor basics --------------------------------------------------
 
 TEST(McExecutor, BusyBitBlocksCpuAccesses)

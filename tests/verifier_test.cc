@@ -11,6 +11,7 @@
  * directions.
  */
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/policy_config.hh"
 #include "verify/abstract_model.hh"
 #include "verify/policy_verifier.hh"
+#include "verify/reachability.hh"
 #include "verify/trace_replay.hh"
 
 namespace
@@ -238,6 +240,36 @@ TEST(VerifierTest, TraceNamesAreReadable)
     const Trace t{{EventKind::Store, 0}, {EventKind::IFetch, 0}};
     EXPECT_EQ(traceName(t), "store@A -> ifetch@A");
     EXPECT_EQ(eventName({EventKind::DmaIn, 0}), "dma-in");
+}
+
+/** A toy state for the search itself: a counter that event `load`
+ *  bumps and every other event leaves alone. */
+struct Count
+{
+    std::uint64_t n = 0;
+    std::array<std::uint64_t, 1> pack() const { return {n}; }
+};
+
+TEST(VerifierTest, StoppingEdgeCountsTowardsTheDiameter)
+{
+    // root -load-> s1, and the first event tried from s1 ends the
+    // search: every state found so far lies at depth 0 or 1, and the
+    // stopping edge at depth 2 is what makes the diameter 2.
+    const std::vector<Event> alphabet{{EventKind::Load, 0},
+                                      {EventKind::Store, 0}};
+    Reachability<Count> search(Count{});
+    search.run(alphabet, [](std::size_t, const Event &e, Count &next) {
+        if (next.n == 1)
+            return true;
+        if (e.kind == EventKind::Load)
+            ++next.n;
+        return false;
+    });
+    EXPECT_TRUE(search.stopped());
+    EXPECT_FALSE(search.truncated());
+    EXPECT_EQ(search.size(), 2u);
+    EXPECT_EQ(search.transitions(), 3u);
+    EXPECT_EQ(search.diameter(), 2u);
 }
 
 } // namespace

@@ -278,6 +278,67 @@ TEST(WeakOrder, FuzzCoverageIsSubsetOfExhaustiveExploration)
     }
 }
 
+TEST(WeakOrder, FuzzCensusIsPinned)
+{
+    // The fuzzer's census of the weak catalog under CMU at seed 42,
+    // 200 samples per scenario, against DPOR's trace hashes: the
+    // numbers the CI fuzz smoke archives for this policy.
+    struct Pinned
+    {
+        const char *name;
+        std::uint64_t steps;
+        std::uint64_t maxDepth;
+        std::uint64_t canonicalTraces;
+        std::uint64_t distinctEndStates;
+        std::size_t races;
+        std::uint64_t weakWindow;
+        std::uint64_t violatingRuns;
+        std::vector<std::string> counterexample;
+    };
+    const Pinned pinned[] = {
+        {"dma-out-guarded-weak", 2000, 10, 5, 3, 0, 0, 0, {}},
+        {"dma-in-guarded-weak", 2000, 10, 5, 3, 0, 0, 0, {}},
+        {"pageout-guarded-weak", 2800, 14, 26, 8, 0, 0, 0, {}},
+        {"dma-out-missing-fence", 1200, 6, 3, 2, 1, 1, 116,
+         {"writer:store A", "writer:pmap-dma-read",
+          "writer:dma-start-read", "writer.dma1:beat#0"}},
+        {"dma-out-fenced", 1400, 7, 1, 1, 0, 0, 0, {}},
+    };
+    const std::vector<Scenario> catalog =
+        weakCatalog(PolicyConfig::cmu());
+    ASSERT_EQ(catalog.size(), std::size(pinned));
+    FuzzOptions opt;
+    opt.samples = 200;
+    opt.seed = 42;
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+        const Pinned &p = pinned[i];
+        ASSERT_EQ(catalog[i].name, p.name);
+        const ScenarioResult d = explore(catalog[i], defaults());
+        const FuzzResult f =
+            fuzzSchedules(catalog[i], opt, i, d.canonicalHashes);
+        EXPECT_EQ(f.samples, 200u) << p.name;
+        EXPECT_EQ(f.steps, p.steps) << p.name;
+        EXPECT_EQ(f.maxDepth, p.maxDepth) << p.name;
+        EXPECT_EQ(f.deadlockRuns, 0u) << p.name;
+        EXPECT_EQ(f.canonicalTraces, p.canonicalTraces) << p.name;
+        EXPECT_EQ(f.distinctEndStates, p.distinctEndStates) << p.name;
+        EXPECT_EQ(f.newTraces, 0u) << p.name;
+        EXPECT_EQ(f.races.size(), p.races) << p.name;
+        EXPECT_EQ(f.benignRaces, 0u) << p.name;
+        EXPECT_EQ(f.weakWindowRaces, p.weakWindow) << p.name;
+        EXPECT_EQ(f.violatingRuns, p.violatingRuns) << p.name;
+        EXPECT_EQ(f.minimalCounterexampleLabels, p.counterexample)
+            << p.name;
+        EXPECT_EQ(f.replayConfirmed, !p.counterexample.empty())
+            << p.name;
+    }
+
+    // Against no baseline every sampled trace is new.
+    const FuzzResult bare = fuzzSchedules(catalog[2], opt, 2, {});
+    EXPECT_EQ(bare.newTraces, bare.canonicalTraces);
+    EXPECT_EQ(bare.newTraces, 26u);
+}
+
 // --- report schema v4 ----------------------------------------------------
 
 TEST(WeakOrder, ReportV4EntryCarriesTheVerdictCounters)

@@ -361,26 +361,6 @@ checkNecessity(const PolicyConfig &policy, JsonValue &out)
 // Interleaving exploration
 // ---------------------------------------------------------------------
 
-/** Did the fuzzing pass behave as the scenario's expectation and the
- *  exhaustive result allow? Random sampling cannot prove absence, so
- *  the gate is one-sided: clean scenarios must fuzz clean, exhausted
- *  scenarios must yield no trace DPOR missed, and any violating
- *  sample must carry a deterministically replayable schedule. */
-bool
-fuzzPassed(const vic::mc::FuzzResult &f,
-           const vic::mc::Expectation &expect, bool exhausted)
-{
-    if (expect.violationFree && f.violatingRuns != 0)
-        return false;
-    if (expect.raceFree && f.reportedRaces() != 0)
-        return false;
-    if (exhausted && f.newTraces != 0)
-        return false;
-    if (!f.minimalCounterexample.empty() && !f.replayConfirmed)
-        return false;
-    return true;
-}
-
 bool
 checkInterleave(const PolicyConfig &policy, std::uint64_t budget,
                 unsigned jobs, vic::mc::MemoryOrder order,
@@ -469,7 +449,7 @@ checkInterleave(const PolicyConfig &policy, std::uint64_t budget,
 
         if (!fuzzed.empty()) {
             const mc::FuzzResult &f = fuzzed[i];
-            const bool fpass = fuzzPassed(f, expect, r.exhausted);
+            const bool fpass = f.passed(expect, r.exhausted);
             ok &= fpass;
             std::printf("    fuzz %5llu samples: %llu traces (%llu "
                         "new), %llu end states, violations in %llu, "
