@@ -71,8 +71,8 @@ class StatSet
 
     /** Capture a snapshot of all current values, ordered by name.
      *  Snapshots feed the JSON artifacts, so the container must have a
-     *  deterministic iteration order (vic_lint's det-unordered rule
-     *  bans unordered containers in src/common sim-visible APIs). */
+     *  deterministic iteration order (the ordered-container guard
+     *  poisons unordered containers in every src/common TU). */
     std::map<std::string, std::uint64_t> snapshot() const;
 
   private:

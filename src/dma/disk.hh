@@ -14,8 +14,8 @@
 #define VIC_DMA_DISK_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cycle_clock.hh"
@@ -68,7 +68,7 @@ class Disk
     DmaEngine &dma;
     CycleClock &clk;
 
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> blocks;
+    std::map<std::uint64_t, std::vector<std::uint32_t>> blocks;
 
     Counter &statBlockReads;
     Counter &statBlockWrites;

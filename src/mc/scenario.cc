@@ -80,8 +80,9 @@ guardedScenarios(const PolicyConfig &policy)
 {
     std::vector<Scenario> out;
 
-    // Swap-out / buffer write-back choreography (Kernel::diskTransfer
-    // to disk): busy, flush, transfer, wait, release.
+    // Swap-out / buffer write-back, guarded: busy, flush, transfer,
+    // wait, release. Kernel::diskTransfer flushes before it wires the
+    // frame (see scenario.hh).
     {
         Scenario s = base("dma-out-guarded", policy);
         Thread pager;
@@ -95,8 +96,8 @@ guardedScenarios(const PolicyConfig &policy)
         out.push_back(std::move(s));
     }
 
-    // Swap-in / buffer fill choreography (Kernel::diskTransfer from
-    // disk): busy, purge, transfer, wait, release.
+    // Swap-in / buffer fill, guarded: busy, purge, transfer, wait,
+    // release. Kernel::diskTransfer purges before it wires the frame.
     {
         Scenario s = base("dma-in-guarded", policy);
         Thread pager;

@@ -81,7 +81,7 @@ FreePageList::allocate(std::optional<CachePageId> wanted_colour)
     }
 
     // PerColour: try the wanted colour first, then colourless frames,
-    // then steal round-robin from whichever colour has frames.
+    // then steal from the lowest-numbered colour that has frames.
     if (wanted_colour) {
         vic_assert(*wanted_colour < colours, "colour %u out of range",
                    *wanted_colour);

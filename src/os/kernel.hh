@@ -223,8 +223,13 @@ class Kernel
      * before it writes it) comes strictly before the transfer's first
      * beat, and the frame stays wired while beats are pending so
      * pageout cannot recycle it mid-transfer. The interleaving
-     * checker's guarded scenarios (src/mc/scenario.cc) mirror this
-     * ordering.
+     * checker's guarded scenarios (src/mc/scenario.cc) take another
+     * order: their busy bit, which holds off every CPU access, comes
+     * before the preparation, while wire comes after it here and only
+     * keeps pageout away. The simulator is sequential, so no access
+     * falls between these steps; ROADMAP.md ("The interleaving checker
+     * runs the kernel's own transfer steps") plans one step table for
+     * both.
      */
     void diskTransfer(FrameId frame, std::uint64_t block, DiskIo io);
 
