@@ -87,12 +87,10 @@ softwareOps(const RunResult &r)
 std::uint64_t
 softwareCycles(const RunResult &r)
 {
-    return r.sumMatchingAny(
-        {{.exact = "", .prefix = "dcache", .suffix = ".flush_cycles"},
-         {.exact = "", .prefix = "dcache", .suffix = ".purge_cycles"},
-         {.exact = "", .prefix = "icache", .suffix = ".flush_cycles"},
-         {.exact = "", .prefix = "icache",
-          .suffix = ".purge_cycles"}});
+    return r.sumMatching("dcache", ".flush_cycles") +
+           r.sumMatching("dcache", ".purge_cycles") +
+           r.sumMatching("icache", ".flush_cycles") +
+           r.sumMatching("icache", ".purge_cycles");
 }
 
 /** Cycles the coherence hardware charged: bus interventions plus
@@ -101,12 +99,8 @@ std::uint64_t
 hardwareCycles(const RunResult &r)
 {
     return r.stat("bus.snoop_cycles") +
-           r.sumMatchingAny({{.exact = "",
-                              .prefix = "dcache",
-                              .suffix = ".synonym_snoop_cycles"},
-                             {.exact = "",
-                              .prefix = "icache",
-                              .suffix = ".synonym_snoop_cycles"}});
+           r.sumMatching("dcache", ".synonym_snoop_cycles") +
+           r.sumMatching("icache", ".synonym_snoop_cycles");
 }
 
 bool

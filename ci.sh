@@ -12,7 +12,10 @@
 #      determinism_rejects_{wallclock,entropy,std_random},
 #      ordered_rejects_unordered and layering_rejects_upward, which
 #      hold the guard headers and the layer roots every build compiles
-#      under (docs/STATIC_ANALYSIS.md);
+#      under (docs/STATIC_ANALYSIS.md), and the golden record:
+#      golden_sweep and golden_verify_{report,interleave,weak,coherence}
+#      rerun the full-scale sweep and steps 3-5b's four reports and
+#      compare them with tests/golden/ (docs/BENCHMARKING.md);
 #   2. sanitizer: rebuild and rerun the suite under
 #      AddressSanitizer + UndefinedBehaviorSanitizer (a UBSan finding
 #      fails its test) with the checked standard library, examples

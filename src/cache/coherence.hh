@@ -67,9 +67,6 @@ class CoherenceBus
      *  read-only by construction (they never issue stores). */
     void attach(Cache *c);
 
-    /** Number of attached ports. */
-    std::size_t numPorts() const { return ports.size(); }
-
     /**
      * A read miss in @p requester. Peers downgrade to Shared (Modified
      * copies write back first). @return true iff any peer held a copy,

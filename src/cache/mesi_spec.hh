@@ -3,8 +3,8 @@
  * Executable specification of the MESI protocol the CoherenceBus and
  * Cache implement, as pure transition tables.
  *
- * cache.cc realises the protocol imperatively across access(),
- * fillLine() and the snoop handlers; these functions state it
+ * cache.cc realises the protocol imperatively across fill(),
+ * writeSlow() and the snoop handlers; these functions state it
  * declaratively, one (state, event) entry at a time, in the same
  * style as core/cache_page_state.hh states Table 2. They are the
  * protocol's source of truth for checking:

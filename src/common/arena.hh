@@ -18,9 +18,7 @@
  * Determinism: allocation order is a pure function of the call
  * sequence (no addresses, sizes or host state feed back into it), so
  * simulated behaviour cannot depend on the host allocator. Pointer
- * VALUES must still never reach simulated state or artifacts — the
- * determinism lint's scope covers the arena's clients (src/common,
- * src/mmu).
+ * VALUES must still never reach simulated state or artifacts.
  */
 
 #ifndef VIC_COMMON_ARENA_HH
@@ -61,7 +59,6 @@ class Arena
             slot = &chunks.back()[usedInLast++];
         }
         *slot = T{std::forward<Args>(args)...};
-        ++live;
         return slot;
     }
 
@@ -72,25 +69,11 @@ class Arena
     {
         *p = T{};
         freeSlots.push_back(p);
-        --live;
-    }
-
-    /** Currently allocated (not released) objects. */
-    std::size_t liveCount() const { return live; }
-
-    /** Slots ever bump-allocated, live or recycled (capacity probe). */
-    std::size_t
-    slotCount() const
-    {
-        if (chunks.empty())
-            return 0;
-        return (chunks.size() - 1) * chunkCap + usedInLast;
     }
 
   private:
     std::size_t chunkCap;
     std::size_t usedInLast = 0;
-    std::size_t live = 0;
     std::vector<std::unique_ptr<T[]>> chunks;
     std::vector<T *> freeSlots;
 };

@@ -52,7 +52,6 @@ class JsonValue
     static JsonValue object();
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
 
     // --- scalar access (Kind must match; panics otherwise) ---
     bool asBool() const;

@@ -1,5 +1,10 @@
 #include "mc/scenario.hh"
 
+#include <span>
+
+#include "common/logging.hh"
+#include "os/disk_transfer.hh"
+
 namespace vic::mc
 {
 
@@ -49,6 +54,37 @@ userThread(std::uint32_t cpu, std::uint8_t slot,
     return t;
 }
 
+/** The pager's operation for one step of a kernel transfer table. */
+Op
+pagerOp(TransferStep step)
+{
+    switch (step) {
+      case TransferStep::Guard: return dmaOp(OpKind::BusyAcquire);
+      case TransferStep::Unmap: return cpuOp(OpKind::PmapUnmap, kSlotA);
+      case TransferStep::Flush: return dmaOp(OpKind::PmapDmaRead);
+      case TransferStep::Purge: return dmaOp(OpKind::PmapDmaWrite);
+      case TransferStep::DeviceReads:
+        return dmaOp(OpKind::DmaStartRead, 2);
+      case TransferStep::DeviceWrites:
+        return dmaOp(OpKind::DmaStartWrite, 2);
+      case TransferStep::Wait: return dmaOp(OpKind::DmaWait);
+      case TransferStep::Release: return dmaOp(OpKind::BusyRelease);
+    }
+    vic_panic("unknown transfer step %d", int(step));
+}
+
+/** A pager thread that runs one of the kernel's transfer tables
+ *  (os/disk_transfer.hh) on slot A's frame, one op per step. */
+Thread
+pagerThread(std::span<const TransferStep> steps)
+{
+    Thread t;
+    t.name = "pager";
+    for (TransferStep step : steps)
+        t.ops.push_back(pagerOp(step));
+    return t;
+}
+
 Scenario
 base(const char *name, const PolicyConfig &policy,
      std::uint32_t num_cpus = 1, bool dma_snoops = false)
@@ -78,58 +114,23 @@ mcMachineParams(std::uint32_t num_cpus, bool dma_snoops)
 std::vector<Scenario>
 guardedScenarios(const PolicyConfig &policy)
 {
-    std::vector<Scenario> out;
+    // Buffer write-back: the device reads the frame.
+    Scenario out = base("dma-out-guarded", policy);
+    out.threads = {userThread(0, kSlotA), pagerThread(kWriteBack)};
 
-    // Swap-out / buffer write-back, guarded: busy, flush, transfer,
-    // wait, release. Kernel::diskTransfer flushes before it wires the
-    // frame (see scenario.hh).
-    {
-        Scenario s = base("dma-out-guarded", policy);
-        Thread pager;
-        pager.name = "pager";
-        pager.ops = {dmaOp(OpKind::BusyAcquire),
-                     dmaOp(OpKind::PmapDmaRead),
-                     dmaOp(OpKind::DmaStartRead, 2),
-                     dmaOp(OpKind::DmaWait),
-                     dmaOp(OpKind::BusyRelease)};
-        s.threads = {userThread(0, kSlotA), pager};
-        out.push_back(std::move(s));
-    }
+    // Swap-in and buffer fill: the device writes the frame.
+    Scenario in = base("dma-in-guarded", policy);
+    in.threads = {userThread(0, kSlotA), pagerThread(kFill)};
 
-    // Swap-in / buffer fill, guarded: busy, purge, transfer, wait,
-    // release. Kernel::diskTransfer purges before it wires the frame.
-    {
-        Scenario s = base("dma-in-guarded", policy);
-        Thread pager;
-        pager.name = "pager";
-        pager.ops = {dmaOp(OpKind::BusyAcquire),
-                     dmaOp(OpKind::PmapDmaWrite),
-                     dmaOp(OpKind::DmaStartWrite, 2),
-                     dmaOp(OpKind::DmaWait),
-                     dmaOp(OpKind::BusyRelease)};
-        s.threads = {userThread(0, kSlotA), pager};
-        out.push_back(std::move(s));
-    }
-
-    // Full pageout on a two-CPU machine: the victim's translation is
-    // evicted before the flush, and a second processor keeps touching
+    // Swap-out on a two-CPU machine: the victim's translation is
+    // removed before the flush, and a second processor keeps touching
     // an unrelated frame of the same colour throughout the transfer.
-    {
-        Scenario s = base("pageout-guarded", policy, /*num_cpus=*/2);
-        Thread pager;
-        pager.name = "pager";
-        pager.ops = {dmaOp(OpKind::BusyAcquire),
-                     cpuOp(OpKind::PmapUnmap, kSlotA),
-                     dmaOp(OpKind::PmapDmaRead),
-                     dmaOp(OpKind::DmaStartRead, 2),
-                     dmaOp(OpKind::DmaWait),
-                     dmaOp(OpKind::BusyRelease)};
-        s.threads = {userThread(0, kSlotA),
-                     userThread(1, kSlotY, /*frame_sel=*/1), pager};
-        out.push_back(std::move(s));
-    }
+    Scenario pageout = base("pageout-guarded", policy, /*num_cpus=*/2);
+    pageout.threads = {userThread(0, kSlotA),
+                       userThread(1, kSlotY, /*frame_sel=*/1),
+                       pagerThread(kSwapOut)};
 
-    return out;
+    return {out, in, pageout};
 }
 
 Scenario

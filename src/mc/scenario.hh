@@ -6,22 +6,15 @@
  * alphabet: one or two CPUs issuing accesses, an operating-system
  * thread performing the pmap/DMA/busy-bit choreography of a kernel
  * I/O or pageout path, and the line-granular beats of any transfer
- * it starts. The guarded scenarios take the frame's busy bit first,
- * which holds off every CPU access to it, then prepare (flush or
- * purge), start, wait and release; pageout-guarded unmaps the victim
- * just after the busy bit. They must be race- and violation-free
- * under every sound policy; the broken-ordering exemplars invert one
- * edge of that choreography and must lose a write-back that the
- * explorer catches with a short replayable schedule.
- *
- * The kernel does not take these steps in this order.
- * Kernel::diskTransfer (src/os/kernel.cc), which swap-out, swap-in
- * and the buffer cache's write-back and fill all run, prepares the
- * frame and only then wires it, and wiring only keeps the pageout
- * daemon away. PageoutDaemon::pageOut unmaps before any guard. The
- * simulator is sequential, so no access falls between the kernel's
- * steps; ROADMAP.md ("The interleaving checker runs the kernel's own
- * transfer steps") plans one step table for both.
+ * it starts. A guarded scenario's pager thread runs one of the
+ * kernel's own transfer tables (os/disk_transfer.hh), one operation
+ * per step: it takes the frame's busy bit, which holds off every CPU
+ * access to it, then unmaps (swap-out only), flushes or purges,
+ * starts the transfer, waits and releases. The guarded scenarios must
+ * be race- and violation-free under every sound policy; the
+ * broken-ordering exemplars, written by hand, invert one edge of that
+ * order and must lose a write-back that the explorer catches with a
+ * short replayable schedule.
  */
 
 #ifndef VIC_MC_SCENARIO_HH
@@ -84,8 +77,9 @@ MachineParams mcMachineParams(std::uint32_t num_cpus = 1,
 
 // --- catalog -----------------------------------------------------------
 
-/** Pageout/IO paths with the shipping ordering (flush/purge and busy
- *  guard before the transfer): expected race- and violation-free. */
+/** The kernel's write-back, fill and swap-out tables, each run by a
+ *  pager thread beside a user thread: expected race- and
+ *  violation-free. */
 std::vector<Scenario> guardedScenarios(const PolicyConfig &policy);
 
 /** Adversarial kernel-path variant that starts the device transfer

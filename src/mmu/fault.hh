@@ -79,8 +79,6 @@ struct Fault
     FaultType type = FaultType::None;
     SpaceVa address;          ///< faulting (space, va)
     AccessType access = AccessType::Load;
-
-    bool isFault() const { return type != FaultType::None; }
 };
 
 } // namespace vic

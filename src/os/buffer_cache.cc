@@ -92,7 +92,7 @@ BufferCache::flushSlot(std::uint32_t slot)
     vic_assert(s.valid && s.dirty, "flush of clean slot");
     ++statWriteBacks;
     kernel.diskTransfer(s.frame, kernel.fs().diskBlockFor(s.file, s.block),
-                        Kernel::DiskIo::ToDisk);
+                        kWriteBack);
     s.dirty = false;
 }
 
@@ -104,8 +104,7 @@ BufferCache::fillSlot(std::uint32_t slot, FileId file,
     const auto disk_block = kernel.fs().diskBlockIfAny(file, block);
 
     if (disk_block && !whole_block_write) {
-        kernel.diskTransfer(s.frame, *disk_block,
-                            Kernel::DiskIo::FromDisk);
+        kernel.diskTransfer(s.frame, *disk_block, kFill);
     } else if (!disk_block && !whole_block_write) {
         // A block that has never been written reads as zeros; the
         // server zeroes the buffer through its mapping.

@@ -1,5 +1,7 @@
 #include "os/kernel.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace vic
@@ -118,18 +120,40 @@ Kernel::freeFrame(FrameId frame)
 }
 
 void
-Kernel::diskTransfer(FrameId frame, std::uint64_t block, DiskIo io)
+Kernel::diskTransfer(FrameId frame, std::uint64_t block,
+                     std::span<const TransferStep> steps)
 {
     const PhysAddr pa = mach.frameAddr(frame);
-    if (io == DiskIo::ToDisk)
-        pmapImpl->dmaRead(frame, /*need_data=*/true);
-    else
-        pmapImpl->dmaWrite(frame);
-    pageoutDaemon->wire(frame);
-    mach.dma().drain(io == DiskIo::ToDisk
-                         ? mach.disk().writeBlock(block, pa)
-                         : mach.disk().readBlock(block, pa));
-    pageoutDaemon->unwire(frame);
+    DmaTicket ticket;
+    for (TransferStep step : steps) {
+        switch (step) {
+          case TransferStep::Guard:
+            pageoutDaemon->wire(frame);
+            break;
+          case TransferStep::Unmap:
+            for (const SpaceVa &va : pmapImpl->mappingsOf(frame))
+                pmapImpl->remove(va);
+            break;
+          case TransferStep::Flush:
+            pmapImpl->dmaRead(frame, /*need_data=*/true);
+            break;
+          case TransferStep::Purge:
+            pmapImpl->dmaWrite(frame);
+            break;
+          case TransferStep::DeviceReads:
+            ticket = mach.disk().writeBlock(block, pa);
+            break;
+          case TransferStep::DeviceWrites:
+            ticket = mach.disk().readBlock(block, pa);
+            break;
+          case TransferStep::Wait:
+            mach.dma().drain(std::move(ticket));
+            break;
+          case TransferStep::Release:
+            pageoutDaemon->unwire(frame);
+            break;
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -685,7 +709,7 @@ Kernel::faultInPage(Region &region, std::uint32_t page_idx,
         // clobber the device's data; the stale state it leaves makes
         // the first CPU access refetch fresh memory.
         frame = allocFrame(pmapImpl->dColourOf(page_va));
-        diskTransfer(frame, *swap_block, DiskIo::FromDisk);
+        diskTransfer(frame, *swap_block, kFill);
         pageoutDaemon->freeSwapBlock(*swap_block);
         region.object->clearSwapBlock(obj_page);
         ++statPageins;

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -40,6 +41,7 @@
 #include "mem/free_page_list.hh"
 #include "os/address_space.hh"
 #include "os/buffer_cache.hh"
+#include "os/disk_transfer.hh"
 #include "os/file_system.hh"
 #include "os/os_params.hh"
 #include "os/page_preparer.hh"
@@ -70,7 +72,6 @@ class Kernel
     Pmap &pmap() { return *pmapImpl; }
     FileSystem &fs() { return fileSystem; }
     BufferCache &bufferCache() { return *bufCache; }
-    PagePreparer &preparer() { return *pagePreparer; }
     const OsParams &params() const { return osParams; }
     const PolicyConfig &policy() const { return pmapImpl->config(); }
 
@@ -210,28 +211,12 @@ class Kernel
 
     PageoutDaemon &pageout() { return *pageoutDaemon; }
 
-    /** Which way diskTransfer moves a frame. */
-    enum class DiskIo
-    {
-        ToDisk,   ///< swap-out, buffer write-back: a DMA-read
-        FromDisk, ///< swap-in, buffer fill: a DMA-write
-    };
-
     /**
-     * Move @p frame to or from disk block @p block. The pmap's DMA
-     * preparation (flush before the device reads the frame, purge
-     * before it writes it) comes strictly before the transfer's first
-     * beat, and the frame stays wired while beats are pending so
-     * pageout cannot recycle it mid-transfer. The interleaving
-     * checker's guarded scenarios (src/mc/scenario.cc) take another
-     * order: their busy bit, which holds off every CPU access, comes
-     * before the preparation, while wire comes after it here and only
-     * keeps pageout away. The simulator is sequential, so no access
-     * falls between these steps; ROADMAP.md ("The interleaving checker
-     * runs the kernel's own transfer steps") plans one step table for
-     * both.
+     * Move @p frame to or from disk block @p block by running
+     * @p steps, one of the tables in os/disk_transfer.hh, in order.
      */
-    void diskTransfer(FrameId frame, std::uint64_t block, DiskIo io);
+    void diskTransfer(FrameId frame, std::uint64_t block,
+                      std::span<const TransferStep> steps);
 
   private:
     friend class BufferCache;

@@ -73,23 +73,23 @@ PageoutDaemon::pageOut(const Candidate &c)
         return false;  // pinned by an in-progress operation
 
     Machine &m = kernel.machine();
-    Pmap &pmap = kernel.pmap();
-
-    // Evict every translation so no access can race the transfer.
-    for (const SpaceVa &va : pmap.mappingsOf(c.frame))
-        pmap.remove(va);
 
     if (obj->backing() == VmObject::Backing::File) {
         // Text and mapped-file pages are clean copies of file data:
-        // drop them; a refault re-copies from the buffer cache.
+        // unmap and drop them; a refault re-copies from the buffer
+        // cache.
+        Pmap &pmap = kernel.pmap();
+        for (const SpaceVa &va : pmap.mappingsOf(c.frame))
+            pmap.remove(va);
         ++statTextDrops;
     } else {
-        // Anonymous page: write to swap. The transfer's DMA-read
+        // Anonymous page: write to swap. Under the guard, the swap-out
+        // table removes every translation, then its DMA-read
         // consistency step flushes whatever dirty cache data the page
-        // still has (the interleaving checker, src/mc, explores this
-        // window).
+        // still has (the interleaving checker, src/mc, runs the same
+        // table).
         const std::uint64_t block = allocSwapBlock();
-        kernel.diskTransfer(c.frame, block, Kernel::DiskIo::ToDisk);
+        kernel.diskTransfer(c.frame, block, kSwapOut);
         obj->setSwapBlock(c.page, block);
         ++statSwapWrites;
     }

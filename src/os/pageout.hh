@@ -2,14 +2,16 @@
  * @file
  * Pageout daemon: physical page reclamation through a swap area.
  *
- * When the free page pool runs low, resident pages are evicted FIFO:
- * every translation is removed through the pmap, dirty cache data is
- * flushed (the DMA-read consistency step — the device must see
- * current bytes), and the page is written to a swap block by DMA.
- * A later touch pages it back in with a DMA-write, whose consistency
- * step keeps stale cached copies from shadowing the fresh data.
- * File-backed (program text) pages are simply dropped: they can be
- * re-copied from the buffer cache, so they cost no swap write.
+ * When the free page pool runs low, resident pages are evicted FIFO.
+ * An anonymous page runs the swap-out table (os/disk_transfer.hh):
+ * the frame is wired, every translation is removed through the pmap,
+ * dirty cache data is flushed (the DMA-read consistency step — the
+ * device must see current bytes), and the page is written to a swap
+ * block by DMA. A later touch pages it back in with a DMA-write,
+ * whose consistency step keeps stale cached copies from shadowing the
+ * fresh data. File-backed (program text) pages are simply unmapped
+ * and dropped: they can be re-copied from the buffer cache, so they
+ * cost no swap write.
  *
  * Pageout is exactly the path where the paper notes a system can use
  * "the fact that a physical page is dirty to avoid a redundant cache
@@ -67,9 +69,6 @@ class PageoutDaemon
     /** Take a fresh swap block (page-in hands the old one back). */
     std::uint64_t allocSwapBlock();
     void freeSwapBlock(std::uint64_t block);
-
-    /** Candidates currently tracked (tests). */
-    std::size_t candidateCount() const { return fifo.size(); }
 
   private:
     struct Candidate

@@ -13,48 +13,15 @@ RunResult::stat(const std::string &name) const
     return it == stats.end() ? 0 : it->second;
 }
 
-namespace
-{
-
-bool
-matchesPattern(const std::string &name,
-               const RunResult::StatPattern &p)
-{
-    if (!p.exact.empty())
-        return name == p.exact;
-    if (name.size() < p.prefix.size() + p.suffix.size())
-        return false;
-    if (name.compare(0, p.prefix.size(), p.prefix) != 0)
-        return false;
-    return name.compare(name.size() - p.suffix.size(),
-                        p.suffix.size(), p.suffix) == 0;
-}
-
-} // anonymous namespace
-
 std::uint64_t
 RunResult::sumMatching(const std::string &prefix,
                        const std::string &suffix) const
 {
-    return sumMatchingAny(
-        {{.exact = "", .prefix = prefix, .suffix = suffix}});
-}
-
-std::uint64_t
-RunResult::sumMatchingAny(const std::vector<StatPattern> &patterns) const
-{
-    // Each counter contributes at most once, no matter how many
-    // patterns select it: iterate counters (each name appears exactly
-    // once in the map) and test against the pattern list, rather than
-    // summing per-pattern.
     std::uint64_t total = 0;
     for (const auto &[name, value] : stats) {
-        for (const auto &p : patterns) {
-            if (matchesPattern(name, p)) {
-                total += value;
-                break;
-            }
-        }
+        if (name.size() >= prefix.size() + suffix.size() &&
+            name.starts_with(prefix) && name.ends_with(suffix))
+            total += value;
     }
     return total;
 }

@@ -53,25 +53,6 @@ struct RunResult
     std::uint64_t sumMatching(const std::string &prefix,
                               const std::string &suffix) const;
 
-    /** One counter-selection pattern: an exact name when @c exact is
-     *  nonempty, otherwise a prefix+suffix match as in sumMatching. */
-    struct StatPattern
-    {
-        std::string exact;
-        std::string prefix;
-        std::string suffix;
-    };
-
-    /** Sum of all counters selected by ANY pattern in @p patterns,
-     *  counting each counter at most once even when several patterns
-     *  select it. Derived metrics that need both an exact name and a
-     *  prefix+suffix sweep (e.g. "dcache.write_backs" on a
-     *  uniprocessor plus "dcacheN.write_backs" per CPU) must go
-     *  through this so an overlapping counter cannot be
-     *  double-counted. */
-    std::uint64_t
-    sumMatchingAny(const std::vector<StatPattern> &patterns) const;
-
     // Derived metrics used across the benches.
     std::uint64_t dPageFlushes() const
     { return stat("pmap.d_page_flushes"); }
@@ -90,17 +71,11 @@ struct RunResult
     std::uint64_t dToICopies() const { return stat("os.d_to_i_copies"); }
 
     /** Data-cache write-backs on uni- AND multiprocessor machines:
-     *  covers "dcache.write_backs" and the per-CPU
-     *  "dcacheN.write_backs" without double-counting either. */
+     *  "dcache.write_backs" and the per-CPU "dcacheN.write_backs". */
     std::uint64_t
     writeBacks() const
     {
-        return sumMatchingAny({{.exact = "dcache.write_backs",
-                                .prefix = "",
-                                .suffix = ""},
-                               {.exact = "",
-                                .prefix = "dcache",
-                                .suffix = ".write_backs"}});
+        return sumMatching("dcache", ".write_backs");
     }
 };
 
