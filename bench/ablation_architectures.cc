@@ -75,13 +75,13 @@ architectureVariants()
 }
 
 std::vector<RunSpec>
-architecturesSpecs(const SuiteOptions &opt)
+architecturesSpecs()
 {
     std::vector<RunSpec> specs;
     for (std::size_t w = 0; w < numPaperWorkloads; ++w) {
         for (const Variant &v : architectureVariants()) {
             specs.push_back(paperSpec("architectures", w,
-                                      PolicyConfig::configF(), opt,
+                                      PolicyConfig::configF(),
                                       v.mp, v.tag));
         }
     }
@@ -89,8 +89,7 @@ architecturesSpecs(const SuiteOptions &opt)
 }
 
 bool
-architecturesReport(const SuiteOptions &opt,
-                    const std::vector<RunOutcome> &outcomes)
+architecturesReport(const std::vector<RunOutcome> &outcomes)
 {
     const std::vector<Variant> variants = architectureVariants();
 
@@ -132,7 +131,7 @@ architecturesReport(const SuiteOptions &opt,
                 "work (the rules are\n");
     std::printf("  unchanged); hardware snooping adds only "
                 "write-backs/bus traffic.\n");
-    return shapeCheck(opt, shapes_ok,
+    return shapeCheck(shapes_ok,
                       "write-through machines perform zero "
                       "write-backs");
 }

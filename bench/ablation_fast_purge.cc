@@ -35,23 +35,22 @@ fastPurgeParams()
 }
 
 std::vector<RunSpec>
-fastPurgeSpecs(const SuiteOptions &opt)
+fastPurgeSpecs()
 {
     std::vector<RunSpec> specs;
     for (std::size_t w = 0; w < numPaperWorkloads; ++w) {
         specs.push_back(paperSpec("fast-purge", w,
-                                  PolicyConfig::configF(), opt,
+                                  PolicyConfig::configF(),
                                   MachineParams::hp720(), "base"));
         specs.push_back(paperSpec("fast-purge", w,
-                                  PolicyConfig::configF(), opt,
+                                  PolicyConfig::configF(),
                                   fastPurgeParams(), "fast"));
     }
     return specs;
 }
 
 bool
-fastPurgeReport(const SuiteOptions &opt,
-                const std::vector<RunOutcome> &outcomes)
+fastPurgeReport(const std::vector<RunOutcome> &outcomes)
 {
     Table t({"Program", "Elapsed base (s)", "Elapsed fast-purge (s)",
              "Saved (s)", "Saved (%)"});
@@ -78,7 +77,7 @@ fastPurgeReport(const SuiteOptions &opt,
                 "small but real architectural win\n");
     const double pct =
         100.0 * (total_base - total_fast) / total_base;
-    return shapeCheck(opt, pct > 0.0 && pct < 5.0,
+    return shapeCheck(pct > 0.0 && pct < 5.0,
                       "small but nonzero saving from a one-cycle "
                       "page purge");
 }

@@ -42,7 +42,7 @@ geometryParams(std::uint64_t size)
 }
 
 std::vector<RunSpec>
-geometrySpecs(const SuiteOptions &opt)
+geometrySpecs()
 {
     std::vector<RunSpec> specs;
     for (const auto &cfg :
@@ -50,7 +50,7 @@ geometrySpecs(const SuiteOptions &opt)
         for (std::uint64_t size : kSizes) {
             // Workload 2 is kernel-build.
             specs.push_back(paperSpec(
-                "geometry", 2, cfg, opt, geometryParams(size),
+                "geometry", 2, cfg, geometryParams(size),
                 format("%lluKB", (unsigned long long)(size / kKiB))));
         }
     }
@@ -58,8 +58,7 @@ geometrySpecs(const SuiteOptions &opt)
 }
 
 bool
-geometryReport(const SuiteOptions &opt,
-               const std::vector<RunOutcome> &outcomes)
+geometryReport(const std::vector<RunOutcome> &outcomes)
 {
     bool shapes_ok = true;
     for (std::size_t c = 0; c < 2; ++c) {
@@ -103,7 +102,7 @@ geometryReport(const SuiteOptions &opt,
                 "flat — the paper's point\n");
     std::printf("  that careful management removes the software "
                 "penalty of big VI caches.\n");
-    return shapeCheck(opt, shapes_ok,
+    return shapeCheck(shapes_ok,
                       "one colour => no alias operations");
 }
 

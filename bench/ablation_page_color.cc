@@ -39,22 +39,21 @@ colouredLists()
 }
 
 std::vector<RunSpec>
-pageColorSpecs(const SuiteOptions &opt)
+pageColorSpecs()
 {
     std::vector<RunSpec> specs;
     for (std::size_t w = 0; w < numPaperWorkloads; ++w) {
-        specs.push_back(paperSpec("page-color", w, singleList(), opt,
+        specs.push_back(paperSpec("page-color", w, singleList(),
                                   MachineParams::hp720(), "single"));
         specs.push_back(paperSpec("page-color", w, colouredLists(),
-                                  opt, MachineParams::hp720(),
+                                  MachineParams::hp720(),
                                   "coloured"));
     }
     return specs;
 }
 
 bool
-pageColorReport(const SuiteOptions &opt,
-                const std::vector<RunOutcome> &outcomes)
+pageColorReport(const std::vector<RunOutcome> &outcomes)
 {
     Table t({"Program", "Policy", "Elapsed (s)", "D purges",
              "I purges", "D flushes", "Colour hits", "Colour misses"});
@@ -84,7 +83,7 @@ pageColorReport(const SuiteOptions &opt,
     std::printf("total purges: %llu (single) -> %llu (per-colour)\n",
                 (unsigned long long)purges_single,
                 (unsigned long long)purges_coloured);
-    return shapeCheck(opt, shapes_ok,
+    return shapeCheck(shapes_ok,
                       "per-colour free lists do not increase total "
                       "purges");
 }

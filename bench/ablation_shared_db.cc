@@ -30,7 +30,7 @@ namespace
 {
 
 std::vector<RunSpec>
-sharedDbSpecs(const SuiteOptions &)
+sharedDbSpecs()
 {
     std::vector<RunSpec> specs;
     for (bool fixed : {true, false}) {
@@ -56,8 +56,7 @@ sharedDbSpecs(const SuiteOptions &)
 }
 
 bool
-sharedDbReport(const SuiteOptions &opt,
-               const std::vector<RunOutcome> &outcomes)
+sharedDbReport(const std::vector<RunOutcome> &outcomes)
 {
     Table t({"Variant", "Policy", "Elapsed (s)", "Cons faults",
              "D flushes", "D purges"});
@@ -89,7 +88,7 @@ sharedDbReport(const SuiteOptions &opt,
                 (unsigned long long)aligned_f_ops);
     const bool shapes_ok =
         fixed_f_ops > 0 && aligned_f_ops < fixed_f_ops / 4;
-    return shapeCheck(opt, shapes_ok,
+    return shapeCheck(shapes_ok,
                       "fixed aliases cost ops, aligned aliases "
                       "nearly none");
 }

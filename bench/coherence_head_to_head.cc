@@ -55,18 +55,18 @@ hardwareMachine()
 }
 
 std::vector<RunSpec>
-coherenceSpecs(const SuiteOptions &opt)
+coherenceSpecs()
 {
     std::vector<RunSpec> specs;
     for (std::size_t w = 0; w < numPaperWorkloads; ++w) {
         specs.push_back(paperSpec("coherence", w,
-                                  PolicyConfig::configA(), opt,
+                                  PolicyConfig::configA(),
                                   mesiMachine(), "mesi"));
         specs.push_back(paperSpec("coherence", w,
-                                  PolicyConfig::configF(), opt,
+                                  PolicyConfig::configF(),
                                   mesiMachine(), "mesi"));
         specs.push_back(paperSpec("coherence", w,
-                                  PolicyConfig::hardware(), opt,
+                                  PolicyConfig::hardware(),
                                   hardwareMachine(), "hw"));
     }
     return specs;
@@ -104,8 +104,7 @@ hardwareCycles(const RunResult &r)
 }
 
 bool
-coherenceReport(const SuiteOptions &opt,
-                const std::vector<RunOutcome> &outcomes)
+coherenceReport(const std::vector<RunOutcome> &outcomes)
 {
     bool hw_silent = true;  ///< HW rows issue no software op
     bool hw_active = true;  ///< HW rows exercise the hardware
@@ -146,13 +145,13 @@ coherenceReport(const SuiteOptions &opt,
     }
 
     bool ok = outcomesClean(outcomes);
-    ok &= shapeCheck(opt, hw_silent,
+    ok &= shapeCheck(hw_silent,
                      "hardware-coherent rows issue zero software "
                      "consistency operations");
-    ok &= shapeCheck(opt, hw_active,
+    ok &= shapeCheck(hw_active,
                      "hardware-coherent rows pay nonzero bus/synonym "
                      "snoop cycles");
-    ok &= shapeCheck(opt, lazy_wins,
+    ok &= shapeCheck(lazy_wins,
                      "lazy policy spends no more software consistency "
                      "cycles than classic");
     return ok;

@@ -24,12 +24,10 @@ namespace
 // The paper's 1,000,000 writes, scaled 1:25 (the ratio is preserved;
 // multiply the times by 25 to compare absolutes).
 constexpr std::uint32_t kWrites = 40000;
-constexpr std::uint32_t kSmokeWrites = 4000;
 
 std::vector<RunSpec>
-contrivedSpecs(const SuiteOptions &opt)
+contrivedSpecs()
 {
-    const std::uint32_t writes = opt.smoke ? kSmokeWrites : kWrites;
     std::vector<RunSpec> specs;
     for (const auto &cfg :
          {PolicyConfig::configF(), PolicyConfig::configA()}) {
@@ -39,9 +37,9 @@ contrivedSpecs(const SuiteOptions &opt)
             spec.id = std::string("contrived/") +
                       (aligned ? "aligned" : "unaligned") + "/" +
                       policyTag(cfg);
-            spec.make = [aligned, writes] {
+            spec.make = [aligned] {
                 return std::make_unique<ContrivedAlias>(
-                    ContrivedAlias::Params{aligned, writes, false});
+                    ContrivedAlias::Params{aligned, kWrites, false});
             };
             spec.policy = cfg;
             specs.push_back(std::move(spec));
@@ -51,11 +49,8 @@ contrivedSpecs(const SuiteOptions &opt)
 }
 
 bool
-contrivedReport(const SuiteOptions &opt,
-                const std::vector<RunOutcome> &outcomes)
+contrivedReport(const std::vector<RunOutcome> &outcomes)
 {
-    const std::uint32_t writes = opt.smoke ? kSmokeWrites : kWrites;
-
     Table t({"Variant", "Policy", "Writes", "Elapsed (s)",
              "Consistency faults", "D flushes", "D purges"});
 
@@ -66,7 +61,7 @@ contrivedReport(const SuiteOptions &opt,
         t.row();
         t.cell(r.workload);
         t.cell(r.policy);
-        t.cell(std::uint64_t(writes));
+        t.cell(std::uint64_t(kWrites));
         t.cell(r.seconds, 6);
         t.cell(r.consistencyFaults());
         t.cell(r.dPageFlushes());
@@ -82,7 +77,7 @@ contrivedReport(const SuiteOptions &opt,
                 unaligned_s / aligned_s);
     std::printf("paper: aligned = 'a fraction of a second', unaligned "
                 "= 'over 2 minutes' (roughly 300x or more)\n");
-    return shapeCheck(opt, unaligned_s > 50 * aligned_s,
+    return shapeCheck(unaligned_s > 50 * aligned_s,
                       "unaligned at least 2 orders of magnitude "
                       "slower than aligned");
 }

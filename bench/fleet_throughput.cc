@@ -22,23 +22,18 @@ namespace vic::bench
 namespace
 {
 
-std::uint32_t
-fleetReplicas(const SuiteOptions &opt)
-{
-    return opt.smoke ? 4 : 8;
-}
+constexpr std::uint32_t kReplicas = 8;
 
 /** Workload-major, replica-minor: each workload's replicas are
  *  consecutive, as fleetReport() expects. */
 std::vector<RunSpec>
-fleetSpecs(const SuiteOptions &opt)
+fleetSpecs()
 {
-    const std::uint32_t replicas = fleetReplicas(opt);
     std::vector<RunSpec> specs;
     for (std::size_t w = 0; w < numPaperWorkloads; ++w) {
-        for (std::uint32_t k = 0; k < replicas; ++k) {
+        for (std::uint32_t k = 0; k < kReplicas; ++k) {
             RunSpec spec = paperSpec("fleet", w, PolicyConfig::configF(),
-                                     opt, MachineParams::hp720(),
+                                     MachineParams::hp720(),
                                      format("r%u", k));
             spec.replica = k;
             specs.push_back(std::move(spec));
@@ -48,18 +43,16 @@ fleetSpecs(const SuiteOptions &opt)
 }
 
 bool
-fleetReport(const SuiteOptions &opt,
-            const std::vector<RunOutcome> &outcomes)
+fleetReport(const std::vector<RunOutcome> &outcomes)
 {
-    const std::uint32_t replicas = fleetReplicas(opt);
     Table t({"Workload", "Replicas", "Summed cycles", "Sim seconds",
              "Oracle checked"});
-    bool every_replica_works = outcomes.size() % replicas == 0;
-    for (std::size_t first = 0; first + replicas <= outcomes.size();
-         first += replicas) {
+    bool every_replica_works = outcomes.size() % kReplicas == 0;
+    for (std::size_t first = 0; first + kReplicas <= outcomes.size();
+         first += kReplicas) {
         std::uint64_t cycles = 0, checked = 0;
         double seconds = 0;
-        for (std::size_t k = first; k < first + replicas; ++k) {
+        for (std::size_t k = first; k < first + kReplicas; ++k) {
             const RunResult &r = outcomes[k].result;
             cycles += std::uint64_t(r.cycles);
             seconds += r.seconds;
@@ -69,7 +62,7 @@ fleetReport(const SuiteOptions &opt,
         }
         t.row();
         t.cell(outcomes[first].result.workload);
-        t.cell(std::uint64_t(replicas));
+        t.cell(std::uint64_t(kReplicas));
         t.cell(cycles);
         t.cell(seconds, 4);
         t.cell(checked);
@@ -78,7 +71,7 @@ fleetReport(const SuiteOptions &opt,
     std::printf("\n");
 
     bool ok = outcomesClean(outcomes);
-    ok &= shapeCheck(opt, every_replica_works,
+    ok &= shapeCheck(every_replica_works,
                      "every fleet replica does nonzero simulated and "
                      "oracle-checked work");
     return ok;

@@ -55,37 +55,16 @@ findSuite(const std::string &name)
 }
 
 // ----------------------------------------------------------------------
-// Paper workloads at full and smoke scale
+// Paper workloads
 // ----------------------------------------------------------------------
 
 std::unique_ptr<Workload>
-makePaperWorkload(std::size_t idx, bool smoke)
+makePaperWorkload(std::size_t idx)
 {
     switch (idx) {
-      case 0: {
-          AfsBench::Params p;
-          if (smoke) {
-              p.numFiles = 8;
-              p.computePerFile /= 4;
-          }
-          return std::make_unique<AfsBench>(p);
-      }
-      case 1: {
-          LatexBench::Params p;
-          if (smoke) {
-              p.passes = 1;
-              p.inputPages = 3;
-          }
-          return std::make_unique<LatexBench>(p);
-      }
-      default: {
-          KernelBuild::Params p;
-          if (smoke) {
-              p.numSourceFiles = 12;
-              p.computePerFile /= 4;
-          }
-          return std::make_unique<KernelBuild>(p);
-      }
+      case 0: return std::make_unique<AfsBench>();
+      case 1: return std::make_unique<LatexBench>();
+      default: return std::make_unique<KernelBuild>();
     }
 }
 
@@ -111,8 +90,8 @@ policyTag(const PolicyConfig &policy)
 
 RunSpec
 paperSpec(const std::string &suite, std::size_t idx,
-          const PolicyConfig &policy, const SuiteOptions &opt,
-          const MachineParams &mp, const std::string &variant)
+          const PolicyConfig &policy, const MachineParams &mp,
+          const std::string &variant)
 {
     static const char *names[] = {"afs-bench", "latex-paper",
                                   "kernel-build"};
@@ -122,20 +101,11 @@ paperSpec(const std::string &suite, std::size_t idx,
               policyTag(policy);
     if (!variant.empty())
         spec.id += "/" + variant;
-    const bool smoke = opt.smoke;
-    spec.make = [idx, smoke] { return makePaperWorkload(idx, smoke); };
+    spec.make = [idx] { return makePaperWorkload(idx); };
     spec.policy = policy;
     spec.machine = mp;
     spec.seed = paperWorkloadSeed(idx);
     return spec;
-}
-
-RunSpec
-paperSpec(const std::string &suite, std::size_t idx,
-          const PolicyConfig &policy, const SuiteOptions &opt)
-{
-    return paperSpec(suite, idx, policy, opt, MachineParams::hp720(),
-                     "");
 }
 
 // ----------------------------------------------------------------------
@@ -164,20 +134,10 @@ outcomesClean(const std::vector<RunOutcome> &outcomes)
 }
 
 bool
-shapeCheck(const SuiteOptions &opt, bool ok, const char *what)
+shapeCheck(bool ok, const char *what)
 {
-    if (ok) {
-        std::printf("SHAPE CHECK: PASS (%s)\n", what);
-        return true;
-    }
-    if (opt.smoke) {
-        std::printf("SHAPE CHECK: advisory-fail under --smoke "
-                    "(%s; calibrated for full scale)\n",
-                    what);
-        return true;
-    }
-    std::printf("SHAPE CHECK: FAIL (%s)\n", what);
-    return false;
+    std::printf("SHAPE CHECK: %s (%s)\n", ok ? "PASS" : "FAIL", what);
+    return ok;
 }
 
 void

@@ -32,13 +32,6 @@
 namespace vic::bench
 {
 
-struct SuiteOptions
-{
-    /** Scaled-down workloads for CI smoke sweeps. Shape checks that
-     *  depend on full-scale calibration become advisory. */
-    bool smoke = false;
-};
-
 struct Suite
 {
     std::string name;     ///< registry key, e.g. "table1"
@@ -47,16 +40,14 @@ struct Suite
     int order = 0;        ///< stable sweep position
 
     /** The suite's runs, in the order report() expects them. */
-    std::function<std::vector<RunSpec>(const SuiteOptions &)> specs;
+    std::function<std::vector<RunSpec>()> specs;
 
     /** Print tables and apply shape checks over the outcomes (spec
      *  order). Returns the gating verdict. */
-    std::function<bool(const SuiteOptions &,
-                       const std::vector<RunOutcome> &)>
-        report;
+    std::function<bool(const std::vector<RunOutcome> &)> report;
 
     /** Optional serial validation outside the engine (may be null). */
-    std::function<bool(const SuiteOptions &)> validate;
+    std::function<bool()> validate;
 };
 
 /** Register a suite; called from each suite TU's static initialiser. */
@@ -75,9 +66,8 @@ const Suite *findSuite(const std::string &name);
 inline constexpr std::size_t numPaperWorkloads = 3;
 
 /** Fresh paper workload (0 afs-bench, 1 latex-paper, 2 kernel-build)
- *  at full or smoke scale. */
-std::unique_ptr<Workload> makePaperWorkload(std::size_t idx,
-                                            bool smoke);
+ *  at its calibrated scale. */
+std::unique_ptr<Workload> makePaperWorkload(std::size_t idx);
 
 /** The calibrated base seed of paper workload @p idx. */
 std::uint64_t paperWorkloadSeed(std::size_t idx);
@@ -85,22 +75,20 @@ std::uint64_t paperWorkloadSeed(std::size_t idx);
 /** Short policy tag for run ids: "F (+will overwrite)" -> "F". */
 std::string policyTag(const PolicyConfig &policy);
 
-/** RunSpec for paper workload @p idx under @p policy. */
+/** RunSpec for paper workload @p idx under @p policy on @p mp; a
+ *  non-empty @p variant is appended to the run id. */
 RunSpec paperSpec(const std::string &suite, std::size_t idx,
-                  const PolicyConfig &policy, const SuiteOptions &opt,
-                  const MachineParams &mp, const std::string &variant);
-
-RunSpec paperSpec(const std::string &suite, std::size_t idx,
-                  const PolicyConfig &policy, const SuiteOptions &opt);
+                  const PolicyConfig &policy,
+                  const MachineParams &mp = MachineParams::hp720(),
+                  const std::string &variant = "");
 
 /** Gate: every outcome ran to completion with zero oracle
  *  violations; failures are printed to stderr. */
 bool outcomesClean(const std::vector<RunOutcome> &outcomes);
 
-/** Print a SHAPE CHECK verdict. In smoke mode a failed calibrated
- *  check is advisory (the gate stays green); full-scale runs gate on
- *  it. Returns the gating verdict. */
-bool shapeCheck(const SuiteOptions &opt, bool ok, const char *what);
+/** Print a SHAPE CHECK verdict and return it: a failed check fails
+ *  the sweep. */
+bool shapeCheck(bool ok, const char *what);
 
 /** Banner for a suite, matching the historical bench layout. */
 void suiteBanner(const Suite &suite);

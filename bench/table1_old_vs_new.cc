@@ -19,21 +19,20 @@ namespace
 {
 
 std::vector<RunSpec>
-table1Specs(const SuiteOptions &opt)
+table1Specs()
 {
     std::vector<RunSpec> specs;
     for (std::size_t i = 0; i < numPaperWorkloads; ++i) {
         specs.push_back(
-            paperSpec("table1", i, PolicyConfig::configA(), opt));
+            paperSpec("table1", i, PolicyConfig::configA()));
         specs.push_back(
-            paperSpec("table1", i, PolicyConfig::configF(), opt));
+            paperSpec("table1", i, PolicyConfig::configF()));
     }
     return specs;
 }
 
 bool
-table1Report(const SuiteOptions &opt,
-             const std::vector<RunOutcome> &outcomes)
+table1Report(const std::vector<RunOutcome> &outcomes)
 {
     Table t({"Program", "Elapsed old (s)", "Elapsed new (s)", "% gain",
              "Flushes old", "Flushes new", "Purges old", "Purges new"});
@@ -65,7 +64,7 @@ table1Report(const SuiteOptions &opt,
                 "5%%, kernel-build 8.5%%\n");
     std::printf("(absolute seconds are scaled-down workloads; the "
                 "gains and count reductions are the result)\n");
-    return shapeCheck(opt, shapes_ok,
+    return shapeCheck(shapes_ok,
                       "new faster by 2-20% on every benchmark, "
                       "counts reduced");
 }

@@ -158,7 +158,7 @@ validateAgainstConcreteCache()
 }
 
 bool
-table2Validate(const SuiteOptions &)
+table2Validate()
 {
     Table t({"Operation", "Target cache line",
              "Similarly mapped, unaligned lines"});
@@ -199,9 +199,7 @@ table2Validate(const SuiteOptions &)
     s.title = "Table 2: cache line state transitions";
     s.paperRef = "Wheeler & Bershad 1992, Table 2 (Section 3.2)";
     s.order = 20;
-    s.specs = [](const SuiteOptions &) {
-        return std::vector<RunSpec>{};
-    };
+    s.specs = [] { return std::vector<RunSpec>{}; };
     s.validate = table2Validate;
     registerSuite(std::move(s));
     return true;

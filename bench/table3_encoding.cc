@@ -28,13 +28,13 @@ namespace
 {
 
 std::vector<RunSpec>
-table3Specs(const SuiteOptions &opt)
+table3Specs()
 {
-    return {paperSpec("table3", 0, PolicyConfig::configF(), opt)};
+    return {paperSpec("table3", 0, PolicyConfig::configF())};
 }
 
 bool
-table3Report(const SuiteOptions &, const std::vector<RunOutcome> &out)
+table3Report(const std::vector<RunOutcome> &out)
 {
     const RunResult &r = out[0].result;
     std::printf("engine sweep: afs-bench under config F, oracle "
@@ -45,7 +45,7 @@ table3Report(const SuiteOptions &, const std::vector<RunOutcome> &out)
 }
 
 bool
-table3Validate(const SuiteOptions &opt)
+table3Validate()
 {
     Table t({"Cache page state", "P[p].mapped[c]", "P[p].stale[c]",
              "P[p].cache_dirty"});
@@ -104,7 +104,7 @@ table3Validate(const SuiteOptions &opt)
         warm.run(kernel);
         sample();
     }
-    makePaperWorkload(0, opt.smoke)->run(kernel);
+    makePaperWorkload(0)->run(kernel);
     sample();
 
     std::printf("\nlive census of decoded (frame, colour) data-cache "

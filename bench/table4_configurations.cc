@@ -30,19 +30,18 @@ avgCycles(const RunResult &r, const char *cycles, std::uint64_t count)
 }
 
 std::vector<RunSpec>
-table4Specs(const SuiteOptions &opt)
+table4Specs()
 {
     std::vector<RunSpec> specs;
     for (std::size_t w = 0; w < numPaperWorkloads; ++w) {
         for (const auto &cfg : PolicyConfig::table4Sweep())
-            specs.push_back(paperSpec("table4", w, cfg, opt));
+            specs.push_back(paperSpec("table4", w, cfg));
     }
     return specs;
 }
 
 bool
-table4Report(const SuiteOptions &opt,
-             const std::vector<RunOutcome> &outcomes)
+table4Report(const std::vector<RunOutcome> &outcomes)
 {
     const std::size_t num_configs =
         outcomes.size() / numPaperWorkloads;
@@ -148,7 +147,7 @@ table4Report(const SuiteOptions &opt,
                 "-- the paper: 1.50 s = 0.22%%\n",
                 double(purge_cycles) / 50e6,
                 100.0 * double(purge_cycles) / 50e6 / seconds);
-    return shapeCheck(opt, shapes_ok,
+    return shapeCheck(shapes_ok,
                       "monotone A->F, constant mapping faults, "
                       "collapsing consistency faults, config-F flush "
                       "identity");

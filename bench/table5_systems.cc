@@ -19,12 +19,12 @@ namespace
 {
 
 std::vector<RunSpec>
-table5Specs(const SuiteOptions &opt)
+table5Specs()
 {
     std::vector<RunSpec> specs;
     for (std::size_t w = 0; w < numPaperWorkloads; ++w) {
         for (const auto &cfg : PolicyConfig::table5Systems())
-            specs.push_back(paperSpec("table5", w, cfg, opt));
+            specs.push_back(paperSpec("table5", w, cfg));
     }
     return specs;
 }
@@ -82,8 +82,7 @@ printFunctionalMatrix()
 }
 
 bool
-table5Report(const SuiteOptions &opt,
-             const std::vector<RunOutcome> &outcomes)
+table5Report(const std::vector<RunOutcome> &outcomes)
 {
     printFunctionalMatrix();
 
@@ -123,7 +122,7 @@ table5Report(const SuiteOptions &opt,
 
     std::printf("expected shape: the CMU row performs the fewest "
                 "cache operations on every workload\n");
-    return shapeCheck(opt, shapes_ok,
+    return shapeCheck(shapes_ok,
                       "CMU performs the fewest cache operations on "
                       "every workload");
 }

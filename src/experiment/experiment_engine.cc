@@ -1,10 +1,7 @@
 #include "experiment/experiment_engine.hh"
 
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
 
 #include "common/parallel.hh"
@@ -79,27 +76,13 @@ ExperimentEngine::runOne(const RunSpec &spec)
 
 std::vector<RunOutcome>
 ExperimentEngine::run(const std::vector<RunSpec> &specs,
-                      const Options &options) const
+                      unsigned jobs) const
 {
     std::vector<RunOutcome> outcomes(specs.size());
-
-    std::mutex progress_mutex;
-    std::atomic<std::size_t> done{0};
-    const auto report = [&](const RunOutcome &out) {
-        if (!options.echoProgress)
-            return;
-        const std::size_t k = ++done;
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        std::fprintf(stderr, "  [%zu/%zu] %-44s %s  (%.2fs)\n", k,
-                     specs.size(), out.id.c_str(),
-                     out.ok ? "ok" : "FAILED", out.wallSeconds);
-    };
-
     // Each call writes only its own outcome slot, so the returned
     // vector is in spec order whatever the completion order.
-    parallelFor(specs.size(), options.jobs, [&](std::size_t i) {
+    parallelFor(specs.size(), jobs, [&](std::size_t i) {
         outcomes[i] = runOne(specs[i]);
-        report(outcomes[i]);
     });
     return outcomes;
 }

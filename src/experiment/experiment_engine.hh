@@ -28,30 +28,15 @@ namespace vic
 class ExperimentEngine
 {
   public:
-    struct Options
-    {
-        /** Worker threads; values < 2 (or a single spec) run the
-         *  batch serially on the calling thread. */
-        unsigned jobs = 1;
-
-        /** Print one progress line per completed run to stderr. */
-        bool echoProgress = false;
-    };
-
     /**
-     * Execute every spec and return outcomes in spec order. A spec
-     * whose execution throws yields an outcome with ok == false and
-     * the exception message; the rest of the batch is unaffected.
+     * Execute every spec on @p jobs worker threads and return outcomes
+     * in spec order; fewer than 2 jobs (or a single spec) run the
+     * batch serially on the calling thread. A spec whose execution
+     * throws yields an outcome with ok == false and the exception
+     * message; the rest of the batch is unaffected.
      */
     std::vector<RunOutcome> run(const std::vector<RunSpec> &specs,
-                                const Options &options) const;
-
-    /** Serial convenience overload (jobs = 1, no progress echo). */
-    std::vector<RunOutcome>
-    run(const std::vector<RunSpec> &specs) const
-    {
-        return run(specs, Options());
-    }
+                                unsigned jobs = 1) const;
 
     /** Execute one spec on the calling thread. A spec that throws —
      *  or has no workload factory — yields ok == false. */

@@ -83,7 +83,6 @@ artifactToJson(const ArtifactMeta &meta,
     v.set("schema", JsonValue::str("vic-bench"));
     v.set("schema_version",
           JsonValue::number(std::int64_t(kBenchSchemaVersion)));
-    v.set("smoke", JsonValue::boolean(meta.smoke));
     v.set("jobs", JsonValue::number(std::uint64_t(meta.jobs)));
     v.set("filter", JsonValue::str(meta.filter));
     v.set("wall_seconds", JsonValue::number(meta.wallSeconds));

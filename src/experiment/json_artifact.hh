@@ -14,7 +14,7 @@
  *   {
  *     "schema": "vic-bench",
  *     "schema_version": 1,
- *     "smoke": bool, "jobs": N, "filter": "...",
+ *     "jobs": N, "filter": "...",
  *     "wall_seconds": f,              // whole-batch host time
  *     "runs": [ { <run entry> }, ... ]   // in spec order
  *   }
@@ -44,7 +44,6 @@ inline constexpr int kBenchSchemaVersion = 1;
 struct ArtifactMeta
 {
     unsigned jobs = 1;
-    bool smoke = false;
     std::string filter;
     double wallSeconds = 0;
 };

@@ -101,7 +101,8 @@ dependent(const Footprint &a, const Footprint &b)
         return true;
     if (a.sbOp && b.sbOp && a.sbCpu == b.sbCpu)
         return true;
-    if ((a.busyOp() || b.busyOp()) &&
+    if ((a.busyOp() || b.busyOp() || (a.storeIssue && b.unmap) ||
+         (a.unmap && b.storeIssue)) &&
         setsIntersect(a.frames, b.frames))
         return true;
     if (conflictingLine(a, b) != ~std::uint64_t(0))

@@ -119,6 +119,10 @@ struct Footprint
      *  and forwarding results depend on which runs first. */
     bool sbOp = false;
     std::uint32_t sbCpu = 0; ///< owning CPU of the store buffer
+    /** Weak order: a store's issue, which holds off every unmap of its
+     *  frame until the store drains. */
+    bool storeIssue = false;
+    bool unmap = false; ///< a PmapUnmap (also a pmapOp)
 
     bool busyOp() const { return busyAcquire || busyRelease; }
 
@@ -144,8 +148,10 @@ std::uint64_t conflictingLine(const Footprint &a, const Footprint &b);
  * pmap operations (one spinlock), interact through a busy bit on a
  * common frame, are CPU accesses through the same cache colour of the
  * same processor's same cache (eviction interaction in a direct-mapped
- * virtually indexed cache), or pair a DMA beat with any CPU access
- * (DMA reads memory whose content depends on cache residency).
+ * virtually indexed cache), pair a DMA beat with any CPU access
+ * (DMA reads memory whose content depends on cache residency), or
+ * pair a store's issue with an unmap of its frame (the issue disables
+ * the unmap until the store drains).
  */
 bool dependent(const Footprint &a, const Footprint &b);
 

@@ -236,6 +236,11 @@ Executor::opEnabled(const ThreadState &t)
         // fences off are actually in memory-visible order.
         return busyFrames.count(frameOf(op.frameSel)) == 0 &&
                !bufferedStoreTo(frameOf(op.frameSel));
+    if (op.kind == OpKind::PmapUnmap)
+        // The unmap's TLB shootdown drains every CPU's buffered stores
+        // to the frame, as the busy bit's acquire does: a store cannot
+        // drain through a translation that is already gone.
+        return !bufferedStoreTo(frameOf(op.frameSel));
     if (op.kind == OpKind::Fence)
         return bufferEmpty(st.cpu);
     return true;
@@ -319,6 +324,7 @@ Executor::predictOp(const Op &op, std::uint32_t cpu, Footprint &fp)
       case OpKind::PmapDmaWrite:
       case OpKind::PmapUnmap:
         fp.pmapOp = true;
+        fp.unmap = op.kind == OpKind::PmapUnmap;
         Footprint::addFrame(fp.frames, frame);
         for (std::uint32_t i = 0; i < page_lines; ++i)
             Footprint::addLine(fp.writeLines, frame_line + i);
@@ -349,6 +355,7 @@ Executor::predictOp(const Op &op, std::uint32_t cpu, Footprint &fp)
     if (weakOrder() && isCpuOp(op.kind)) {
         fp.sbOp = true;
         fp.sbCpu = cpu;
+        fp.storeIssue = op.kind == OpKind::CpuStore;
     }
 }
 
@@ -467,9 +474,11 @@ Executor::remainingFootprint(int t)
         fp.colour = one.cpuData ? one.colour : fp.colour;
         fp.dmaAccess |= one.dmaAccess;
         fp.pmapOp |= one.pmapOp;
+        fp.unmap |= one.unmap;
         fp.busyAcquire |= one.busyAcquire;
         fp.busyRelease |= one.busyRelease;
         fp.sbOp |= one.sbOp;
+        fp.storeIssue |= one.storeIssue;
         fp.sbCpu = one.sbOp ? one.sbCpu : fp.sbCpu;
     }
     return fp;

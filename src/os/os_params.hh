@@ -30,40 +30,40 @@ struct OsParams
     // --- kernel virtual layout (space 0) ---
     /** Window used to prepare (zero/copy) destination pages when no
      *  aligned address is requested. */
-    std::uint64_t prepareDestBase = 0x0010'0000;
+    static constexpr std::uint64_t prepareDestBase = 0x0010'0000;
     /** Aligned prepare windows: one page per cache colour. */
-    std::uint64_t alignedPrepareBase = 0x0100'0000;
+    static constexpr std::uint64_t alignedPrepareBase = 0x0100'0000;
     /** Window used to map the source frame of a page copy. */
-    std::uint64_t copySrcBase = 0x0200'0000;
+    static constexpr std::uint64_t copySrcBase = 0x0200'0000;
 
     // --- server virtual layout (space 1) ---
     /** Buffer-cache buffers: one page per slot. */
-    std::uint64_t bufferCacheBase = 0x0300'0000;
+    static constexpr std::uint64_t bufferCacheBase = 0x0300'0000;
     /** Fixed base for per-task shared pages in the server (the "old"
      *  non-aligning allocation). */
-    std::uint64_t serverSharedBase = 0x0400'1000;
+    static constexpr std::uint64_t serverSharedBase = 0x0400'1000;
     /** Kernel-chosen (aligning) shared-page allocations. */
-    std::uint64_t serverDynamicBase = 0x0800'0000;
+    static constexpr std::uint64_t serverDynamicBase = 0x0800'0000;
 
     // --- task virtual layout (every task space) ---
     /** Program text region base. */
-    std::uint64_t taskTextBase = 0x4000'0000;
+    static constexpr std::uint64_t taskTextBase = 0x4000'0000;
     /** Fixed base for the task side of the Unix-server shared pages
      *  (the "old" non-aligning allocation — note the colour differs
      *  from serverSharedBase). */
-    std::uint64_t taskSharedBase = 0x5000'3000;
+    static constexpr std::uint64_t taskSharedBase = 0x5000'3000;
     /** Base of kernel-chosen task allocations (IPC destinations,
      *  vm_allocate). */
-    std::uint64_t taskDynamicBase = 0x8000'0000;
+    static constexpr std::uint64_t taskDynamicBase = 0x8000'0000;
 
     // --- sizing ---
     std::uint32_t bufferCacheSlots = 96;
     /** Flush dirty buffers beyond this count (write-behind). */
     std::uint32_t writeBehindThreshold = 24;
     /** Shared pages between each task and the Unix server. */
-    std::uint32_t sharedPagesPerTask = 1;
+    static constexpr std::uint32_t sharedPagesPerTask = 1;
     /** Words the syscall stub writes/reads through the shared page. */
-    std::uint32_t syscallArgWords = 8;
+    static constexpr std::uint32_t syscallArgWords = 8;
 
     // --- pageout daemon ---
     /** Reclaim pages when the free pool drops below this. */

@@ -6,8 +6,9 @@
  * the counter_rejects_* compile-fail entries cover unregistered and
  * copied Counters.)
  *
- * The test sweeps every suite's smoke specs through the experiment
- * engine and checks the counter snapshots:
+ * The test sweeps every suite's specs (the runs of the golden
+ * record's sweep) through the experiment engine and checks the counter
+ * snapshots:
  *
  *  - a run has bus.* rows if and only if its machine has a
  *    CoherenceBus. An eager bus.* registration elsewhere would add
@@ -45,7 +46,7 @@ const char *const kNoPressure =
     "no suite runs the free pool below the pageout low-water mark; "
     "pageout_test does";
 
-/** Families no smoke run bumps, each with the reason. */
+/** Families no suite run bumps, each with the reason. */
 const std::map<std::string, std::string> kExpectedZero = {
     {"icache.writes", "the CPU only fetches through an I-cache"},
     {"icache.write_backs", "I-cache lines are never written, so never "
@@ -55,11 +56,6 @@ const std::map<std::string, std::string> kExpectedZero = {
     {"icache.flush_cycles", kIPurgeOnly},
     {"icache.synonym_snoops", kNoISynonyms},
     {"icache.synonym_snoop_cycles", kNoISynonyms},
-    {"disk.block_reads", "smoke file sets fit the buffer cache, so no "
-                         "block is read back; buffer_cache_test reads "
-                         "blocks"},
-    {"dma.device_writes", "device writes are disk block reads; "
-                          "dma_test drives them"},
     {"os.pageins", kNoPressure},
     {"os.pageouts", kNoPressure},
     {"os.swap_writes", kNoPressure},
@@ -83,19 +79,17 @@ family(const std::string &name)
     return name;
 }
 
-TEST(CounterCoverage, SmokeSweepBumpsEveryFamilyAndBusRowsNeedABus)
+TEST(CounterCoverage, SweepBumpsEveryFamilyAndBusRowsNeedABus)
 {
     std::vector<RunSpec> specs;
     for (const bench::Suite *suite : bench::allSuites()) {
-        for (RunSpec &spec : suite->specs(bench::SuiteOptions{true}))
+        for (RunSpec &spec : suite->specs())
             specs.push_back(std::move(spec));
     }
     ASSERT_FALSE(specs.empty());
 
-    ExperimentEngine::Options opts;
-    opts.jobs = std::max(1u, std::thread::hardware_concurrency());
-    const std::vector<RunOutcome> outcomes =
-        ExperimentEngine().run(specs, opts);
+    const std::vector<RunOutcome> outcomes = ExperimentEngine().run(
+        specs, std::max(1u, std::thread::hardware_concurrency()));
     ASSERT_EQ(outcomes.size(), specs.size());
 
     std::map<std::string, std::uint64_t> family_total;

@@ -63,9 +63,7 @@ TEST(ExperimentEngine, CollectsOutcomesInSpecOrder)
     }
 
     ExperimentEngine engine;
-    ExperimentEngine::Options opts;
-    opts.jobs = 4;
-    std::vector<RunOutcome> outcomes = engine.run(specs, opts);
+    std::vector<RunOutcome> outcomes = engine.run(specs, 4);
 
     ASSERT_EQ(outcomes.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -88,9 +86,7 @@ TEST(ExperimentEngine, ParallelMatchesSerial)
 
     ExperimentEngine engine;
     std::vector<RunOutcome> serial = engine.run(specs);
-    ExperimentEngine::Options opts;
-    opts.jobs = 3;
-    std::vector<RunOutcome> parallel = engine.run(specs, opts);
+    std::vector<RunOutcome> parallel = engine.run(specs, 3);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -113,9 +109,7 @@ TEST(ExperimentEngine, ThrowingRunFailsAloneWithoutTearingDownBatch)
     specs.push_back(aliasSpec("good1", 100));
 
     ExperimentEngine engine;
-    ExperimentEngine::Options opts;
-    opts.jobs = 2;
-    std::vector<RunOutcome> outcomes = engine.run(specs, opts);
+    std::vector<RunOutcome> outcomes = engine.run(specs, 2);
 
     ASSERT_EQ(outcomes.size(), 3u);
     EXPECT_TRUE(outcomes[0].ok);
@@ -258,8 +252,6 @@ TEST(JsonArtifact, SerialAndParallelArtifactsAreEquivalent)
                                   200 * (5 - i), i % 2 == 0));
 
     ExperimentEngine engine;
-    ExperimentEngine::Options par;
-    par.jobs = 4;
 
     ArtifactMeta meta_serial;
     meta_serial.jobs = 1;
@@ -271,7 +263,7 @@ TEST(JsonArtifact, SerialAndParallelArtifactsAreEquivalent)
     const std::string a =
         renderArtifact(meta_serial, engine.run(specs));
     const std::string b =
-        renderArtifact(meta_parallel, engine.run(specs, par));
+        renderArtifact(meta_parallel, engine.run(specs, 4));
 
     std::string why;
     EXPECT_TRUE(artifactsEquivalent(a, b, &why)) << why;

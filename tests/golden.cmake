@@ -1,6 +1,8 @@
 # The golden record: the files in tests/golden/ hold every simulated
-# result the tree produces, the full-scale vic_bench sweep and the four
-# verify_policy reports, each made with ci.sh's flags.
+# result the tree produces, the vic_bench sweep and the four
+# verify_policy reports. The <entry>_args below are the one place the
+# producers' flags live: ci.sh archives the ctest entries' outputs
+# (build/tests/golden_<entry>.json) instead of rerunning the producers.
 #
 # Check one entry (the ctest entries golden_<entry>):
 #   cmake -DENTRY=<entry> -DOUT_DIR=<dir> <paths> -P golden.cmake
@@ -17,7 +19,7 @@
 set(sweep_file full.json)
 set(sweep_args --jobs 2)
 set(verify_report_file VERIFY_report.json)
-set(verify_report_args --necessity)
+set(verify_report_args --necessity --cost --diff-policy Utah CMU)
 set(verify_interleave_file VERIFY_interleave.json)
 set(verify_interleave_args --interleave --budget 5000 --jobs 2)
 set(verify_weak_file VERIFY_weak.json)

@@ -357,6 +357,40 @@ TEST(McCoherence, CoherenceCatalogCensusIsPinned)
                    0, 1, 1, {"writer0:store A", "reader1:load A"}}});
 }
 
+TEST(McExplorer, WeakUnmapWaitsForBufferedStores)
+{
+    // The pager unmaps slot A with no busy guard while the user thread
+    // stores to it under weak order. The unmap waits until no CPU
+    // buffers a store to the frame, so the store drains through the
+    // mapping instead of faulting after the unmap removed it.
+    Scenario s = weakGuardedScenarios(PolicyConfig::cmu())[0];
+    s.name = "unmap-unguarded-weak";
+    Op unmap;
+    unmap.kind = OpKind::PmapUnmap; // slot A, the frame under test
+    s.threads[1].name = "pager";
+    s.threads[1].ops = {unmap};
+
+    Executor ex(s); // 0 user0 (store A, load A), 1 pager
+    ex.step(0);     // user0's store enters its buffer: drain thread 2
+    EXPECT_EQ(ex.enabled(), (std::vector<int>{0, 2}));
+    ex.step(2); // the drain
+    EXPECT_EQ(ex.enabled(), (std::vector<int>{0, 1}));
+
+    const ScenarioResult r = explore(s, defaults());
+    EXPECT_TRUE(r.exhausted);
+    EXPECT_FALSE(r.deadlock);
+    EXPECT_EQ(r.violatingRuns, 0u);
+    EXPECT_EQ(r.executions, 5u);
+    EXPECT_EQ(r.canonicalTraces, 5u);
+
+    // The store's issue disables the unmap, so the two are dependent:
+    // the reduction still reaches every trace brute force does.
+    ExploreOptions brute;
+    brute.sleepSets = false;
+    brute.persistentSets = false;
+    EXPECT_EQ(explore(s, brute).canonicalHashes, r.canonicalHashes);
+}
+
 // --- executor basics --------------------------------------------------
 
 TEST(McExecutor, BusyBitBlocksCpuAccesses)

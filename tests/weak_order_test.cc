@@ -282,7 +282,7 @@ TEST(WeakOrder, FuzzCensusIsPinned)
 {
     // The fuzzer's census of the weak catalog under CMU at seed 42,
     // 200 samples per scenario, against DPOR's trace hashes: the
-    // numbers the CI fuzz smoke archives for this policy.
+    // numbers the golden weak-order report holds for this policy.
     struct Pinned
     {
         const char *name;

@@ -12,16 +12,17 @@
  * exactly what --diff checks.
  *
  * Usage:
- *   vic_bench [--list] [--filter s1,s2] [--jobs N] [--smoke]
- *             [--json PATH] [--trace N] [--progress]
+ *   vic_bench [--list] [--filter s1,s2] [--jobs N] [--json PATH]
+ *             [--trace N]
  *   vic_bench --diff A.json B.json
  *
  * --filter takes comma-separated substrings matched against suite
  * names and run ids (a suite is swept when its name matches, or run
- * by run when individual ids match). Exit status: 0 when every
- * selected run completed without oracle violations and every
- * non-advisory shape check passed. --jobs (>= 1) and --trace (>= 0)
- * take whole decimal numbers; anything else exits 2.
+ * by run when individual ids match). Every suite runs at its
+ * calibrated scale. Exit status: 0 when every selected run completed
+ * without oracle violations and every shape check passed. --jobs
+ * (>= 1) and --trace (>= 0) take whole decimal numbers; anything else
+ * exits 2.
  *
  * --diff exits 0 when the two artifacts are equivalent modulo
  * wall-clock, 1 when they differ, and 2 when either file cannot be
@@ -54,10 +55,9 @@ int
 listSuites()
 {
     std::printf("%-14s %-5s %s\n", "suite", "runs", "title");
-    SuiteOptions opts;
     for (const Suite *s : allSuites()) {
         std::printf("%-14s %-5zu %s\n", s->name.c_str(),
-                    s->specs(opts).size(), s->title.c_str());
+                    s->specs().size(), s->title.c_str());
     }
     return 0;
 }
@@ -119,8 +119,7 @@ diffArtifacts(const std::string &path_a, const std::string &path_b)
 int
 main(int argc, char **argv)
 {
-    ExperimentEngine::Options engine_opts;
-    SuiteOptions suite_opts;
+    unsigned jobs = 1;
     std::string json_path;
     std::string filter;
     std::size_t trace_events = 0;
@@ -146,19 +145,15 @@ main(int argc, char **argv)
         } else if (arg == "--filter" || arg == "-f") {
             filter = next();
         } else if (arg == "--jobs" || arg == "-j") {
-            engine_opts.jobs = parseCount(arg, next(), 1u);
-        } else if (arg == "--smoke") {
-            suite_opts.smoke = true;
+            jobs = parseCount(arg, next(), 1u);
         } else if (arg == "--json") {
             json_path = next();
         } else if (arg == "--trace") {
             trace_events = parseCount(arg, next(), std::size_t(0));
-        } else if (arg == "--progress") {
-            engine_opts.echoProgress = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--list] [--filter s1,s2] [--jobs N] "
-                "[--smoke] [--json PATH] [--trace N] [--progress]\n"
+                "[--json PATH] [--trace N]\n"
                 "       %s --diff A.json B.json\n",
                 argv[0], argv[0]);
             return 0;
@@ -182,7 +177,7 @@ main(int argc, char **argv)
     std::vector<RunSpec> batch;
     std::vector<Slice> slices;
     for (const Suite *suite : allSuites()) {
-        std::vector<RunSpec> specs = suite->specs(suite_opts);
+        std::vector<RunSpec> specs = suite->specs();
         const bool suite_match =
             ExperimentEngine::matchesFilter(suite->name, filter);
         const std::size_t begin = batch.size();
@@ -209,13 +204,12 @@ main(int argc, char **argv)
     }
 
     std::printf("vic_bench: %zu run(s) across %zu suite(s), "
-                "--jobs %u%s\n\n",
-                batch.size(), slices.size(), engine_opts.jobs,
-                suite_opts.smoke ? ", --smoke" : "");
+                "--jobs %u\n\n",
+                batch.size(), slices.size(), jobs);
 
     const auto t0 = std::chrono::steady_clock::now();
     ExperimentEngine engine;
-    std::vector<RunOutcome> outcomes = engine.run(batch, engine_opts);
+    std::vector<RunOutcome> outcomes = engine.run(batch, jobs);
     const double wall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0)
@@ -230,17 +224,16 @@ main(int argc, char **argv)
         const std::vector<RunOutcome> mine(
             outcomes.begin() + slice.begin,
             outcomes.begin() + slice.end);
-        const bool full =
-            mine.size() == slice.suite->specs(suite_opts).size();
+        const bool full = mine.size() == slice.suite->specs().size();
         bool suite_ok = true;
         if (slice.suite->report && full && outcomesClean(mine))
-            suite_ok = slice.suite->report(suite_opts, mine);
+            suite_ok = slice.suite->report(mine);
         else if (slice.suite->report && !full)
             std::printf("(report skipped: filter selected %zu of the "
                         "suite's runs)\n",
                         mine.size());
         if (slice.suite->validate)
-            suite_ok = slice.suite->validate(suite_opts) && suite_ok;
+            suite_ok = slice.suite->validate() && suite_ok;
         ok = suite_ok && ok;
         std::printf("\n");
     }
@@ -250,8 +243,7 @@ main(int argc, char **argv)
 
     if (!json_path.empty()) {
         ArtifactMeta meta;
-        meta.jobs = engine_opts.jobs;
-        meta.smoke = suite_opts.smoke;
+        meta.jobs = jobs;
         meta.filter = filter;
         meta.wallSeconds = wall;
         if (!writeArtifactFile(json_path, meta, outcomes)) {
