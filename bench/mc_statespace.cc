@@ -12,23 +12,14 @@
  * comparison is the reduction factor: DPOR must execute exactly one
  * schedule per inequivalent trace, so the census doubles as an
  * optimality report for the pruning (executions == traces on every
- * row of the DPOR column).
- *
- * With --json FILE the census is written as a machine-readable
- * artifact (schema vic-mc-statespace-v1) so CI can archive and diff
- * it across commits; everything except the wall-time fields is
- * deterministic.
+ * row of the DPOR column). Exits 1 if an invariant fails; takes no
+ * arguments.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
 #include <vector>
 
-#include "common/cli.hh"
-#include "common/json_writer.hh"
 #include "core/policy_config.hh"
 #include "mc/explorer.hh"
 #include "mc/scenario.hh"
@@ -36,15 +27,16 @@
 namespace
 {
 
-using vic::JsonValue;
 using vic::PolicyConfig;
 namespace mc = vic::mc;
+
+/** Complete schedules each exploration may execute. */
+constexpr std::uint64_t kBudget = 200000;
 
 struct CensusRow
 {
     mc::ScenarioResult brute;
     mc::ScenarioResult dpor;
-    double bruteMs = 0;
     double dporMs = 0;
 };
 
@@ -59,47 +51,14 @@ timedExplore(const mc::Scenario &s, const mc::ExploreOptions &opt,
     return r;
 }
 
-JsonValue
-resultJson(const mc::ScenarioResult &r, double ms)
-{
-    JsonValue j = JsonValue::object();
-    j.set("exhausted", JsonValue::boolean(r.exhausted));
-    j.set("executions", JsonValue::number(r.executions));
-    j.set("canonicalTraces", JsonValue::number(r.canonicalTraces));
-    j.set("distinctEndStates",
-          JsonValue::number(r.distinctEndStates));
-    j.set("maxDepth", JsonValue::number(r.maxDepth));
-    j.set("steps", JsonValue::number(r.steps));
-    j.set("sleepPruned", JsonValue::number(r.sleepPruned));
-    j.set("persistentPruned", JsonValue::number(r.persistentPruned));
-    j.set("races", JsonValue::number(
-                       std::uint64_t(r.races.size())));
-    j.set("benignRaces", JsonValue::number(r.benignRaces));
-    j.set("violatingRuns", JsonValue::number(r.violatingRuns));
-    j.set("wallMs", JsonValue::number(ms));
-    return j;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string json_path;
-    std::uint64_t budget = 200000;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--budget") == 0 &&
-                   i + 1 < argc) {
-            budget = vic::parseCount("--budget", argv[++i],
-                                     std::uint64_t(1));
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--budget N] [--json FILE]\n",
-                         argv[0]);
-            return 2;
-        }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
     }
 
     const PolicyConfig policy = PolicyConfig::cmu();
@@ -118,14 +77,14 @@ main(int argc, char **argv)
     mc::ExploreOptions bruteOpt;
     bruteOpt.sleepSets = false;
     bruteOpt.persistentSets = false;
-    bruteOpt.budget = budget;
+    bruteOpt.budget = kBudget;
     mc::ExploreOptions dporOpt;
-    dporOpt.budget = budget;
+    dporOpt.budget = kBudget;
 
     std::printf("schedule-space census, policy %s "
                 "(budget %llu per cell)\n\n",
                 policy.name.c_str(),
-                static_cast<unsigned long long>(budget));
+                static_cast<unsigned long long>(kBudget));
     std::printf("%-24s %-4s %5s | %9s %9s | %9s %9s %7s | %8s %6s\n",
                 "scenario", "ord", "depth", "schedules", "traces",
                 "dpor-runs", "steps", "races", "reduction", "ms");
@@ -133,7 +92,7 @@ main(int argc, char **argv)
     std::vector<CensusRow> rows;
     for (const mc::Scenario &s : catalog) {
         CensusRow row;
-        row.brute = timedExplore(s, bruteOpt, row.bruteMs);
+        row.brute = mc::explore(s, bruteOpt);
         row.dpor = timedExplore(s, dporOpt, row.dporMs);
         const double reduction =
             row.dpor.executions
@@ -195,36 +154,5 @@ main(int argc, char **argv)
     }
     std::printf("\n%s\n", ok ? "census invariants hold"
                              : "census invariants VIOLATED");
-
-    if (!json_path.empty()) {
-        JsonValue report = JsonValue::object();
-        report.set("schema",
-                   JsonValue::str("vic-mc-statespace-v1"));
-        report.set("policy", JsonValue::str(policy.name));
-        report.set("budget", JsonValue::number(budget));
-        JsonValue scenarios = JsonValue::array();
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            JsonValue js = JsonValue::object();
-            js.set("scenario", JsonValue::str(catalog[i].name));
-            js.set("memoryOrder",
-                   JsonValue::str(mc::memoryOrderName(
-                       catalog[i].memoryOrder)));
-            js.set("brute",
-                   resultJson(rows[i].brute, rows[i].bruteMs));
-            js.set("dpor",
-                   resultJson(rows[i].dpor, rows[i].dporMs));
-            scenarios.push(std::move(js));
-        }
-        report.set("scenarios", std::move(scenarios));
-        report.set("ok", JsonValue::boolean(ok));
-        std::ofstream f(json_path);
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         json_path.c_str());
-            return 2;
-        }
-        f << report.dump(2) << '\n';
-        std::printf("artifact written to %s\n", json_path.c_str());
-    }
     return ok ? 0 : 1;
 }

@@ -10,8 +10,10 @@
  *      invariants (no stale read, no lost dirty write-back, no
  *      shadowed DMA);
  *   2. inspect the minimal counterexample trace if one exists;
- *   3. TraceReplayer::replay() — run that trace on a fresh concrete
- *      Machine under the ConsistencyOracle to prove the bug is real.
+ *   3. replay() — run that trace on a fresh concrete Machine under
+ *      the ConsistencyOracle to prove the bug is real. CPU accesses
+ *      touch the page's word 0; a DMA event moves the line that holds
+ *      it, whose other words move with it, so word 0 stays exact.
  *
  * The broken policy fails in two events; CMU's lazy policy verifies
  * sound over its whole reachable state space. Exits 1 if either does
@@ -22,7 +24,6 @@
 
 #include "core/policy_config.hh"
 #include "verify/policy_verifier.hh"
-#include "verify/trace_replay.hh"
 
 int
 main()
@@ -57,8 +58,8 @@ main()
                 bad.violation->detail.c_str());
 
     // Replay it on the concrete machine to confirm it is a real bug.
-    const verify::TraceReplayer replayer(PolicyConfig::broken());
-    const verify::ReplayResult rr = replayer.replay(bad.counterexample);
+    const verify::ReplayResult rr =
+        verify::replay(PolicyConfig::broken(), bad.counterexample);
     std::printf("  concrete replay: %s (first oracle violation at "
                 "event %d, %s)\n",
                 rr.violated ? "reproduced" : "did NOT reproduce",

@@ -119,9 +119,8 @@ Executor::Executor(const Scenario &scenario)
     recorder = std::make_unique<Recorder>(oracle, lineBytes,
                                           scn.mparams.pageBytes);
     machine.setObserver(recorder.get());
-    oracle.setViolationHook([this](const ConsistencyOracle::Violation &) {
-        if (firstViolation < 0)
-            firstViolation = static_cast<int>(hist.size());
+    oracle.setViolationHook([this](const ConsistencyOracle::Violation &v) {
+        noteViolation(v.kind);
     });
 
     for (std::uint32_t i = 0; i < machine.numCpus(); ++i) {
@@ -130,6 +129,9 @@ Executor::Executor(const Scenario &scenario)
         cpus.back()->setFaultHandler([this](const Fault &f) {
             if (pmap->resolveConsistencyFault(f.address, f.access))
                 return true;
+            // Demand mapping: re-enter a slot's removed translation
+            // with the faulting access and default hints, as
+            // Kernel::resolveMappingFault does.
             auto it = known.find(f.address);
             if (f.type == FaultType::Unmapped && it != known.end()) {
                 pmap->enter(f.address, it->second, Protection::all(),
@@ -149,6 +151,15 @@ Executor::Executor(const Scenario &scenario)
         vic_assert(st.cpu < machine.numCpus(),
                    "scenario thread on missing cpu %u", st.cpu);
     }
+}
+
+void
+Executor::noteViolation(const std::string &kind)
+{
+    if (firstViolation >= 0)
+        return;
+    firstViolation = static_cast<int>(hist.size());
+    firstKind = kind;
 }
 
 Executor::~Executor()
@@ -589,6 +600,7 @@ Executor::execute(int t, StepRecord &cur)
         const SpaceVa sva(1, slotVa(op.slot, op.frameSel));
         known.erase(sva);
         pmap->remove(sva);
+        ts.unmapped.push_back(sva);
         break;
       }
 
@@ -602,6 +614,18 @@ Executor::execute(int t, StepRecord &cur)
         vic_assert(busyFrames.count(frame) == 1,
                    "release of non-busy frame");
         busyFrames.erase(frame);
+        // The frame leaves its pager's hands: a slot the pager unmapped
+        // must not map it again, or freeing the frame would leave a
+        // live translation to it (an access between an unguarded unmap
+        // and the guard maps it back on demand).
+        for (const SpaceVa &sva : ts.unmapped) {
+            const PageTableEntry *pte = machine.pageTable().lookup(sva);
+            if (pte != nullptr && pte->frame == frame) {
+                ++releasesWhileMapped;
+                noteViolation("release-while-mapped");
+                break;
+            }
+        }
         break;
 
       case OpKind::DmaStartRead:

@@ -13,7 +13,10 @@
  * resolved inside the step exactly as the kernel's trap-and-retry
  * path would. A ConsistencyOracle shadows every transfer, so a
  * schedule that loses a write-back or reads stale data is flagged at
- * the step where the stale value crosses the memory system.
+ * the step where the stale value crosses the memory system. A thread
+ * that releases a frame's busy bit while a slot it unmapped maps the
+ * frame again is counted as a violation too: a pager that frees the
+ * frame after that would leave a live translation to it.
  *
  * Schedules are replayable: thread indices are assigned
  * deterministically (scenario threads first, then beat threads in
@@ -28,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/pmap.hh"
@@ -71,11 +75,21 @@ class Executor
 
     const std::vector<StepRecord> &history() const { return hist; }
 
+    /** Oracle violations plus releases of a frame that a slot the
+     *  releasing thread unmapped maps again. */
     std::uint64_t violationCount() const
-    { return oracle.violationCount(); }
+    { return oracle.violationCount() + releasesWhileMapped; }
 
     /** History index of the first violating step, or -1. */
     int firstViolationStep() const { return firstViolation; }
+
+    /** What the first violation was: the oracle's kind ("cpu-load",
+     *  "cpu-ifetch" or "dma-read") or "release-while-mapped"; empty
+     *  if none. */
+    const std::string &firstViolationKind() const { return firstKind; }
+
+    /** The machine's simulated clock. */
+    Cycles now() { return machine.clock().now(); }
 
     /**
      * Order-insensitive hash of the observable machine state: memory
@@ -95,6 +109,7 @@ class Executor
         int scenarioIndex = -1;   ///< static threads: index in scenario
         DmaTicket ticket;         ///< beat threads: the transfer stepped
         std::vector<int> startedBeatThreads;
+        std::vector<SpaceVa> unmapped; ///< slots this thread unmapped
         /** Drain threads (WeakStoreOrder): one buffered store. The
          *  single step deposits it into the memory system through the
          *  issuing CPU's cache. */
@@ -130,6 +145,8 @@ class Executor
     std::vector<StepRecord> hist;
     std::uint32_t stamp = 1;
     int firstViolation = -1;
+    std::string firstKind;
+    std::uint64_t releasesWhileMapped = 0;
 
     std::uint32_t colours = 0;
     std::uint32_t lineBytes = 0;
@@ -142,6 +159,8 @@ class Executor
     bool transfersComplete(const ThreadState &t);
     void predictOp(const Op &op, std::uint32_t cpu, Footprint &fp);
     void execute(int t, StepRecord &cur);
+    /** Charge a violation of @p kind to the step now executing. */
+    void noteViolation(const std::string &kind);
 
     bool weakOrder() const
     { return scn.memoryOrder == MemoryOrder::WeakStoreOrder; }

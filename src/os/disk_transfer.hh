@@ -56,10 +56,11 @@ inline constexpr std::array kFill{
     TransferStep::Wait, TransferStep::Release};
 
 /** Swap-out of an anonymous page: the write-back of a frame whose
- *  translations are all removed first, under the guard. The checker's
- *  pager never frees the frame, so unmapping before the guard yields
- *  no race or violation there: this order is argued, not checked
- *  (docs/VERIFICATION.md, Limitations). */
+ *  translations are all removed first, under the guard. Unmapped
+ *  before the guard, an access in between maps the frame again on
+ *  demand; the checker counts a pager's release of a frame that a
+ *  slot it unmapped maps again as a violation (docs/VERIFICATION.md,
+ *  "Guarded orderings are clean"). */
 inline constexpr std::array kSwapOut{
     TransferStep::Guard, TransferStep::Unmap, TransferStep::Flush,
     TransferStep::DeviceReads, TransferStep::Wait,

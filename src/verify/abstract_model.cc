@@ -77,22 +77,6 @@ IssuedOp::name() const
 }
 
 // ---------------------------------------------------------------------
-// Slot plan
-// ---------------------------------------------------------------------
-
-SlotPlan
-SlotPlan::standard()
-{
-    SlotPlan p;
-    // A: baseline; B: unaligned alias of A; C: aligned alias of A at a
-    // different virtual address.
-    p.slots = {{0, 0, 0}, {1, 1, 0}, {0, 0, 1}};
-    p.dColours = 2;
-    p.iColours = 2;
-    return p;
-}
-
-// ---------------------------------------------------------------------
 // State packing
 // ---------------------------------------------------------------------
 
@@ -165,6 +149,13 @@ makeVec(std::uint8_t mapped, std::uint8_t stale, bool dirty,
     return v;
 }
 
+/** A slot's colour, in the data and the instruction cache alike. */
+CachePageId
+colourOf(std::uint8_t slot)
+{
+    return kSlots[slot].colour;
+}
+
 std::uint8_t
 maskOf(const BitVector &b)
 {
@@ -194,7 +185,7 @@ AbstractSimulator::alphabet() const
         !cfg.brokenNoConsistency;
 
     std::vector<Event> out;
-    for (std::uint8_t s = 0; s < slotPlan.slots.size(); ++s) {
+    for (std::uint8_t s = 0; s < kSlots.size(); ++s) {
         out.push_back({EventKind::Load, s});
         out.push_back({EventKind::Store, s});
         out.push_back({EventKind::IFetch, s});
@@ -311,7 +302,7 @@ AbstractSimulator::gtCpuAccess(ModelState &s, std::uint8_t slot,
                                AccessType t) const
 {
     if (t == AccessType::IFetch) {
-        ModelState::ILine &l = s.iline[icol(slot)];
+        ModelState::ILine &l = s.iline[colourOf(slot)];
         if (!l.present) {
             l.present = true;
             l.fresh = s.memFresh;  // fill from memory
@@ -322,7 +313,7 @@ AbstractSimulator::gtCpuAccess(ModelState &s, std::uint8_t slot,
         return std::nullopt;
     }
 
-    ModelState::DLine &l = s.dline[dcol(slot)];
+    ModelState::DLine &l = s.dline[colourOf(slot)];
     if (!l.present) {
         l.present = true;
         l.fresh = s.memFresh;  // fill from memory
@@ -342,7 +333,7 @@ AbstractSimulator::gtCpuAccess(ModelState &s, std::uint8_t slot,
         l.dirty = true;
         s.memFresh = false;
         for (std::uint32_t c = 0; c < kMaxColours; ++c) {
-            if (c != dcol(slot) && s.dline[c].present)
+            if (c != colourOf(slot) && s.dline[c].present)
                 s.dline[c].fresh = false;
             if (s.iline[c].present)
                 s.iline[c].fresh = false;
@@ -408,9 +399,8 @@ class AbstractSimulator::ModelView
             res = ClassicResidue<Va>{{s.residueSlot, s.residueGen},
                                      s.residueDirty, s.residueExec};
         if (sim.lazy) {
-            d = makeVec(s.dMapped, s.dStale, s.dCacheDirty,
-                        sim.slotPlan.dColours);
-            i = makeVec(s.iMapped, s.iStale, false, sim.slotPlan.iColours);
+            d = makeVec(s.dMapped, s.dStale, s.dCacheDirty, kSlotColours);
+            i = makeVec(s.iMapped, s.iStale, false, kSlotColours);
         }
     }
 
@@ -433,8 +423,8 @@ class AbstractSimulator::ModelView
     ModelView(const ModelView &) = delete;
     ModelView &operator=(const ModelView &) = delete;
 
-    CachePageId dColour(Va va) const { return sim.dcol(va.slot); }
-    CachePageId iColour(Va va) const { return sim.icol(va.slot); }
+    CachePageId dColour(Va va) const { return colourOf(va.slot); }
+    CachePageId iColour(Va va) const { return colourOf(va.slot); }
     static bool sameAddress(Va a, Va b) { return a == b; }
 
     std::size_t size() const { return s.numLive; }
@@ -457,8 +447,8 @@ class AbstractSimulator::ModelView
     hwProt(Mapping slot) const
     {
         if (sim.lazy)
-            return LazyPmap::cacheStateProt(d, i, sim.dcol(slot),
-                                            sim.icol(slot),
+            return LazyPmap::cacheStateProt(d, i, colourOf(slot),
+                                            colourOf(slot),
                                             sim.cfg.useModifiedBit);
         return {true, s.hwWrite[slot], s.hwExec[slot]};
     }

@@ -38,10 +38,13 @@
  * Kernel::resolveMappingFault does.
  *
  * The model follows a single-word discipline: all CPU and DMA traffic
- * touches the page's word 0 only. That makes the page-granularity
- * abstraction exact, so every abstract trace is realisable by a
- * concrete replay (TraceReplayer) and every abstract violation
- * corresponds to a ConsistencyOracle violation at the same event.
+ * is judged by the page's word 0 only. That makes the page-granularity
+ * abstraction exact, so every abstract trace is realisable by the
+ * concrete replay (replay(), verify/policy_verifier.hh) and every
+ * abstract violation corresponds to a ConsistencyOracle violation at
+ * the same event. Word 0 stays exact although the replay's DMA moves
+ * the whole line that holds it: the line's other words move with it,
+ * so under a sound policy they are as fresh as word 0.
  */
 
 #ifndef VIC_VERIFY_ABSTRACT_MODEL_HH
@@ -56,6 +59,7 @@
 #include "common/types.hh"
 #include "core/cache_page_state.hh"
 #include "core/policy_config.hh"
+#include "mc/scenario.hh"
 #include "mmu/fault.hh"
 
 namespace vic::verify
@@ -99,40 +103,22 @@ using Trace = std::vector<Event>;
 std::string traceName(const Trace &t);
 
 // ---------------------------------------------------------------------
-// Alias slot plan
+// Alias slots
 // ---------------------------------------------------------------------
 
 /**
- * The fixed set of virtual alias slots the model (and the concrete
- * replay) uses. Slots are virtual pages mapping the single physical
- * page under analysis; two slots with equal colours are aligned
- * aliases, distinct colours are unaligned aliases.
+ * The virtual alias slots of every trace: virtual pages mapping the
+ * single physical page under analysis. Slot A has colour 0; B has
+ * colour 1, an unaligned alias of A; C has colour 0 again, an aligned
+ * alias of A at another virtual address. A slot has the same colour in
+ * the data and the instruction cache. This covers every qualitative
+ * alias relation the paper discusses. The model, the differential's
+ * event classes and the concrete replay all read this one table.
  */
-struct SlotPlan
-{
-    struct Slot
-    {
-        CachePageId dColour = 0;
-        CachePageId iColour = 0;
-        /** Distinguishes same-colour slots; the replayer folds it into
-         *  the virtual address. */
-        std::uint8_t replica = 0;
-    };
+inline constexpr std::array<mc::Slot, 3> kSlots{{{0, 0}, {1, 0}, {0, 1}}};
 
-    std::vector<Slot> slots;
-    /** Number of distinct data / instruction colours the plan uses
-     *  (the abstract caches are only this wide). */
-    std::uint32_t dColours = 2;
-    std::uint32_t iColours = 2;
-
-    /**
-     * The plan the model and the replayer use: slot A (colour 0), slot
-     * B (colour 1, an unaligned alias of A), slot C (colour 0 again —
-     * an aligned alias of A at a different virtual address). This
-     * covers every qualitative alias relation the paper discusses.
-     */
-    static SlotPlan standard();
-};
+/** Distinct colours the slots use: the abstract caches are this wide. */
+constexpr std::uint32_t kSlotColours = 2;
 
 // ---------------------------------------------------------------------
 // Violations
@@ -200,10 +186,10 @@ struct StepTrace
 // Model state
 // ---------------------------------------------------------------------
 
-/** Compile-time bounds of the state layout; the standard SlotPlan
- *  fits. */
+/** Compile-time bounds of the state layout. */
 constexpr std::uint32_t kMaxColours = 4;
 constexpr std::uint32_t kMaxSlots = 4;
+static_assert(kSlotColours <= kMaxColours && kSlots.size() <= kMaxSlots);
 
 /**
  * One abstract state: ground truth + mapping layer + policy
@@ -288,8 +274,8 @@ struct ModelState
  *      non-newest data line as violating (hazard()): under cache
  *      pressure the hardware may write such a line back at any time,
  *      clobbering the newest memory copy.
- *   Exact reachability (verifyPolicy, TraceReplayer equivalence)
- *   must use the default non-adversarial semantics.
+ *   Exact reachability (verifyPolicy, and its agreement with the
+ *   concrete replay) must use the default non-adversarial semantics.
  */
 class AbstractSimulator
 {
@@ -298,7 +284,6 @@ class AbstractSimulator
                                bool adversarial = false);
 
     const PolicyConfig &policy() const { return cfg; }
-    const SlotPlan &plan() const { return slotPlan; }
 
     /** The event alphabet for this policy. UnmapMove is included only
      *  when the policy can distinguish it from Unmap (per-VA residue
@@ -347,7 +332,6 @@ class AbstractSimulator
     class ModelView;
 
     PolicyConfig cfg;
-    SlotPlan slotPlan = SlotPlan::standard();
     bool lazy;
     bool advMode;
 
@@ -360,11 +344,6 @@ class AbstractSimulator
      *  (false only for the skipAt-th op of the step). */
     bool issueOp(CacheKind cache, RequiredOp op, CachePageId colour,
                  bool present, bool dirty, const char *site) const;
-
-    CachePageId dcol(std::uint8_t slot) const
-    { return slotPlan.slots[slot].dColour; }
-    CachePageId icol(std::uint8_t slot) const
-    { return slotPlan.slots[slot].iColour; }
 
     // ground-truth transfers, issued from call site @p site
     void gtFlushData(ModelState &s, CachePageId c, const char *site) const;

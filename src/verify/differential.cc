@@ -37,8 +37,7 @@ struct ProductState
  *  of the event's target cache page, with a "+disp" marker when the
  *  access additionally displaces a dirty data cache page. */
 std::string
-classifyEvent(const Event &e, const ModelState *ls,
-              const SlotPlan &plan)
+classifyEvent(const Event &e, const ModelState *ls)
 {
     std::string label = eventKindName(e.kind);
     if (!ls)
@@ -57,9 +56,9 @@ classifyEvent(const Event &e, const ModelState *ls,
         ? std::countr_zero(static_cast<unsigned>(ls->dMapped))
         : -1;
     if (dirty_col < 0) {
-        for (std::uint8_t k = 0; k < kMaxSlots; ++k)
+        for (std::uint8_t k = 0; k < kSlots.size(); ++k)
             if (ls->live[k] && ls->modbit[k]) {
-                dirty_col = plan.slots[k].dColour;
+                dirty_col = kSlots[k].colour;
                 break;
             }
     }
@@ -68,7 +67,7 @@ classifyEvent(const Event &e, const ModelState *ls,
     switch (e.kind) {
       case EventKind::Load:
       case EventKind::Store: {
-        const CachePageId c = plan.slots[e.slot].dColour;
+        const CachePageId c = kSlots[e.slot].colour;
         char letter = 'E';
         if (bit(ls->dStale, c))
             letter = 'S';
@@ -83,7 +82,7 @@ classifyEvent(const Event &e, const ModelState *ls,
         return label;
       }
       case EventKind::IFetch: {
-        const CachePageId c = plan.slots[e.slot].iColour;
+        const CachePageId c = kSlots[e.slot].colour;
         char letter = 'E';
         if (bit(ls->iStale, c))
             letter = 'S';
@@ -158,8 +157,7 @@ comparePolicies(const PolicyConfig &a, const PolicyConfig &b)
         // Classified by the state the event leaves, before stepping.
         const ModelState *lazy_side =
             b_lazy ? &next.b : (a_lazy ? &next.a : nullptr);
-        const std::string label =
-            classifyEvent(e, lazy_side, simA.plan());
+        const std::string label = classifyEvent(e, lazy_side);
 
         StepTrace trA, trB;
         const auto vA = simA.stepTraced(next.a, e, trA);

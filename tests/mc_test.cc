@@ -7,6 +7,11 @@
  * ablation in which the same alphabet produces no genuine race.
  */
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/policy_config.hh"
@@ -127,6 +132,50 @@ TEST(McExplorer, PageoutScenarioReachesAcceptanceDepth)
     EXPECT_GE(r.maxDepth, 5u);
     EXPECT_GT(r.executions, 1u);
     EXPECT_EQ(r.reportedRaces(), 0u);
+}
+
+TEST(McExplorer, SwapOutThatUnmapsBeforeItsGuardIsCaught)
+{
+    // The kernel's swap-out takes the busy bit, then unmaps. Swapped,
+    // a store between the unmap and the guard maps the frame again on
+    // demand, and the pager releases a frame that a live translation
+    // reaches: a violation at the release, with a replay-confirmed
+    // minimal schedule, in both memory orders.
+    struct Case
+    {
+        MemoryOrder order;
+        std::uint64_t executions;
+        std::uint64_t violatingRuns;
+    };
+    for (const Case &c : {Case{MemoryOrder::SC, 36, 18},
+                          Case{MemoryOrder::WeakStoreOrder, 180, 80}}) {
+        Scenario s = guardedScenarios(PolicyConfig::cmu())[2];
+        s.memoryOrder = c.order;
+        const std::string name = s.name + "/" + memoryOrderName(c.order);
+        EXPECT_EQ(explore(s, defaults()).violatingRuns, 0u) << name;
+
+        std::vector<Op> &pager = s.threads[2].ops;
+        ASSERT_EQ(pager[0].kind, OpKind::BusyAcquire) << name;
+        ASSERT_EQ(pager[1].kind, OpKind::PmapUnmap) << name;
+        std::swap(pager[0], pager[1]);
+        const ScenarioResult r = explore(s, defaults());
+        EXPECT_TRUE(r.exhausted) << name;
+        EXPECT_EQ(r.executions, c.executions) << name;
+        EXPECT_EQ(r.violatingRuns, c.violatingRuns) << name;
+        EXPECT_EQ(r.reportedRaces(), 0u) << name;
+        EXPECT_TRUE(r.replayConfirmed) << name;
+        EXPECT_FALSE(r.passed(s.expect)) << name;
+        ASSERT_FALSE(r.minimalCounterexampleLabels.empty()) << name;
+        EXPECT_EQ(r.minimalCounterexampleLabels.back(),
+                  "pager:busy-release")
+            << name;
+
+        Executor ex(s);
+        for (int t : r.minimalCounterexample)
+            ex.step(t);
+        EXPECT_EQ(ex.firstViolationKind(), "release-while-mapped")
+            << name;
+    }
 }
 
 // --- broken orderings -------------------------------------------------

@@ -27,7 +27,7 @@
 #include "verify/cost_model.hh"
 #include "verify/differential.hh"
 #include "verify/necessity.hh"
-#include "verify/trace_replay.hh"
+#include "verify/policy_verifier.hh"
 
 namespace vic
 {
@@ -188,7 +188,6 @@ TEST_F(CostAgreementTest, WholeStepsCostWhatTheConcreteMachineCharges)
             policy.name == "CMU";
         const std::size_t len = deep ? 3 : 2;
         const verify::AbstractSimulator sim(policy);
-        const verify::TraceReplayer replayer(policy, machine);
         const std::vector<verify::Event> alpha = sim.alphabet();
 
         std::uint64_t events = 0;
@@ -198,7 +197,8 @@ TEST_F(CostAgreementTest, WholeStepsCostWhatTheConcreteMachineCharges)
             verify::Trace trace;
             for (std::size_t k : idx)
                 trace.push_back(alpha[k]);
-            const verify::ReplayResult concrete = replayer.replay(trace);
+            const verify::ReplayResult concrete =
+                verify::replay(policy, trace, machine);
             ASSERT_EQ(concrete.eventCycles.size(), trace.size());
             verify::ModelState s = sim.initial();
             for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -280,8 +280,8 @@ TEST(NecessityTest, EagerClassicExemplarHasReplayableTrace)
         const auto want = first_redundant.find(s.site);
         ASSERT_NE(want, first_redundant.end()) << s.site;
         EXPECT_EQ(verify::traceName(full), want->second) << s.site;
-        const verify::TraceReplayer replayer(PolicyConfig::configA());
-        const verify::ReplayResult rr = replayer.replay(full);
+        const verify::ReplayResult rr =
+            verify::replay(PolicyConfig::configA(), full);
         EXPECT_FALSE(rr.violated)
             << "exemplar trace violated at " << s.site;
     }

@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +23,6 @@
 #include "verify/abstract_model.hh"
 #include "verify/policy_verifier.hh"
 #include "verify/reachability.hh"
-#include "verify/trace_replay.hh"
 
 namespace
 {
@@ -170,8 +170,8 @@ TEST(VerifierTest, CounterexampleReplaysOnConcreteMachine)
     const VerifyResult r = verifyPolicy(PolicyConfig::broken());
     ASSERT_FALSE(r.counterexample.empty());
 
-    const TraceReplayer replayer(PolicyConfig::broken());
-    const ReplayResult rr = replayer.replay(r.counterexample);
+    const ReplayResult rr =
+        replay(PolicyConfig::broken(), r.counterexample);
     EXPECT_TRUE(rr.violated);
     EXPECT_GT(rr.violationCount, 0u);
     // The single-word discipline makes the abstraction exact: the
@@ -181,10 +181,37 @@ TEST(VerifierTest, CounterexampleReplaysOnConcreteMachine)
     EXPECT_FALSE(rr.kind.empty());
 }
 
+TEST(VerifierTest, BrokenPolicyTracesReplayTheModelsViolation)
+{
+    // The DMA events are the replay's multi-step translation (prepare,
+    // start, beat, wait); each must violate where the model does, with
+    // the oracle's kind of the transfer that read stale data.
+    const PolicyConfig broken = PolicyConfig::broken();
+    const AbstractSimulator sim(broken);
+    const std::array<std::pair<Trace, const char *>, 3> cases{{
+        {{{EventKind::Store, 0}, {EventKind::DmaOut, 0}}, "dma-read"},
+        {{{EventKind::Load, 0},
+          {EventKind::DmaIn, 0},
+          {EventKind::Load, 0}},
+         "cpu-load"},
+        {{{EventKind::Load, 1},
+          {EventKind::Store, 0},
+          {EventKind::Load, 1}},
+         "cpu-load"},
+    }};
+    for (const auto &[trace, kind] : cases) {
+        const int last = static_cast<int>(trace.size()) - 1;
+        EXPECT_EQ(firstAbstractViolation(sim, trace), last)
+            << traceName(trace);
+        const ReplayResult rr = replay(broken, trace);
+        EXPECT_EQ(rr.firstViolationEvent, last) << traceName(trace);
+        EXPECT_EQ(rr.kind, kind) << traceName(trace);
+    }
+}
+
 TEST(VerifierTest, EmptyTraceReplaysClean)
 {
-    const TraceReplayer replayer(byName("CMU"));
-    const ReplayResult rr = replayer.replay({});
+    const ReplayResult rr = replay(byName("CMU"), {});
     EXPECT_FALSE(rr.violated);
     EXPECT_EQ(rr.firstViolationEvent, -1);
 }
@@ -196,7 +223,6 @@ TEST(VerifierTest, SoundPoliciesReplayRandomTracesClean)
     for (const char *name : {"CMU", "Tut", "Sun", "Utah"}) {
         const PolicyConfig policy = byName(name);
         const AbstractSimulator sim(policy);
-        const TraceReplayer replayer(policy);
         const std::vector<Event> alpha = sim.alphabet();
 
         std::uint64_t rng = 0x243f6a8885a308d3ull;  // fixed seed
@@ -209,7 +235,7 @@ TEST(VerifierTest, SoundPoliciesReplayRandomTracesClean)
             }
             EXPECT_EQ(firstAbstractViolation(sim, t), -1)
                 << name << ": " << traceName(t);
-            const ReplayResult rr = replayer.replay(t);
+            const ReplayResult rr = replay(policy, t);
             EXPECT_FALSE(rr.violated)
                 << name << ": " << traceName(t) << " violated at event "
                 << rr.firstViolationEvent << " (" << rr.kind << ")";

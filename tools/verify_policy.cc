@@ -59,7 +59,8 @@
  * Exit status 0 iff every expectation holds, so CI can gate on it.
  * Unknown flags exit 2, and so does a numeric flag whose value is not
  * a whole decimal number in range (--fuzz, --budget and --jobs must
- * be positive).
+ * be positive), --coherence or --memory-order without --interleave,
+ * and --coherence with --memory-order weak.
  */
 
 #include <cstdio>
@@ -77,7 +78,6 @@
 #include "verify/mc_report.hh"
 #include "verify/necessity.hh"
 #include "verify/policy_verifier.hh"
-#include "verify/trace_replay.hh"
 
 namespace
 {
@@ -128,8 +128,7 @@ traceJson(const verify::Trace &t)
 
 /** @return true iff the policy met its expectation. */
 bool
-checkSoundness(const PolicyConfig &policy, bool do_replay,
-               JsonValue &out)
+checkSoundness(const PolicyConfig &policy, JsonValue &out)
 {
     const verify::VerifyResult r = verify::verifyPolicy(policy);
 
@@ -180,26 +179,20 @@ checkSoundness(const PolicyConfig &policy, bool do_replay,
     // broken policy it proves the verifier finds real bugs; for a
     // policy expected sound it distinguishes a genuine implementation
     // bug from an artifact of the abstraction.
-    if (do_replay) {
-        const verify::TraceReplayer replayer(policy);
-        const verify::ReplayResult rr =
-            replayer.replay(r.counterexample);
-        out.set("replayConfirmed", JsonValue::boolean(rr.violated));
-        if (rr.violated)
-            std::printf("  replayed on the concrete machine: %llu "
-                        "oracle violation(s), first at event %d (%s) "
-                        "— confirmed real\n",
-                        static_cast<unsigned long long>(
-                            rr.violationCount),
-                        rr.firstViolationEvent, rr.kind.c_str());
-        else
-            std::printf("  replayed clean on the concrete machine — "
-                        "abstraction artifact?\n");
-        if (!expectedSound(policy))
-            return rr.violated;
-    } else if (!expectedSound(policy)) {
-        return true;
-    }
+    const verify::ReplayResult rr =
+        verify::replay(policy, r.counterexample);
+    out.set("replayConfirmed", JsonValue::boolean(rr.violated));
+    if (rr.violated)
+        std::printf("  replayed on the concrete machine: %llu oracle "
+                    "violation(s), first at event %d (%s) — confirmed "
+                    "real\n",
+                    static_cast<unsigned long long>(rr.violationCount),
+                    rr.firstViolationEvent, rr.kind.c_str());
+    else
+        std::printf("  replayed clean on the concrete machine — "
+                    "abstraction artifact?\n");
+    if (!expectedSound(policy))
+        return rr.violated;
 
     std::printf("  ERROR: expected sound\n");
     return false;
@@ -432,7 +425,7 @@ checkInterleave(const PolicyConfig &policy, std::uint64_t budget,
                         : expect.wantConfirmedRace
                             ? "expected an oracle-confirmed race with "
                               "a short replayable schedule"
-                            : "unexpected race or oracle violation");
+                            : "unexpected race or violation");
         if (expect.wantConfirmedRace &&
             !r.minimalCounterexampleLabels.empty()) {
             std::printf("    minimal schedule (%zu events, replay "
@@ -587,7 +580,7 @@ usage(const char *argv0)
                  "       [--fuzz N] [--fuzz-seed S] [--budget N] "
                  "[--jobs N]\n"
                  "       [--diff-policy A B] [--json FILE] "
-                 "[--no-replay] [--list]\n",
+                 "[--list]\n",
                  argv0);
     return 2;
 }
@@ -597,13 +590,13 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    bool do_replay = true;
     bool do_cost = false;
     bool do_necessity = false;
     bool do_interleave = false;
     bool coherence = false;
     std::uint64_t budget = 20000;
     vic::mc::MemoryOrder order = vic::mc::MemoryOrder::SC;
+    bool order_given = false;
     std::uint64_t fuzz_samples = 0;
     std::uint64_t fuzz_seed = 0x5eed;
     unsigned jobs = 1;
@@ -613,9 +606,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--no-replay") {
-            do_replay = false;
-        } else if (arg == "--cost") {
+        if (arg == "--cost") {
             do_cost = true;
         } else if (arg == "--necessity") {
             do_necessity = true;
@@ -630,6 +621,7 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             }
             const std::string mo = argv[++i];
+            order_given = true;
             if (mo == "sc") {
                 order = vic::mc::MemoryOrder::SC;
             } else if (mo == "weak") {
@@ -696,6 +688,19 @@ main(int argc, char **argv)
         }
     }
 
+    // Both flags choose the catalog --interleave runs, and the
+    // coherence catalog is explored under SC only.
+    if (!do_interleave && (coherence || order_given)) {
+        std::fprintf(stderr, "%s requires --interleave\n",
+                     coherence ? "--coherence" : "--memory-order");
+        return usage(argv[0]);
+    }
+    if (coherence && order == vic::mc::MemoryOrder::WeakStoreOrder) {
+        std::fprintf(stderr, "--coherence runs under sc only, not "
+                             "--memory-order weak\n");
+        return usage(argv[0]);
+    }
+
     const std::vector<PolicyConfig> all = allPolicies();
     if (!only.empty() && findPolicy(all, only) == nullptr) {
         std::fprintf(stderr, "unknown policy '%s' (try --list)\n",
@@ -727,7 +732,7 @@ main(int argc, char **argv)
             continue;
         JsonValue jp = JsonValue::object();
         jp.set("name", JsonValue::str(p.name));
-        bool ok = checkSoundness(p, do_replay, jp);
+        bool ok = checkSoundness(p, jp);
         if (do_cost) {
             JsonValue jc = JsonValue::object();
             ok &= checkCost(p, jc);
