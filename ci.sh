@@ -57,10 +57,12 @@
 #      that no result depends on the optimisation level (the
 #      pipeline's inline hit paths and line runs included); the
 #      lockstep tests (tlb_lockstep_test, cache_index_test,
-#      range_lockstep_test, cache_model_test's naive cache and
-#      page_table_model_test's std::map) check the fast paths whose
-#      countr_zero walks, word loops and held handles the optimiser
-#      treats differently, and oracle_test, cache_test, lazy_pmap_test
+#      range_lockstep_test, cache_model_test's naive cache,
+#      page_table_model_test's std::map and physical_memory_test's
+#      flat vector) check the fast paths whose countr_zero walks, word
+#      loops, held handles and per-frame written bit (tested inline in
+#      every fill, write-back and DMA beat) the optimiser treats
+#      differently, and oracle_test, cache_test, lazy_pmap_test
 #      and classic_pmap_test run because vic_assert stays compiled in
 #      at -O3: the oracle's per-word checks inline into their callers,
 #      a conflict copy run asserts its MESI and one-copy
@@ -116,8 +118,9 @@ step "bench determinism (--jobs 1 against the golden --jobs 2 sweep)"
 
 step "Release -O3 (golden entries, lockstep, model and death tests, perfbench selftest)"
 release_tests=(tlb_lockstep_test cache_index_test range_lockstep_test
-               cache_model_test page_table_model_test oracle_test
-               cache_test lazy_pmap_test classic_pmap_test)
+               cache_model_test page_table_model_test
+               physical_memory_test oracle_test cache_test
+               lazy_pmap_test classic_pmap_test)
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$JOBS" \
     --target vic_bench verify_policy "${release_tests[@]}"

@@ -10,8 +10,18 @@
  * incorrectly managed cache actually return stale values, which the
  * consistency oracle then detects.
  *
+ * Memory reads as zeros until written, but a frame is zero-filled on
+ * its first write, not at construction, much as the paper's kernel
+ * zero-fills a page only when it is first touched. The store is
+ * allocated uninitialised, and one bit per frame records whether the
+ * frame has been written. A read of an unwritten frame returns zeros
+ * and leaves the frame as it is, so a run pays to fill only the frames
+ * it writes.
+ *
  * The word accessors are inline: every cache fill and write-back goes
  * through them. Each checks alignment and bounds once, in every build.
+ * A range must lie inside one frame (a cache line or a DMA beat never
+ * crosses a page), so one bit test covers it.
  */
 
 #ifndef VIC_MEM_PHYSICAL_MEMORY_HH
@@ -19,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -30,7 +41,7 @@ class PhysicalMemory
 {
   public:
     /** Construct @p num_frames frames of @p page_size bytes each.
-     *  @p page_size must be a multiple of 4. */
+     *  @p page_size must be a power of two, at least 4. */
     PhysicalMemory(std::uint64_t num_frames, std::uint32_t page_size);
 
     std::uint64_t numFrames() const { return frames; }
@@ -46,18 +57,29 @@ class PhysicalMemory
 
     /** Read the aligned 32-bit word at @p pa. */
     std::uint32_t readWord(PhysAddr pa) const
-    { return store[wordIndex(pa, 1)]; }
+    {
+        const std::uint64_t idx = wordIndex(pa, 1);
+        return written[idx >> frameWordShift] ? store[idx] : 0;
+    }
 
     /** Write the aligned 32-bit word at @p pa. */
     void writeWord(PhysAddr pa, std::uint32_t value)
-    { store[wordIndex(pa, 1)] = value; }
+    {
+        const std::uint64_t idx = wordIndex(pa, 1);
+        materialise(idx);
+        store[idx] = value;
+    }
 
     /** Copy @p nwords words starting at @p pa into @p out (cache line
      *  fill). @p pa must be word aligned. */
     void
     readWords(PhysAddr pa, std::uint32_t *out, std::uint32_t nwords) const
     {
-        std::copy_n(store.data() + wordIndex(pa, nwords), nwords, out);
+        const std::uint64_t idx = wordIndex(pa, nwords);
+        if (written[idx >> frameWordShift])
+            std::copy_n(store.get() + idx, nwords, out);
+        else
+            std::fill_n(out, nwords, 0u);
     }
 
     /** Copy @p nwords words from @p in to @p pa (cache line
@@ -65,27 +87,56 @@ class PhysicalMemory
     void
     writeWords(PhysAddr pa, const std::uint32_t *in, std::uint32_t nwords)
     {
-        std::copy_n(in, nwords, store.data() + wordIndex(pa, nwords));
+        const std::uint64_t idx = wordIndex(pa, nwords);
+        materialise(idx);
+        std::copy_n(in, nwords, store.get() + idx);
     }
+
+    /** Whether frame @p frame has been written, and so zero-filled,
+     *  since construction (never charges; for tests). */
+    bool frameWritten(FrameId frame) const { return written[frame]; }
 
   private:
     std::uint64_t frames;
     std::uint32_t pageBytes;
-    std::vector<std::uint32_t> store;
+    /** log2 of the words in a frame: word @c idx lies in frame
+     *  <tt>idx >> frameWordShift</tt>. */
+    std::uint32_t frameWordShift;
+    /** Every word of memory; a frame's words are indeterminate until
+     *  its bit in @c written is set. */
+    std::unique_ptr<std::uint32_t[]> store;
+    /** One bit per frame: set by the frame's first write, which
+     *  zero-fills it. */
+    std::vector<bool> written;
+
+    /** Zero-fill the frame of word @p idx unless it has been
+     *  written. */
+    void materialise(std::uint64_t idx)
+    {
+        if (!written[idx >> frameWordShift]) [[unlikely]]
+            zeroFill(idx >> frameWordShift);
+    }
+
+    /** Zero-fill @p frame and mark it written. */
+    void zeroFill(std::uint64_t frame);
 
     /** Index of the word at @p pa; panics unless @p pa is word
-     *  aligned and the @p nwords words from it lie inside the
-     *  memory. */
+     *  aligned and the @p nwords words from it lie inside one frame
+     *  of the memory. */
     std::uint64_t
     wordIndex(PhysAddr pa, std::uint32_t nwords) const
     {
         const std::uint64_t idx = pa.value >> 2;
-        if ((pa.value & 3) != 0 || idx + nwords > store.size()) [[unlikely]]
+        const std::uint64_t frame_words = std::uint64_t(1)
+                                          << frameWordShift;
+        if ((pa.value & 3) != 0 || (idx >> frameWordShift) >= frames ||
+            (idx & (frame_words - 1)) + nwords > frame_words) [[unlikely]]
             badAccess(pa, nwords);
         return idx;
     }
 
-    /** Panic on an unaligned or out-of-range access. */
+    /** Panic on an unaligned, out-of-range or frame-crossing
+     *  access. */
     [[noreturn]] void badAccess(PhysAddr pa, std::uint32_t nwords) const;
 };
 

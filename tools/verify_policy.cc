@@ -59,8 +59,10 @@
  * Exit status 0 iff every expectation holds, so CI can gate on it.
  * Unknown flags exit 2, and so does a numeric flag whose value is not
  * a whole decimal number in range (--fuzz, --budget and --jobs must
- * be positive), --coherence or --memory-order without --interleave,
- * and --coherence with --memory-order weak.
+ * be positive), any of --coherence, --memory-order, --fuzz,
+ * --fuzz-seed, --budget and --jobs without --interleave (they
+ * configure only that pass), and --coherence with --memory-order
+ * weak.
  */
 
 #include <cstdio>
@@ -596,16 +598,21 @@ main(int argc, char **argv)
     bool coherence = false;
     std::uint64_t budget = 20000;
     vic::mc::MemoryOrder order = vic::mc::MemoryOrder::SC;
-    bool order_given = false;
     std::uint64_t fuzz_samples = 0;
     std::uint64_t fuzz_seed = 0x5eed;
     unsigned jobs = 1;
     std::string only;
     std::string json_path;
     std::string diff_a, diff_b;
+    // The last flag given that configures only --interleave.
+    std::string interleave_flag;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arg == "--coherence" || arg == "--memory-order" ||
+            arg == "--fuzz" || arg == "--fuzz-seed" ||
+            arg == "--budget" || arg == "--jobs")
+            interleave_flag = arg;
         if (arg == "--cost") {
             do_cost = true;
         } else if (arg == "--necessity") {
@@ -621,7 +628,6 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             }
             const std::string mo = argv[++i];
-            order_given = true;
             if (mo == "sc") {
                 order = vic::mc::MemoryOrder::SC;
             } else if (mo == "weak") {
@@ -688,11 +694,11 @@ main(int argc, char **argv)
         }
     }
 
-    // Both flags choose the catalog --interleave runs, and the
+    // Without --interleave such a flag would be ignored, and the
     // coherence catalog is explored under SC only.
-    if (!do_interleave && (coherence || order_given)) {
+    if (!do_interleave && !interleave_flag.empty()) {
         std::fprintf(stderr, "%s requires --interleave\n",
-                     coherence ? "--coherence" : "--memory-order");
+                     interleave_flag.c_str());
         return usage(argv[0]);
     }
     if (coherence && order == vic::mc::MemoryOrder::WeakStoreOrder) {
